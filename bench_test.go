@@ -311,11 +311,12 @@ func BenchmarkAccuracyEval(b *testing.B) {
 
 // BenchmarkSlidingThroughput compares the two ways to answer
 // overlapping sliding windows at slide = window/16: recomputing every
-// window from scratch (generic engine — each event is inserted into
-// all ~16 open window sketches that contain it) against the
+// window from scratch (a benchmark-local loop — each event is inserted
+// into the own sketch of all 16 open windows that contain it, and the
+// oldest window fires at every slide boundary) against the
 // pane-sharing engine (each event is inserted once into its pane, and
 // each window is assembled by merging its 16 pane sketches). Both
-// variants process ~b.N events end to end.
+// variants process ~b.N events.
 func BenchmarkSlidingThroughput(b *testing.B) {
 	const (
 		window = time.Second
@@ -339,19 +340,35 @@ func BenchmarkSlidingThroughput(b *testing.B) {
 	// for one slide interval per produced window.
 	perSlide := int(float64(rate) * slide.Seconds())
 	b.Run("recompute", func(b *testing.B) {
-		eng, err := stream.NewGenericEngine(stream.GenericConfig{
-			Assigner:  stream.SlidingAssigner{Size: window, Slide: slide},
-			Rate:      rate,
-			RunLength: time.Duration(b.N/perSlide+1) * slide,
-			Values:    newSrc(),
-			Builder:   builders["ddsketch"],
-		})
-		if err != nil {
-			b.Fatal(err)
+		build := builders["ddsketch"]
+		src := newSrc()
+		// Window m (starting m·slide) lives in slot m mod 16, as one
+		// sketch per partition like the pane run's. At each boundary the
+		// oldest window fires — its partitions merge into the answer —
+		// and its slot restarts for the window starting there.
+		const partitions = 4
+		wins := make([][partitions]sketch.Sketch, window/slide)
+		for i := range wins {
+			for p := range wins[i] {
+				wins[i][p] = build()
+			}
 		}
 		b.ResetTimer()
-		if _, err := eng.Run(func(stream.GenericResult) {}); err != nil {
-			b.Fatal(err)
+		for n := 0; n < b.N; n++ {
+			if n > 0 && n%perSlide == 0 {
+				w := &wins[n/perSlide%len(wins)]
+				answer := build()
+				for p := range w {
+					if err := answer.Merge(w[p]); err != nil {
+						b.Fatal(err)
+					}
+					w[p] = build()
+				}
+			}
+			v := src.Next()
+			for i := range wins {
+				wins[i][n%partitions].Insert(v)
+			}
 		}
 	})
 	b.Run("pane", func(b *testing.B) {

@@ -22,7 +22,7 @@ import (
 
 // burstySource emits realistic interaction latencies, but the burst
 // structure comes from the engine's event clock — we emulate activity
-// gaps by making the assigner see sparse event times via a thinned rate.
+// gaps by making the windows see sparse event times via a thinned rate.
 type burstySource struct {
 	lat datagen.Source
 }
@@ -36,20 +36,18 @@ func main() {
 	fmt.Println("same stream, three window types (Sec 2.5):")
 	fmt.Println()
 
-	run := func(label string, assigner stream.Assigner, rate int) {
-		eng, err := stream.NewGenericEngine(stream.GenericConfig{
-			Assigner:  assigner,
-			Rate:      rate,
-			RunLength: 10 * time.Second,
-			Values:    &burstySource{lat: datagen.NewLogNormal(3.5, 0.7, seed)},
-			Builder:   builder,
-		})
+	// Every run covers 10 s of event time: NumWindows·WindowSize, with
+	// Slide or SessionGap choosing the window type.
+	run := func(label string, cfg stream.Config) {
+		cfg.Values = &burstySource{lat: datagen.NewLogNormal(3.5, 0.7, seed)}
+		cfg.Builder = builder
+		eng, err := stream.NewEngine(cfg)
 		if err != nil {
 			panic(err)
 		}
 		fmt.Printf("%s\n", label)
 		count := 0
-		_, err = eng.Run(func(r stream.GenericResult) {
+		_, err = eng.Run(func(r stream.WindowResult) {
 			if count >= 6 {
 				return
 			}
@@ -59,7 +57,7 @@ func main() {
 				panic(err)
 			}
 			fmt.Printf("  window [%5.1fs, %5.1fs)  events=%5d  p95=%.1fms\n",
-				r.Window.Start.Seconds(), r.Window.End.Seconds(), r.Accepted, p95)
+				r.Start.Seconds(), r.End.Seconds(), r.Accepted, p95)
 		})
 		if err != nil {
 			panic(err)
@@ -67,17 +65,18 @@ func main() {
 		fmt.Println()
 	}
 
-	run("tumbling 2s windows:", stream.TumblingAssigner{Size: 2 * time.Second}, 1000)
+	run("tumbling 2s windows:",
+		stream.Config{WindowSize: 2 * time.Second, NumWindows: 5, Rate: 1000})
 	run("sliding 2s windows, 1s slide (each event counted twice):",
-		stream.SlidingAssigner{Size: 2 * time.Second, Slide: time.Second}, 1000)
+		stream.Config{WindowSize: 2 * time.Second, Slide: time.Second, NumWindows: 10, Rate: 1000})
 	// The source emits every 1/rate seconds, so the session structure is
 	// controlled by how the inactivity gap compares to the event spacing:
 	// a gap above the spacing chains everything into one long session, a
 	// gap below it isolates every event.
 	run("session windows, 400ms gap > 333ms spacing → one long session:",
-		stream.SessionAssigner{Gap: 400 * time.Millisecond}, 3)
+		stream.Config{SessionGap: 400 * time.Millisecond, WindowSize: 10 * time.Second, NumWindows: 1, Rate: 3})
 	run("session windows, 250ms gap < 333ms spacing → per-event sessions:",
-		stream.SessionAssigner{Gap: 250 * time.Millisecond}, 3)
+		stream.Config{SessionGap: 250 * time.Millisecond, WindowSize: 10 * time.Second, NumWindows: 1, Rate: 3})
 
 	fmt.Println("Session windows group by activity, not by the clock —")
 	fmt.Println("each quantile describes one burst of user interaction.")

@@ -19,14 +19,14 @@ type Event struct {
 	Partition int64
 }
 
-// WindowSnap captures one open window: its identity (tumbling Index, or
-// the [Start, End) span for the generic engine, which uses Index -1),
-// engine-side counters, optionally the collected raw values, and the
-// sealed per-partition sketch blobs.
+// WindowSnap captures one open window: its identity (the window or
+// pane Index; for sessions the sink key, with the session's [Start,
+// End) span), engine-side counters, optionally the collected raw
+// values, and the sealed per-partition sketch blobs.
 type WindowSnap struct {
 	Index    int64
-	Start    int64 // ns; generic engine only
-	End      int64 // ns; generic engine only
+	Start    int64 // ns; sessions only
+	End      int64 // ns; sessions only
 	Accepted int64
 	// HasValues distinguishes a nil Values slice (CollectValues off)
 	// from an empty one, preserving the engine's emit semantics exactly.
@@ -65,7 +65,8 @@ type Snapshot struct {
 	Drawn int64
 	// Watermark is the engine watermark in ns (-1: none yet).
 	Watermark int64
-	// NextFire is the next window index to fire (tumbling engine).
+	// NextFire is the next window index to fire (for sessions, the
+	// number of sessions fired).
 	NextFire int64
 	// Generated/Accepted/DroppedLate/RejectedInput mirror stream.Stats.
 	Generated     int64

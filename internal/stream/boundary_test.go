@@ -140,15 +140,15 @@ func TestWindowBoundarySemantics(t *testing.T) {
 }
 
 // TestGenericWindowBoundarySemantics pins the same [start, end)
-// contract on the generic engine's tumbling path, plus the
-// AllowedLateness boundary: a late event arriving while
-// watermark < end+lateness is re-admitted, one arriving at or after
-// that horizon is dropped — so `end+lateness` is itself exclusive.
+// contract with AllowedLateness: a late event arriving while the
+// largest event time is below end+lateness is re-admitted, one arriving
+// at or after that horizon is dropped — so `end+lateness` is itself
+// exclusive (TestLatenessBoundary repeats this on every window type).
 func TestGenericWindowBoundarySemantics(t *testing.T) {
-	eng, err := NewGenericEngine(GenericConfig{
-		Assigner:        TumblingAssigner{Size: 10 * time.Millisecond},
+	eng, err := NewEngine(Config{
+		WindowSize:      10 * time.Millisecond,
 		Rate:            1000,
-		RunLength:       20 * time.Millisecond,
+		NumWindows:      2,
 		AllowedLateness: 5 * time.Millisecond,
 		Values:          &rampSource{},
 		Delay: &scriptedDelay{delays: map[int]time.Duration{
@@ -167,8 +167,8 @@ func TestGenericWindowBoundarySemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var results []GenericResult
-	st, err := eng.Run(func(r GenericResult) { results = append(results, r) })
+	var results []WindowResult
+	st, err := eng.Run(func(r WindowResult) { results = append(results, r) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +176,8 @@ func TestGenericWindowBoundarySemantics(t *testing.T) {
 		t.Fatalf("got %d windows, want 2", len(results))
 	}
 	w0, w1 := results[0], results[1]
-	if w0.Window.Start != 0 || w0.Window.End != 10*time.Millisecond {
-		t.Fatalf("first window [%v,%v), want [0,10ms)", w0.Window.Start, w0.Window.End)
+	if w0.Start != 0 || w0.End != 10*time.Millisecond {
+		t.Fatalf("first window [%v,%v), want [0,10ms)", w0.Start, w0.End)
 	}
 	// Window [0,10): indices 0..9 minus dropped index 7; the re-admitted
 	// index 9 lands last (it arrived after indices 10..14 were processed).
@@ -247,38 +247,46 @@ func TestRejectedInput(t *testing.T) {
 	}
 }
 
-// TestGenericRejectedInput is TestRejectedInput on the generic engine.
+// TestGenericRejectedInput is TestRejectedInput on sliding and session
+// windows.
 func TestGenericRejectedInput(t *testing.T) {
-	poison := map[int]float64{2: math.NaN(), 12: math.Inf(1)}
-	eng, err := NewGenericEngine(GenericConfig{
-		Assigner:      TumblingAssigner{Size: 10 * time.Millisecond},
-		Rate:          1000,
-		RunLength:     20 * time.Millisecond,
-		Values:        &poisonSource{src: &rampSource{}, poison: poison},
-		Builder:       ddBuilder,
-		CollectValues: true,
-		Metrics:       testMetrics.Engine(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := eng.Run(func(r GenericResult) {
-		for _, v := range r.Values {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Errorf("poisoned value %v reached window %v", v, r.Window)
-			}
+	for _, mut := range []func(*Config){
+		func(c *Config) { c.Slide = 5 * time.Millisecond; c.NumWindows = 4 },
+		func(c *Config) { c.SessionGap = 5 * time.Millisecond },
+	} {
+		poison := map[int]float64{2: math.NaN(), 12: math.Inf(1)}
+		cfg := Config{
+			WindowSize:    10 * time.Millisecond,
+			Rate:          1000,
+			NumWindows:    2,
+			Values:        &poisonSource{src: &rampSource{}, poison: poison},
+			Builder:       ddBuilder,
+			CollectValues: true,
+			Metrics:       testMetrics.Engine(),
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
+		mut(&cfg)
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := eng.Run(func(r WindowResult) {
+			for _, v := range r.Values {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Errorf("poisoned value %v reached window [%v,%v)", v, r.Start, r.End)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.RejectedInput != 2 {
+			t.Errorf("RejectedInput %d, want 2", st.RejectedInput)
+		}
+		if st.Generated != 20 || st.Accepted != 18 || st.DroppedLate != 0 {
+			t.Errorf("stats %+v, want Generated=20 Accepted=18 DroppedLate=0", st)
+		}
+		checkIdentity(t, st)
 	}
-	if st.RejectedInput != 2 {
-		t.Errorf("RejectedInput %d, want 2", st.RejectedInput)
-	}
-	if st.Generated != 20 || st.Accepted != 18 || st.DroppedLate != 0 {
-		t.Errorf("stats %+v, want Generated=20 Accepted=18 DroppedLate=0", st)
-	}
-	checkIdentity(t, st)
 }
 
 // TestParallelDrainLosesNothing is the no-event-left-behind regression

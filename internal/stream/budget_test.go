@@ -268,45 +268,52 @@ func TestBudgetParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestBudgetGenericEngine wires the ladder through the generic engine:
-// a binding budget degrades sliding-window sketches in place, and an
-// impossible one (non-degradable moments) sheds with the extended
-// identity intact.
+// TestBudgetGenericEngine wires the ladder through the sliding and
+// session window types: a binding budget degrades their sketches in
+// place, and an impossible one (non-degradable moments) sheds with the
+// extended identity intact.
 func TestBudgetGenericEngine(t *testing.T) {
-	met := obs.NewRegistry().Engine()
-	eng, err := NewGenericEngine(GenericConfig{
-		Assigner:     SlidingAssigner{Size: 2 * time.Second, Slide: time.Second},
-		Rate:         10000,
-		RunLength:    5 * time.Second,
-		Values:       datagen.NewUniform(1, 1000, 23),
-		Builder:      func() sketch.Sketch { return kll.NewWithSeed(1024, 29) },
-		Metrics:      met,
-		MemoryBudget: 48 << 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fired int
-	st, err := eng.Run(func(GenericResult) { fired++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkShedIdentity(t, st)
-	if fired == 0 {
-		t.Fatal("no windows fired")
-	}
-	if met.Degradations.Load() == 0 {
-		t.Error("generic governor never degraded (budget not binding — retune the test)")
-	}
-	if got := met.BudgetBytes.Load(); got > 48<<10 {
-		t.Errorf("generic post-enforcement high-water %d exceeds the budget", got)
+	for _, mut := range []func(*Config){
+		func(c *Config) { c.Slide = time.Second; c.NumWindows = 5 },
+		func(c *Config) { c.SessionGap = time.Millisecond; c.NumWindows = 1 },
+	} {
+		met := obs.NewRegistry().Engine()
+		cfg := Config{
+			WindowSize:   2 * time.Second,
+			Rate:         10000,
+			Values:       datagen.NewUniform(1, 1000, 23),
+			Builder:      func() sketch.Sketch { return kll.NewWithSeed(1024, 29) },
+			Metrics:      met,
+			MemoryBudget: 16 << 10,
+		}
+		mut(&cfg)
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fired int
+		st, err := eng.Run(func(WindowResult) { fired++ })
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkShedIdentity(t, st)
+		if fired == 0 {
+			t.Fatal("no windows fired")
+		}
+		if met.Degradations.Load() == 0 {
+			t.Error("governor never degraded (budget not binding — retune the test)")
+		}
+		if got := met.BudgetBytes.Load(); got > 16<<10 {
+			t.Errorf("post-enforcement high-water %d exceeds the budget", got)
+		}
 	}
 
-	met = obs.NewRegistry().Engine()
-	eng, err = NewGenericEngine(GenericConfig{
-		Assigner:     TumblingAssigner{Size: time.Second},
+	met := obs.NewRegistry().Engine()
+	eng, err := NewEngine(Config{
+		SessionGap:   time.Millisecond,
+		WindowSize:   time.Second,
+		NumWindows:   3,
 		Rate:         5000,
-		RunLength:    3 * time.Second,
 		Values:       datagen.NewUniform(1, 1000, 25),
 		Builder:      func() sketch.Sketch { return moments.New(10) },
 		Metrics:      met,
@@ -315,13 +322,13 @@ func TestBudgetGenericEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err = eng.Run(func(GenericResult) {})
+	st, err := eng.Run(func(WindowResult) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkShedIdentity(t, st)
 	if st.ShedBudget == 0 {
-		t.Error("impossible generic budget shed nothing")
+		t.Error("impossible budget shed nothing")
 	}
 	if got := met.BudgetShed.Load(); got != st.ShedBudget {
 		t.Errorf("BudgetShed counter %d != Stats.ShedBudget %d", got, st.ShedBudget)

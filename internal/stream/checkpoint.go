@@ -52,7 +52,7 @@ func (rs *runState) maybeSnapshot() error {
 		return nil
 	}
 	rs.sinceSnap = 0
-	if rs.nextFire >= rs.cfg.NumWindows {
+	if rs.cfg.SessionGap == 0 && rs.nextFire >= rs.cfg.NumWindows {
 		// Every tracked window has fired; there is nothing left that a
 		// resume could usefully replay.
 		return nil
@@ -102,19 +102,31 @@ func (rs *runState) snapshot() error {
 			Partition: int64(ev.Partition),
 		}
 	}
-	openWins := make([]int, 0, len(rs.open))
-	for wi := range rs.open {
-		openWins = append(openWins, wi)
-	}
-	sort.Ints(openWins)
-	for _, wi := range openWins {
-		w := rs.open[wi]
-		ws := checkpoint.WindowSnap{Index: int64(wi), Accepted: w.accepted}
-		if w.values != nil {
-			ws.HasValues = true
-			ws.Values = w.values
+	// Open windows ascending by key. A session contributes one entry
+	// per sink key, in its own key order, all carrying its span; its
+	// counters and values ride on the first. Sessions are disjoint, so
+	// restore regroups consecutive entries by span.
+	keys := make([]int, 0, len(rs.open))
+	if rs.cfg.SessionGap > 0 {
+		for _, w := range rs.sessions {
+			keys = append(keys, w.keys...)
 		}
-		ws.Partials = partials[wi]
+	} else {
+		for wi := range rs.open {
+			keys = append(keys, wi)
+		}
+		sort.Ints(keys)
+	}
+	for _, key := range keys {
+		w := rs.open[key]
+		ws := checkpoint.WindowSnap{Index: int64(key), Start: int64(w.start), End: int64(w.end), Partials: partials[key]}
+		if w.keys == nil || w.keys[0] == key {
+			ws.Accepted = w.accepted
+			if w.values != nil {
+				ws.HasValues = true
+				ws.Values = w.values
+			}
+		}
 		snap.Windows = append(snap.Windows, ws)
 	}
 	if rs.paneMode {
@@ -169,7 +181,7 @@ func (rs *runState) restore(snap *checkpoint.Snapshot) error {
 	if snap.SketchName != rs.builderName {
 		return fmt.Errorf("stream: snapshot holds %q sketches, engine builds %q", snap.SketchName, rs.builderName)
 	}
-	if snap.Drawn < 0 || snap.NextFire < 0 || snap.NextFire > int64(cfg.NumWindows) {
+	if snap.Drawn < 0 || snap.NextFire < 0 || (cfg.SessionGap == 0 && snap.NextFire > int64(cfg.NumWindows)) {
 		return fmt.Errorf("stream: snapshot state out of range for this config: %w", checkpoint.ErrCorrupt)
 	}
 	rs.drawn = snap.Drawn
@@ -196,9 +208,12 @@ func (rs *runState) restore(snap *checkpoint.Snapshot) error {
 		}
 	}
 	// In pane mode the Windows section holds open panes, so the index
-	// bound is the pane count, not the window count.
+	// bound is the pane count, not the window count; session keys are
+	// draw numbers.
 	trackLimit := cfg.NumWindows
-	if rs.paneMode {
+	if cfg.SessionGap > 0 {
+		trackLimit = int(snap.Drawn)
+	} else if rs.paneMode {
 		trackLimit = rs.numPanes
 		if rs.nextFire > 0 {
 			rs.nextSeal = rs.paneEnd(rs.nextFire - 1)
@@ -212,9 +227,22 @@ func (rs *runState) restore(snap *checkpoint.Snapshot) error {
 		if wi < 0 || wi >= trackLimit {
 			return fmt.Errorf("stream: snapshot window %d out of range: %w", wi, checkpoint.ErrCorrupt)
 		}
-		w := &windowState{index: wi, accepted: ws.Accepted}
+		w := &windowState{accepted: ws.Accepted, start: time.Duration(ws.Start), end: time.Duration(ws.End)}
 		if ws.HasValues {
 			w.values = ws.Values
+		}
+		if cfg.SessionGap > 0 {
+			n := len(rs.sessions)
+			switch {
+			case n > 0 && rs.sessions[n-1].start == w.start && rs.sessions[n-1].end == w.end:
+				w = rs.sessions[n-1]
+				w.keys = append(w.keys, wi)
+			case w.start >= w.end || (n > 0 && w.start < rs.sessions[n-1].end):
+				return fmt.Errorf("stream: snapshot session %d is empty or overlaps its predecessor: %w", wi, checkpoint.ErrCorrupt)
+			default:
+				w.keys = []int{wi}
+				rs.sessions = append(rs.sessions, w)
+			}
 		}
 		rs.open[wi] = w
 		if len(ws.Partials) == 0 {
@@ -323,16 +351,7 @@ func (e *Engine) resumeRun(emit func(WindowResult)) (Stats, map[int]int64, error
 	if err != nil {
 		return Stats{}, nil, err
 	}
-	rs, err := e.newRunState(emit)
-	if err != nil {
-		return Stats{}, nil, err
-	}
-	defer rs.sink.close()
-	if err := rs.restore(snap); err != nil {
-		return Stats{}, nil, err
-	}
-	err = rs.loop()
-	return rs.stats, rs.lateOf, err
+	return e.run(emit, snap)
 }
 
 // maxRecoveries bounds RunRecovering's restore-and-replay cycles; a
@@ -357,16 +376,20 @@ func RunRecovering(cfg Config) ([]WindowResult, Stats, error) {
 	if err := checkResumable(cfg, "RunRecovering"); err != nil {
 		return nil, Stats{}, err
 	}
-	results := make([]WindowResult, cfg.NumWindows)
-	emitted := make([]bool, cfg.NumWindows)
+	// Sized on demand: a session run emits as many windows as it has
+	// sessions.
+	var results []WindowResult
+	var emitted []bool
 	emit := func(r WindowResult) {
-		if r.Index >= 0 && r.Index < cfg.NumWindows {
-			results[r.Index] = r
-			emitted[r.Index] = true
+		for len(results) <= r.Index {
+			results = append(results, WindowResult{})
+			emitted = append(emitted, false)
 		}
+		results[r.Index] = r
+		emitted[r.Index] = true
 	}
 	recoveries := 0
-	stats, lateOf, err := e.run(emit)
+	stats, lateOf, err := e.run(emit, nil)
 	for err != nil {
 		var pe *PanicError
 		if !errors.As(err, &pe) || recoveries >= maxRecoveries {
@@ -381,8 +404,11 @@ func RunRecovering(cfg Config) ([]WindowResult, Stats, error) {
 			// Crashed before the first checkpoint: replay from scratch.
 			// One-shot fault semantics guarantee the restart does not
 			// re-crash on the same event.
-			stats, lateOf, err = e.run(emit)
+			stats, lateOf, err = e.run(emit, nil)
 		}
+	}
+	if cfg.SessionGap == 0 && len(results) < cfg.NumWindows {
+		return nil, Stats{}, fmt.Errorf("stream: window %d never fired", len(results))
 	}
 	for i := range results {
 		if !emitted[i] {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -19,8 +20,9 @@ import (
 )
 
 // Config describes one streaming run: a source emitting Rate events/s for
-// the run's duration, tumbling event-time windows of WindowSize, and a
-// sketch under test.
+// the run's duration, event-time windows — tumbling windows of
+// WindowSize by default, sliding windows with Slide, session windows
+// with SessionGap — and a sketch under test.
 type Config struct {
 	// WindowSize is the tumbling window length (the study uses 20 s, with
 	// 5 s and 10 s in the sensitivity analysis, Sec 4.7).
@@ -34,12 +36,12 @@ type Config struct {
 	// WindowSize) keeps the tumbling fast path, bit-identical to before
 	// the field existed. Window starts sit on the slide lattice; the
 	// early windows whose nominal start precedes the stream origin are
-	// emitted with Start clamped to 0, matching SlidingAssigner
-	// (DESIGN.md §15). NumWindows counts emitted windows, so the run
-	// spans (NumWindows-1)·Slide + WindowSize of event time. A pane is
-	// sealed when the first window containing it fires; events arriving
-	// for a sealed pane are dropped late from every remaining window
-	// (the sharing trade-off, also §15).
+	// emitted with Start clamped to 0 (DESIGN.md §15). NumWindows counts
+	// emitted windows, so the run spans (NumWindows-1)·Slide +
+	// WindowSize of event time. A pane is sealed when the first window
+	// containing it fires; events arriving for a sealed pane are dropped
+	// late from every remaining window (the sharing trade-off, also
+	// §15).
 	Slide time.Duration
 	// DecayLambda, when positive, applies exponential time decay at
 	// window assembly: each pane's sketch is down-weighted by
@@ -52,6 +54,33 @@ type Config struct {
 	// for later windows. 0 disables decay; a DecayLambda of 0 is
 	// bit-identical to the undecayed sliding run.
 	DecayLambda float64
+	// SessionGap, when positive, switches the engine to session windows
+	// (paper Sec 2.5): an event at time t opens the proto-window
+	// [t, t+SessionGap), which merges with every open session it
+	// overlaps, so a session spans [first event, last event +
+	// SessionGap) and closes after SessionGap of inactivity. Sessions
+	// fire in end order once the watermark passes their end, with
+	// WindowResult.Index the emission sequence number. The run still
+	// spans NumWindows·WindowSize of event time; WindowSize plays no
+	// other role. Excludes sliding mode. Late drops are counted in
+	// Stats.DroppedLate only: a late event's proto-window belongs to no
+	// emitted session, so WindowResult.DroppedLate stays 0.
+	SessionGap time.Duration
+	// AllowedLateness holds the watermark this far behind the largest
+	// event time seen, for every window type: a window fires once an
+	// event at or past End+AllowedLateness is processed, so events up
+	// to AllowedLateness late are still admitted. It only delays
+	// firing — a fired window never re-fires, and its later events are
+	// dropped late. 0 reproduces the paper's drop-on-fire behaviour.
+	AllowedLateness time.Duration
+	// UseIngestionTime windows events (and advances the watermark) by
+	// arrival instead of generation time — the alternative grouping of
+	// paper Sec 2.5. Arrival order is watermark order, so nothing is
+	// ever late, at the cost of windows no longer describing when
+	// events happened. The run end is read on the same clock: an event
+	// generated before NumWindows·WindowSize that arrives after it is a
+	// grace-period event, outside Stats like one generated after it.
+	UseIngestionTime bool
 	// Rate is the source's event rate in events per second (study: 50,000).
 	Rate int
 	// NumWindows is how many complete windows to run. The engine emits
@@ -157,9 +186,11 @@ type Config struct {
 	SharedSketch concurrent.Shared
 }
 
-// WindowResult is the outcome of one fired tumbling window.
+// WindowResult is the outcome of one fired window.
 type WindowResult struct {
-	// Index is the zero-based window sequence number.
+	// Index is the zero-based window sequence number: the window's
+	// place in the run's tumbling or sliding lattice, and for sessions
+	// the emission order.
 	Index int
 	// Start and End delimit the window's event-time range [Start, End).
 	Start, End time.Duration
@@ -212,14 +243,15 @@ type WindowResult struct {
 //
 //	Generated == Accepted + DroppedLate + RejectedInput + ShedBudget
 //
-// holds on the serial, parallel and generic paths alike (enforced by
-// TestStatsIdentity / TestParallelDrainLosesNothing), and survives a
+// holds for every window type, serially and in parallel (enforced by
+// TestParallelDrainLosesNothing / TestIngestionTimeIdentity), and survives a
 // crash-and-resume cycle intact (TestCrashRecoveryDeterminism).
 // ShedBudget is 0 without Config.MemoryBudget, reducing the identity
 // to its historical three-term form.
 type Stats struct {
 	// Generated is the number of events the source produced within the
-	// measured run (GenTime < NumWindows·WindowSize). Grace-period
+	// measured run (event time < the run end; under
+	// Config.UseIngestionTime the event time is the arrival). Grace-period
 	// events — generated past the final window boundary solely to push
 	// the watermark across it — are excluded: they belong to no tracked
 	// window and would otherwise skew LossRate.
@@ -383,10 +415,13 @@ func sealPartial(sk sketch.Sketch) ([]byte, error) {
 // windowState accumulates the engine-side counters of one open window;
 // the partition sketches live in the partialSink.
 type windowState struct {
-	index    int
 	values   []float64
 	accepted int64
 	degrades int // budget degradations applied to this window's sketches
+	// Session mode: the session's span and the sink keys holding its
+	// partition sketches, oldest first (inserts go to keys[0]).
+	start, end time.Duration
+	keys       []int
 }
 
 // Engine runs a configured streaming job.
@@ -410,6 +445,12 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	if cfg.DecayLambda < 0 || math.IsNaN(cfg.DecayLambda) || math.IsInf(cfg.DecayLambda, 0) {
 		return nil, errors.New("stream: DecayLambda must be finite and non-negative")
+	}
+	if cfg.SessionGap < 0 || cfg.AllowedLateness < 0 {
+		return nil, errors.New("stream: SessionGap and AllowedLateness must be non-negative")
+	}
+	if cfg.SessionGap > 0 && cfg.Slide > 0 && cfg.Slide < cfg.WindowSize {
+		return nil, errors.New("stream: SessionGap excludes sliding mode (0 < Slide < WindowSize)")
 	}
 	if cfg.Partitions <= 0 {
 		cfg.Partitions = 1
@@ -473,16 +514,22 @@ func warnWorkersClamped(workers, partitions int, met *obs.EngineMetrics) {
 // final window boundary so late stragglers of the last window are
 // accounted and the window always fires.
 func (e *Engine) Run(emit func(WindowResult)) (Stats, error) {
-	stats, _, err := e.run(emit)
+	stats, _, err := e.run(emit, nil)
 	return stats, err
 }
 
-func (e *Engine) run(emit func(WindowResult)) (Stats, map[int]int64, error) {
+// run executes the job from the start, or from snap when non-nil.
+func (e *Engine) run(emit func(WindowResult), snap *checkpoint.Snapshot) (Stats, map[int]int64, error) {
 	rs, err := e.newRunState(emit)
 	if err != nil {
 		return Stats{}, nil, err
 	}
 	defer rs.sink.close()
+	if snap != nil {
+		if err := rs.restore(snap); err != nil {
+			return Stats{}, nil, err
+		}
+	}
 	err = rs.loop()
 	if rs.sharedW != nil {
 		// Quiesce the serial path's shared writer so post-run snapshots
@@ -513,9 +560,14 @@ type runState struct {
 	stats     Stats
 	inFlight  minHeap[Event]
 	open      map[int]*windowState
-	watermark time.Duration
+	watermark time.Duration // largest event time seen, minus AllowedLateness
 	nextFire  int           // next window index to fire
 	lateOf    map[int]int64 // window index → late drops (post-fire arrivals)
+
+	// Session mode (SessionGap > 0): the open sessions, disjoint and
+	// ascending. The open map above is keyed by sink key, each key
+	// pointing at the session that owns it.
+	sessions []*windowState
 
 	// Pane-sharing sliding mode (0 < Slide < WindowSize). The open map
 	// above is keyed by pane index instead of window index, and fired
@@ -617,21 +669,29 @@ func (e *Engine) newRunState(emit func(WindowResult)) (*runState, error) {
 	return rs, nil
 }
 
-// fire merges window w's partition sketches and emits the result. It is
-// the barrier at which worker failures surface and checkpoint cadence
-// advances.
-func (rs *runState) fire(w *windowState) error {
+// fire merges the partition sketches the sink holds under keys, in key
+// then partition order, and emits them as window nextFire spanning
+// [start, end). It is the barrier at which worker failures surface and
+// checkpoint cadence advances.
+func (rs *runState) fire(w *windowState, keys []int, start, end time.Duration) error {
 	merged := rs.cfg.Builder()
-	parts, sinkDeg := rs.sink.partials(w.index)
-	if err := rs.sink.err(); err != nil {
-		return err
-	}
-	for _, p := range parts {
-		if p == nil {
-			continue
+	degrades := w.degrades
+	for _, key := range keys {
+		parts, sinkDeg := rs.sink.partials(key)
+		if err := rs.sink.err(); err != nil {
+			return err
 		}
-		if err := merged.Merge(p); err != nil {
-			return fmt.Errorf("stream: window merge: %w", err)
+		degrades += sinkDeg
+		for _, p := range parts {
+			if p == nil {
+				continue
+			}
+			if err := merged.Merge(p); err != nil {
+				if rs.cfg.SessionGap > 0 {
+					return fmt.Errorf("stream: session merge [%v, %v): %w", start, end, err)
+				}
+				return fmt.Errorf("stream: window merge: %w", err)
+			}
 		}
 	}
 	if rs.met != nil {
@@ -640,13 +700,13 @@ func (rs *runState) fire(w *windowState) error {
 	rs.fired++
 	rs.sinceSnap++
 	rs.emit(WindowResult{
-		Index:         w.index,
-		Start:         rs.cfg.WindowSize * time.Duration(w.index),
-		End:           rs.cfg.WindowSize * time.Duration(w.index+1),
+		Index:         rs.nextFire,
+		Start:         start,
+		End:           end,
 		Sketch:        merged,
 		Values:        w.values,
 		Accepted:      w.accepted,
-		Degradations:  w.degrades + sinkDeg,
+		Degradations:  degrades,
 		AccuracyBound: accuracyBoundOf(merged),
 	})
 	return nil
@@ -663,14 +723,22 @@ func accuracyBoundOf(sk sketch.Sketch) float64 {
 
 // process routes one arrived event: reject invalid payloads, drop late
 // events, insert the rest, then advance the watermark and fire every
-// window whose end it passed. Pane mode routes by pane instead of
-// window (routePaned) but shares the watermark/fire machinery.
+// window whose end it passed. Pane mode routes by pane and session mode
+// by session instead of window (routePaned, routeSession), sharing the
+// watermark/fire machinery.
 func (rs *runState) process(ev Event) error {
 	cfg := &rs.cfg
-	if rs.paneMode {
-		rs.routePaned(ev)
-	} else {
-		rs.routeTumbling(ev)
+	t := ev.GenTime
+	if cfg.UseIngestionTime {
+		t = ev.Arrival
+	}
+	switch {
+	case rs.paneMode:
+		rs.routePaned(ev, t)
+	case cfg.SessionGap > 0:
+		rs.routeSession(ev, t)
+	default:
+		rs.routeTumbling(ev, t)
 	}
 	if rs.gov != nil {
 		rs.sinceEnforce++
@@ -678,11 +746,11 @@ func (rs *runState) process(ev Event) error {
 			rs.enforceBudget()
 		}
 	}
-	if ev.GenTime > rs.watermark {
-		rs.watermark = ev.GenTime
+	if wm := t - cfg.AllowedLateness; wm > rs.watermark {
+		rs.watermark = wm
 		// Fire every window whose end the watermark has passed.
 		fired := false
-		for rs.nextFire < cfg.NumWindows && rs.watermark >= rs.windowEndTime(rs.nextFire) {
+		for rs.due() {
 			if err := rs.fireNext(); err != nil {
 				return err
 			}
@@ -704,11 +772,11 @@ func (rs *runState) process(ev Event) error {
 	return nil
 }
 
-// routeTumbling classifies one event on the tumbling path: reject,
-// late-drop, or insert into its window.
-func (rs *runState) routeTumbling(ev Event) {
+// routeTumbling classifies one event at time t on the tumbling path:
+// reject, late-drop, or insert into its window.
+func (rs *runState) routeTumbling(ev Event, t time.Duration) {
 	cfg := &rs.cfg
-	wi := int(ev.GenTime / cfg.WindowSize)
+	wi := int(t / cfg.WindowSize)
 	switch {
 	case math.IsNaN(ev.Value) || math.IsInf(ev.Value, 0):
 		// Poisoned payload: rejected before reaching any sketch or
@@ -744,31 +812,117 @@ func (rs *runState) routeTumbling(ev Event) {
 		}
 		w := rs.open[wi]
 		if w == nil {
-			w = &windowState{index: wi}
+			w = &windowState{}
 			rs.open[wi] = w
 		}
-		part := ev.Partition % cfg.Partitions
-		if rs.serialFaults != nil {
-			rs.serialFaults.OnEvent(0, part, rs.serialInserts, rs.partInserts[part])
-			rs.serialInserts++
-			rs.partInserts[part]++
-		}
-		rs.sink.insert(wi, part, ev.Value)
-		if rs.sharedW != nil {
-			rs.sharedW.Insert(ev.Value)
-		}
-		w.accepted++
-		rs.stats.Accepted++
-		if rs.met != nil {
-			rs.met.Inserted.Inc()
-		}
-		if cfg.CollectValues {
-			w.values = append(w.values, ev.Value)
-		}
+		rs.insert(w, wi, ev)
 	}
 }
 
-// windowEndTime is the event time at which window k fires.
+// insert adds one accepted event to open window w, whose partition
+// sketches the sink holds under key.
+func (rs *runState) insert(w *windowState, key int, ev Event) {
+	part := ev.Partition % rs.cfg.Partitions
+	if rs.serialFaults != nil {
+		rs.serialFaults.OnEvent(0, part, rs.serialInserts, rs.partInserts[part])
+		rs.serialInserts++
+		rs.partInserts[part]++
+	}
+	rs.sink.insert(key, part, ev.Value)
+	if rs.sharedW != nil {
+		rs.sharedW.Insert(ev.Value)
+	}
+	w.accepted++
+	rs.stats.Accepted++
+	if rs.met != nil {
+		rs.met.Inserted.Inc()
+	}
+	if rs.cfg.CollectValues {
+		w.values = append(w.values, ev.Value)
+	}
+}
+
+// routeSession classifies one event at time t on the session path:
+// reject, late-drop, shed, or insert into the session its proto-window
+// [t, t+SessionGap) opens or extends. Open sessions are disjoint and
+// ascending, so the ones the proto-window overlaps are a run [i, j),
+// found by scanning back from the newest. They join in place: only
+// spans, sink-key lists, counters and values combine; their sketches
+// first meet at the fire barrier.
+func (rs *runState) routeSession(ev Event, t time.Duration) {
+	if t >= rs.runEnd {
+		return // grace-period event: it only advances the watermark
+	}
+	end := t + rs.cfg.SessionGap
+	j := len(rs.sessions)
+	for j > 0 && rs.sessions[j-1].start >= end {
+		j--
+	}
+	i := j
+	for i > 0 && rs.sessions[i-1].end > t {
+		i--
+	}
+	switch {
+	case math.IsNaN(ev.Value) || math.IsInf(ev.Value, 0):
+		rs.stats.RejectedInput++
+		if rs.met != nil {
+			rs.met.RejectedInput.Inc()
+		}
+	case i == j && rs.watermark >= end:
+		// No open session in reach, and the proto-window alone has
+		// already ended by the watermark.
+		rs.stats.DroppedLate++
+		if rs.met != nil {
+			rs.met.DroppedLate.Inc()
+		}
+	case rs.shedding:
+		rs.stats.ShedBudget++
+		if rs.met != nil {
+			rs.met.BudgetShed.Inc()
+		}
+	default:
+		w := rs.joinSessions(i, j, t, end, int(ev.GenTime/rs.interval))
+		rs.insert(w, w.keys[0], ev)
+	}
+}
+
+// joinSessions returns the session holding the proto-window [t, end):
+// a new one under sink key key (the opening event's draw number) when
+// sessions[i:j] is empty, else sessions[i] widened to the union, with
+// the rest of the run absorbed.
+func (rs *runState) joinSessions(i, j int, t, end time.Duration, key int) *windowState {
+	if i == j {
+		w := &windowState{start: t, end: end, keys: []int{key}}
+		rs.open[key] = w
+		rs.sessions = slices.Insert(rs.sessions, i, w)
+		return w
+	}
+	w := rs.sessions[i]
+	w.start = min(w.start, t)
+	w.end = max(rs.sessions[j-1].end, end)
+	for _, o := range rs.sessions[i+1 : j] {
+		for _, k := range o.keys {
+			rs.open[k] = w
+		}
+		w.keys = append(w.keys, o.keys...)
+		w.values = append(w.values, o.values...)
+		w.accepted += o.accepted
+		w.degrades += o.degrades
+	}
+	rs.sessions = slices.Delete(rs.sessions, i+1, j)
+	return w
+}
+
+// due reports whether the next window to fire has ended by the
+// watermark.
+func (rs *runState) due() bool {
+	if rs.cfg.SessionGap > 0 {
+		return len(rs.sessions) > 0 && rs.watermark >= rs.sessions[0].end
+	}
+	return rs.nextFire < rs.cfg.NumWindows && rs.watermark >= rs.windowEndTime(rs.nextFire)
+}
+
+// windowEndTime is the end of tumbling or sliding window k.
 func (rs *runState) windowEndTime(k int) time.Duration {
 	if rs.paneMode {
 		return rs.paneSize * time.Duration(rs.paneEnd(k))
@@ -776,24 +930,33 @@ func (rs *runState) windowEndTime(k int) time.Duration {
 	return rs.cfg.WindowSize * time.Duration(k+1)
 }
 
-// fireNext fires window nextFire via the mode's fire path and advances
-// nextFire.
+// fireNext fires window nextFire — the oldest open session in session
+// mode — via the mode's fire path and advances nextFire.
 func (rs *runState) fireNext() error {
-	if rs.paneMode {
-		if err := rs.firePaned(rs.nextFire); err != nil {
-			return err
+	var err error
+	switch {
+	case rs.paneMode:
+		err = rs.firePaned(rs.nextFire)
+	case rs.cfg.SessionGap > 0:
+		w := rs.sessions[0]
+		rs.sessions[0] = nil
+		rs.sessions = rs.sessions[1:]
+		for _, key := range w.keys {
+			delete(rs.open, key)
 		}
-		rs.nextFire++
-		return nil
+		err = rs.fire(w, w.keys, w.start, w.end)
+	default:
+		k := rs.nextFire
+		w := rs.open[k]
+		if w == nil {
+			w = &windowState{}
+		}
+		delete(rs.open, k)
+		// Late counts accrue after firing; the final accounting picks
+		// them up via lateOf.
+		err = rs.fire(w, []int{k}, rs.cfg.WindowSize*time.Duration(k), rs.cfg.WindowSize*time.Duration(k+1))
 	}
-	w := rs.open[rs.nextFire]
-	if w == nil {
-		w = &windowState{index: rs.nextFire}
-	}
-	delete(rs.open, rs.nextFire)
-	// Late counts accrue after firing; the final accounting picks them
-	// up via lateOf.
-	if err := rs.fire(w); err != nil {
+	if err != nil {
 		return err
 	}
 	rs.nextFire++
@@ -840,10 +1003,14 @@ func (rs *runState) loop() (err error) {
 	for gen := rs.interval * time.Duration(rs.drawn); gen < rs.genEnd; gen += rs.interval {
 		v := rs.vals.Next()
 		d := rs.delay.Delay()
-		if gen < rs.runEnd {
-			// Grace-period events (gen ≥ runEnd) exist only to push the
-			// watermark past the final boundary; they belong to no
-			// tracked window and are excluded from the accounting so
+		at := gen
+		if cfg.UseIngestionTime {
+			at += d
+		}
+		if at < rs.runEnd {
+			// Grace-period events (event time ≥ runEnd) exist only to
+			// push the watermark past the final boundary; they belong to
+			// no tracked window and are excluded from the accounting so
 			// Generated == Accepted + DroppedLate + RejectedInput holds
 			// exactly.
 			rs.stats.Generated++
@@ -871,10 +1038,11 @@ func (rs *runState) loop() (err error) {
 			}
 		}
 	}
-	// Fire any windows still open (source exhausted before watermark
-	// passed their end — only possible for the final window on extreme
-	// delays).
-	for rs.nextFire < cfg.NumWindows {
+	// Source exhausted: lift the watermark past every end and fire the
+	// windows still open — the final tumbling window on extreme delays,
+	// or sessions whose gap outlasts the grace period.
+	rs.watermark = math.MaxInt64
+	for rs.due() {
 		if err := rs.fireNext(); err != nil {
 			return err
 		}
@@ -886,7 +1054,7 @@ func (rs *runState) loop() (err error) {
 // per-window late-drop counts filled in after the run completes.
 func (e *Engine) RunCollect() ([]WindowResult, Stats, error) {
 	var out []WindowResult
-	stats, lateOf, err := e.run(func(r WindowResult) { out = append(out, r) })
+	stats, lateOf, err := e.run(func(r WindowResult) { out = append(out, r) }, nil)
 	for i := range out {
 		out[i].DroppedLate = lateOf[out[i].Index]
 	}

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -409,85 +410,79 @@ func TestSlidingConstructionValidation(t *testing.T) {
 	}
 }
 
-// TestGenericSlidingValidation pins the same construction-time
-// rejection for the generic engine's SlidingAssigner, which used to
-// panic per-event inside Assign instead.
-func TestGenericSlidingValidation(t *testing.T) {
-	mk := func(size, slide time.Duration) error {
-		_, err := NewGenericEngine(GenericConfig{
-			Assigner:  SlidingAssigner{Size: size, Slide: slide},
-			Rate:      1000,
-			RunLength: time.Second,
-			Values:    datagen.NewUniform(0, 1, 7),
-			Builder:   ddBuilder,
-		})
-		return err
-	}
-	if err := mk(time.Second, 0); err == nil {
-		t.Error("NewGenericEngine accepted Slide = 0")
-	}
-	if err := mk(time.Second, 2*time.Second); err == nil {
-		t.Error("NewGenericEngine accepted Slide > Size")
-	}
-	if err := mk(time.Second, time.Second); err != nil {
-		t.Errorf("NewGenericEngine rejected Slide == Size: %v", err)
-	}
-}
-
 // TestSlidingAssignerStartOfStream pins the negative-start clamping:
 // events near the stream origin are covered by the full ⌈Size/Slide⌉
 // window family, with nominal starts before the origin clamped to 0
 // and every end kept on the slide lattice.
 func TestSlidingAssignerStartOfStream(t *testing.T) {
-	a := SlidingAssigner{Size: 4 * time.Second, Slide: time.Second}
-	wins := a.Assign(500 * time.Millisecond)
+	const size, slide = 4 * time.Second, time.Second
+	results, _ := mustRunCollect(t, Config{
+		WindowSize:    size,
+		Slide:         slide,
+		Rate:          2, // event i at i·500ms, payload i
+		NumWindows:    14,
+		Values:        &rampSource{},
+		Builder:       ddBuilder,
+		CollectValues: true,
+	})
+	containing := func(at time.Duration) []WindowResult {
+		var out []WindowResult
+		for _, r := range results {
+			if slices.Contains(r.Values, float64(at/(500*time.Millisecond))) {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	wins := containing(500 * time.Millisecond)
 	if len(wins) != 4 {
-		t.Fatalf("Assign(500ms) returned %d windows, want 4", len(wins))
+		t.Fatalf("event at 500ms is in %d windows, want 4", len(wins))
 	}
 	for i, w := range wins {
-		if !w.Contains(500 * time.Millisecond) {
-			t.Errorf("window %v does not contain the event", w)
+		if 500*time.Millisecond < w.Start || 500*time.Millisecond >= w.End {
+			t.Errorf("window [%v,%v) does not contain the event", w.Start, w.End)
 		}
 		if w.Start != 0 {
 			t.Errorf("start-of-stream window %d starts at %v, want clamped 0", i, w.Start)
 		}
-		if w.End%a.Slide != 0 {
+		if w.End%slide != 0 {
 			t.Errorf("window end %v is off the slide lattice", w.End)
 		}
 		if w.Start < 0 || w.End <= w.Start {
-			t.Errorf("degenerate window %v", w)
+			t.Errorf("degenerate window [%v,%v)", w.Start, w.End)
 		}
 	}
 	// Mid-stream, the same family is unclamped and spans exactly Size.
-	for _, w := range a.Assign(10 * time.Second) {
-		if w.End-w.Start != a.Size {
-			t.Errorf("mid-stream window %v spans %v, want %v", w, w.End-w.Start, a.Size)
+	for _, w := range containing(10 * time.Second) {
+		if w.End-w.Start != size {
+			t.Errorf("mid-stream window [%v,%v) spans %v, want %v", w.Start, w.End, w.End-w.Start, size)
 		}
-		if !w.Contains(10 * time.Second) {
-			t.Errorf("mid-stream window %v does not contain the event", w)
+		if 10*time.Second < w.Start || 10*time.Second >= w.End {
+			t.Errorf("mid-stream window [%v,%v) does not contain the event", w.Start, w.End)
 		}
 	}
 }
 
-// TestGenericSlidingStartOfStream runs the generic engine over a
-// sliding assigner with zero delay and checks full start-of-stream
-// coverage: nothing is dropped, the clamped windows fire with Start 0,
-// and each holds exactly the events generated before its end.
+// TestGenericSlidingStartOfStream runs sliding windows with zero delay
+// and checks full start-of-stream coverage: nothing is dropped, the
+// clamped windows fire with Start 0, and each holds exactly the events
+// generated before its end.
 func TestGenericSlidingStartOfStream(t *testing.T) {
-	cfg := GenericConfig{
-		Assigner:      SlidingAssigner{Size: 2 * time.Second, Slide: 500 * time.Millisecond},
+	cfg := Config{
+		WindowSize:    2 * time.Second,
+		Slide:         500 * time.Millisecond,
 		Rate:          1000,
-		RunLength:     3 * time.Second,
+		NumWindows:    6,
 		Values:        datagen.NewUniform(0, 100, 17),
 		Builder:       ddBuilder,
 		CollectValues: true,
 	}
-	eng, err := NewGenericEngine(cfg)
+	eng, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var results []GenericResult
-	stats, err := eng.Run(func(r GenericResult) { results = append(results, r) })
+	var results []WindowResult
+	stats, err := eng.Run(func(r WindowResult) { results = append(results, r) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,12 +495,12 @@ func TestGenericSlidingStartOfStream(t *testing.T) {
 	interval := time.Second / time.Duration(cfg.Rate)
 	clamped := 0
 	for _, r := range results {
-		if r.Window.Start != 0 {
+		if r.Start != 0 {
 			continue
 		}
 		clamped++
-		if want := int64(r.Window.End / interval); r.Accepted != want {
-			t.Errorf("clamped window %v accepted %d events, want %d", r.Window, r.Accepted, want)
+		if want := int64(r.End / interval); r.Accepted != want {
+			t.Errorf("clamped window [%v,%v) accepted %d events, want %d", r.Start, r.End, r.Accepted, want)
 		}
 	}
 	// Ends 500ms..2s sit before the first unclamped start: 4 clamped

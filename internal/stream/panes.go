@@ -16,8 +16,7 @@ import (
 // differ by S/g panes. Each accepted event is inserted once, into its
 // pane's partition sketches; when a window fires, its constituent pane
 // sketches are merged — ~W/S merges per window instead of re-inserting
-// every event W/S times. The geometry matches SlidingAssigner's
-// clamped window family: window starts sit on the slide lattice
+// every event W/S times. Window starts sit on the slide lattice
 // {m·S : m ∈ ℤ}, the first emitted window is the earliest one whose
 // end is positive (m = 1 - ceil(W/S)), and nominal starts before the
 // stream origin clamp to 0.
@@ -106,15 +105,15 @@ func (rs *runState) lateWindowOf(pi int) int {
 	return k
 }
 
-// routePaned classifies one event in pane mode: reject, late-drop
-// (sealed pane), or insert into its pane. The open map is keyed by
-// pane index; the sink's window key is the pane index too.
-func (rs *runState) routePaned(ev Event) {
+// routePaned classifies one event at time t in pane mode: reject,
+// late-drop (sealed pane), or insert into its pane. The open map is
+// keyed by pane index; the sink's window key is the pane index too.
+func (rs *runState) routePaned(ev Event, t time.Duration) {
 	cfg := &rs.cfg
-	pi := int(ev.GenTime / rs.paneSize)
+	pi := int(t / rs.paneSize)
 	switch {
 	case math.IsNaN(ev.Value) || math.IsInf(ev.Value, 0):
-		// Tracked-range guard: pi < numPanes ⟺ GenTime < runEnd, the
+		// Tracked-range guard: pi < numPanes ⟺ t < runEnd, the
 		// pane-mode equivalent of the tumbling wi < NumWindows check.
 		if pi >= 0 && pi < rs.numPanes {
 			rs.stats.RejectedInput++
@@ -145,7 +144,7 @@ func (rs *runState) routePaned(ev Event) {
 		}
 		w := rs.open[pi]
 		if w == nil {
-			w = &windowState{index: pi}
+			w = &windowState{}
 			rs.open[pi] = w
 			if rs.met != nil {
 				rs.met.PanesOpen.Set(int64(len(rs.open) + len(rs.sealed)))

@@ -89,8 +89,8 @@ gate invariant-tests go test -tags invariants ./internal/...
 gate race go test -race ./internal/stream ./internal/harness
 # Crash-recovery / corruption matrix under the race detector: injected
 # worker panics at every worker×partition shape, corrupt and truncated
-# checkpoints, duplicate batch delivery, stalls, the generic-engine
-# recovery paths, the checkpoint envelope/store suite, and the
+# checkpoints, duplicate batch delivery, stalls, sliding- and
+# session-window recovery, the checkpoint envelope/store suite, and the
 # random-kill soak — recovered output must stay bit-identical.
 gate chaos go test -race \
 	-run 'CrashRecovery|Recovery|Resume|Corrupt|Fault|Duplicate|Stall|Checkpoint|Envelope|Snapshot|Store' \
@@ -126,5 +126,8 @@ gate bench-smoke-concurrent go test -run '^$' -bench 'BenchmarkConcurrentInsert'
 gate bench-smoke-pane go test -run '^$' -bench 'BenchmarkSlidingThroughput' -benchtime 100x .
 gate bench-smoke-budget go test -run '^$' -bench 'BenchmarkBudgetOverhead' -benchtime 100x .
 gate metrics-endpoint metrics_smoke
+# The session-window example is the only non-test program driving
+# session windows; it must still build and run end to end.
+gate example-sessions go run ./examples/sessionwindows
 
 echo "verify.sh: all gates passed"
