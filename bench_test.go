@@ -420,7 +420,7 @@ func BenchmarkRelatedInsert(b *testing.B) {
 }
 
 // BenchmarkStreamThroughput measures the full engine pipeline (event
-// generation, delay heap, windowing, sketch insert) in events/op.
+// generation, arrival queue, windowing, sketch insert) in events/op.
 func BenchmarkStreamThroughput(b *testing.B) {
 	vals := paretoValues(1<<18, 29)
 	i := 0

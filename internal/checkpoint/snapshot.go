@@ -77,8 +77,10 @@ type Snapshot struct {
 	// (parallel slices, window index ascending).
 	LateWindows []int64
 	LateDrops   []int64
-	// InFlight is the delay heap's backing slice, verbatim — a valid
-	// binary min-heap that can be adopted without re-heapifying.
+	// InFlight is the in-flight (generated, not yet processed) events in
+	// the engine's pop order: ascending arrival, ties by generation
+	// time. A sorted slice is also a valid binary min-heap, so a reader
+	// may adopt it as one; older snapshots hold a heap's backing slice.
 	InFlight []Event
 	// Windows are the open (not yet fired) windows. In pane mode the
 	// entries are open panes, with Index holding the pane index.

@@ -498,7 +498,7 @@ func checkGlobalRand(c *Checker, pkg *Package) []Finding {
 // scopes. The stream engines sit on the per-event hot path, where the
 // interface-boxed heap.Interface costs two allocations per event and an
 // indirect call per sift comparison; those packages must use the
-// non-boxing generic minHeap instead.
+// non-boxing arrival queue and generic minHeap instead.
 func checkContainerHeap(c *Checker, pkg *Package) []Finding {
 	if !inScopes(pkg.RelPath, c.Cfg.ContainerHeapScopes) {
 		return nil
@@ -512,7 +512,7 @@ func checkContainerHeap(c *Checker, pkg *Package) []Finding {
 			out = append(out, Finding{
 				Pos:  pkg.Fset.Position(imp.Pos()),
 				Rule: RuleContainerHeap,
-				Msg:  "container/heap boxes every element and dispatches sifts through an interface; use the package's generic minHeap on the stream hot path",
+				Msg:  "container/heap boxes every element and dispatches sifts through an interface; use the package's arrival queue or generic minHeap on the stream hot path",
 			})
 		}
 	}

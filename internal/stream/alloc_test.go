@@ -39,3 +39,46 @@ func TestMinHeapAllocs(t *testing.T) {
 		t.Errorf("minHeap Push/Pop cycle allocates %.1f times per 256 events, want 0", avg)
 	}
 }
+
+// TestArrivalQueueAllocs pins the //sketch:hotpath contract on the
+// arrival queue: once its node pool and spill heap have grown to the
+// in-flight peak, a steady-state Push/PopUntil cycle allocates nothing.
+// The delays repeat with a fixed period, so after one warm-up period
+// every later period needs exactly the pool it already has; a few go
+// past the ring's horizon to cover the spill and migration path.
+func TestArrivalQueueAllocs(t *testing.T) {
+	const interval = 20 * time.Microsecond
+	horizon := interval * queueBucketIntervals * queueBuckets // at least the ring's reach
+	delays := make([]time.Duration, 4096)
+	state := uint64(0x9e3779b97f4a7c15)
+	for i := range delays {
+		state = state*6364136223846793005 + 1442695040888963407
+		delays[i] = time.Duration(state>>40) % (50 * time.Millisecond)
+		if i%100 == 0 {
+			delays[i] = 2 * horizon
+		}
+	}
+	q := newArrivalQueue(interval)
+	i := 0
+	cycle := func() {
+		for range delays {
+			gen := time.Duration(i) * interval
+			q.Push(Event{GenTime: gen, Arrival: gen + delays[i%len(delays)], Value: float64(i)})
+			for {
+				if _, ok := q.PopUntil(gen); !ok {
+					break
+				}
+			}
+			i++
+		}
+	}
+	// Warm past the longest delay, which spans 16 periods.
+	period := interval * time.Duration(len(delays))
+	for w := time.Duration(0); w <= 2*horizon+period; w += period {
+		cycle()
+	}
+	avg := testing.AllocsPerRun(20, cycle)
+	if avg > 0 {
+		t.Errorf("arrivalQueue Push/PopUntil cycle allocates %.1f times per %d events, want 0", avg, len(delays))
+	}
+}

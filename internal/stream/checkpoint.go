@@ -61,7 +61,7 @@ func (rs *runState) maybeSnapshot() error {
 }
 
 // snapshot captures the full run state — counters, watermark, late-drop
-// map, the in-flight delay heap verbatim, and every open window's
+// map, the in-flight events in pop order, and every open window's
 // engine-side state plus sealed per-partition sketch blobs — and puts
 // it in the configured store under the fired-window sequence number.
 func (rs *runState) snapshot() error {
@@ -90,11 +90,12 @@ func (rs *runState) snapshot() error {
 		snap.LateWindows = append(snap.LateWindows, int64(wi))
 		snap.LateDrops = append(snap.LateDrops, rs.lateOf[wi])
 	}
-	// The heap's backing slice is stored verbatim: it is a valid binary
-	// min-heap, so the restored engine adopts it without re-heapifying
-	// and pops in the identical order.
-	snap.InFlight = make([]checkpoint.Event, len(rs.inFlight.data))
-	for i, ev := range rs.inFlight.data {
+	// In-flight events are stored in pop order. A sorted slice is also
+	// a valid binary min-heap, so binaries that adopt the slice as their
+	// heap verbatim read it too.
+	inFlight := rs.inFlight.appendOrdered(make([]Event, 0, rs.inFlight.Len()))
+	snap.InFlight = make([]checkpoint.Event, len(inFlight))
+	for i, ev := range inFlight {
 		snap.InFlight[i] = checkpoint.Event{
 			Gen:       int64(ev.GenTime),
 			Arrival:   int64(ev.Arrival),
@@ -171,11 +172,11 @@ func (rs *runState) snapshot() error {
 	return nil
 }
 
-// restore rebuilds the run state from a decoded snapshot: counters and
-// heap are adopted directly, partition sketches are unsealed and seeded
-// into the sink, and the fresh sources are fast-forwarded to the
-// checkpointed offset (events are a pure function of the seeds, so
-// re-drawing reproduces the exact remaining stream).
+// restore rebuilds the run state from a decoded snapshot: counters are
+// adopted directly, in-flight events are re-queued, partition sketches
+// are unsealed and seeded into the sink, and the fresh sources are
+// fast-forwarded to the checkpointed offset (events are a pure function
+// of the seeds, so re-drawing reproduces the exact remaining stream).
 func (rs *runState) restore(snap *checkpoint.Snapshot) error {
 	cfg := rs.cfg
 	if snap.SketchName != rs.builderName {
@@ -198,14 +199,22 @@ func (rs *runState) restore(snap *checkpoint.Snapshot) error {
 	for i := range snap.LateWindows {
 		rs.lateOf[int(snap.LateWindows[i])] = snap.LateDrops[i]
 	}
-	rs.inFlight.data = make([]Event, len(snap.InFlight))
-	for i, ev := range snap.InFlight {
-		rs.inFlight.data[i] = Event{
+	// Events are pushed one by one, so any order restores the same
+	// queue: pop order from current snapshots, heap order from older
+	// ones. Each must be an event this run could have drawn and not
+	// yet processed: a bad partition would index outside the sink.
+	genLimit := rs.interval * time.Duration(snap.Drawn)
+	for _, ev := range snap.InFlight {
+		if ev.Partition < 0 || ev.Partition >= int64(cfg.Partitions) || ev.Arrival < ev.Gen || ev.Gen >= int64(genLimit) {
+			return fmt.Errorf("stream: snapshot in-flight event (gen %d, arrival %d, partition %d) out of range: %w",
+				ev.Gen, ev.Arrival, ev.Partition, checkpoint.ErrCorrupt)
+		}
+		rs.inFlight.Push(Event{
 			GenTime:   time.Duration(ev.Gen),
 			Arrival:   time.Duration(ev.Arrival),
 			Value:     ev.Value,
 			Partition: int(ev.Partition),
-		}
+		})
 	}
 	// In pane mode the Windows section holds open panes, so the index
 	// bound is the pane count, not the window count; session keys are

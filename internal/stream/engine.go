@@ -558,7 +558,7 @@ type runState struct {
 	genEnd   time.Duration
 
 	stats     Stats
-	inFlight  minHeap[Event]
+	inFlight  arrivalQueue
 	open      map[int]*windowState
 	watermark time.Duration // largest event time seen, minus AllowedLateness
 	nextFire  int           // next window index to fire
@@ -623,6 +623,7 @@ func (e *Engine) newRunState(emit func(WindowResult)) (*runState, error) {
 		// one window of extra events (discarded, they belong to window
 		// NumWindows) is plenty for realistic delay tails.
 		genEnd:    runEnd + cfg.WindowSize,
+		inFlight:  newArrivalQueue(interval),
 		open:      map[int]*windowState{},
 		watermark: -1,
 		lateOf:    map[int]int64{},
@@ -967,15 +968,25 @@ func (rs *runState) fireNext() error {
 // event generated later arrives at ≥ its own gen time ≥ gen, so
 // everything in flight with arrival ≤ gen is safe to process.
 func (rs *runState) drain(gen time.Duration) error {
-	for rs.inFlight.Len() > 0 && rs.inFlight.Min().Arrival <= gen {
-		if err := rs.process(rs.inFlight.Pop()); err != nil {
+	for {
+		ev, ok := rs.inFlight.PopUntil(gen)
+		if !ok {
+			return nil
+		}
+		if err := rs.take(ev); err != nil {
 			return err
 		}
-		if rs.sinceSnap >= rs.snapEvery {
-			if err := rs.maybeSnapshot(); err != nil {
-				return err
-			}
-		}
+	}
+}
+
+// take processes one arrived event, then snapshots if the cadence is
+// due.
+func (rs *runState) take(ev Event) error {
+	if err := rs.process(ev); err != nil {
+		return err
+	}
+	if rs.sinceSnap >= rs.snapEvery {
+		return rs.maybeSnapshot()
 	}
 	return nil
 }
@@ -1019,28 +1030,31 @@ func (rs *runState) loop() (err error) {
 			}
 		}
 		rs.drawn++
-		rs.inFlight.Push(Event{GenTime: gen, Arrival: gen + d, Value: v, Partition: part})
+		ev := Event{GenTime: gen, Arrival: gen + d, Value: v, Partition: part}
 		part++
 		if part == cfg.Partitions {
 			part = 0
 		}
+		if d == 0 && rs.inFlight.Len() == 0 {
+			// Arrived as generated, with nothing in flight: it is the
+			// one event drain(gen) would pop, so it skips the queue.
+			if err := rs.take(ev); err != nil {
+				return err
+			}
+			continue
+		}
+		rs.inFlight.Push(ev)
 		if err := rs.drain(gen); err != nil {
 			return err
 		}
 	}
-	for rs.inFlight.Len() > 0 {
-		if err := rs.process(rs.inFlight.Pop()); err != nil {
-			return err
-		}
-		if rs.sinceSnap >= rs.snapEvery {
-			if err := rs.maybeSnapshot(); err != nil {
-				return err
-			}
-		}
+	// Source exhausted: everything still in flight has arrived.
+	if err := rs.drain(math.MaxInt64); err != nil {
+		return err
 	}
-	// Source exhausted: lift the watermark past every end and fire the
-	// windows still open — the final tumbling window on extreme delays,
-	// or sessions whose gap outlasts the grace period.
+	// Lift the watermark past every end and fire the windows still open
+	// — the final tumbling window on extreme delays, or sessions whose
+	// gap outlasts the grace period.
 	rs.watermark = math.MaxInt64
 	for rs.due() {
 		if err := rs.fireNext(); err != nil {

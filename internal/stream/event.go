@@ -37,8 +37,8 @@ type Event struct {
 }
 
 // Before orders events by arrival time, breaking ties by generation
-// time so replay is deterministic. It is the ordering of the engines'
-// in-flight heap.
+// time so replay is deterministic. It is the order in which the
+// engine's arrival queue releases in-flight events.
 func (e Event) Before(other Event) bool {
 	if e.Arrival != other.Arrival {
 		return e.Arrival < other.Arrival

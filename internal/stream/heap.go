@@ -8,13 +8,12 @@ type heapOrdered[T any] interface {
 	Before(other T) bool
 }
 
-// minHeap is a non-boxing binary min-heap. It replaces container/heap
-// on the engines' hot path: container/heap funnels every element
-// through `any` (one allocation per Push and per Pop) and every
-// comparison through a non-inlinable interface call, which at stream
-// rates dominates the cost of the delay-reordering buffer. sketchlint's
-// container-heap rule keeps this package from regressing to the boxed
-// version.
+// minHeap is a non-boxing binary min-heap: the arrival queue's spill
+// level, holding events whose arrival lies past the ring's horizon.
+// It replaces container/heap, which funnels every element through
+// `any` (one allocation per Push and per Pop) and every comparison
+// through a non-inlinable interface call. sketchlint's container-heap
+// rule keeps this package from regressing to the boxed version.
 type minHeap[T heapOrdered[T]] struct {
 	data []T
 }

@@ -143,7 +143,7 @@ func newWorkerPool(builder sketch.Builder, partitions, workers int, met *obs.Eng
 	}
 	for w := 0; w < workers; w++ {
 		// Deep buffers decouple the coordinator (event generation,
-		// delay heap, watermarks) from insert hiccups like sketch
+		// arrival queue, watermarks) from insert hiccups like sketch
 		// compactions.
 		p.chans[w] = make(chan workerMsg, 32)
 		p.replies[w] = make(chan fireReply, 1)

@@ -225,18 +225,7 @@ func TestResumeContinuesCompletedStore(t *testing.T) {
 	if stats != baseStats {
 		t.Errorf("resumed stats %+v, want %+v", stats, baseStats)
 	}
-	want := baseline[snap.NextFire:]
-	if len(resumed) != len(want) {
-		t.Fatalf("resume emitted %d windows, want %d (from window %d on)", len(resumed), len(want), snap.NextFire)
-	}
-	for i, w := range want {
-		if resumed[i].Index != w.Index || resumed[i].Accepted != w.Accepted {
-			t.Errorf("resumed window %d: %+v, want %+v", i, resumed[i], w)
-		}
-		if !bytes.Equal(marshal(t, resumed[i].Sketch), marshal(t, w.Sketch)) {
-			t.Errorf("resumed window %d: sketch differs from original emission", w.Index)
-		}
-	}
+	assertResumedTail(t, "resumed", resumed, baseline, snap.NextFire)
 }
 
 // TestCorruptCheckpointFallback damages the newest checkpoint on its
@@ -368,5 +357,232 @@ func TestCheckpointCadence(t *testing.T) {
 	}
 	if sparse >= dense {
 		t.Errorf("CheckpointEvery=2 stored %d snapshots, CheckpointEvery=1 stored %d", sparse, dense)
+	}
+}
+
+// resumeFromSnapshot encodes snap into a fresh store and resumes cfg
+// from it, returning the windows fired after the snapshot point.
+func resumeFromSnapshot(t *testing.T, cfg Config, snap *checkpoint.Snapshot) ([]WindowResult, Stats, error) {
+	t.Helper()
+	data, err := checkpoint.EncodeSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := checkpoint.NewMemStore()
+	if err := store.Put(snap.Seq, data); err != nil {
+		t.Fatal(err)
+	}
+	cfg.CheckpointStore = store
+	var out []WindowResult
+	stats, err := Resume(cfg, func(r WindowResult) { out = append(out, r) })
+	return out, stats, err
+}
+
+// midRunSnapshot runs cfg with checkpoints and returns a stored
+// snapshot that still has windows to fire and events in flight.
+func midRunSnapshot(t *testing.T, cfg Config) *checkpoint.Snapshot {
+	t.Helper()
+	store := checkpoint.NewMemStore()
+	cfg.CheckpointStore = store
+	mustRunCollect(t, cfg)
+	seqs, err := store.Seqs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seq := range seqs {
+		data, err := store.Get(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := checkpoint.DecodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(snap.NextFire) < cfg.NumWindows-1 && len(snap.InFlight) > 1 {
+			return snap
+		}
+	}
+	t.Fatal("no mid-run snapshot with events in flight")
+	return nil
+}
+
+// assertResumedTail asserts resumed equals the baseline's windows from
+// the snapshot point on, bit for bit.
+func assertResumedTail(t *testing.T, label string, resumed []WindowResult, baseline []WindowResult, nextFire int64) {
+	t.Helper()
+	want := baseline[nextFire:]
+	if len(resumed) != len(want) {
+		t.Fatalf("%s: resume emitted %d windows, want %d", label, len(resumed), len(want))
+	}
+	for i, w := range want {
+		g := resumed[i]
+		if g.Index != w.Index || g.Start != w.Start || g.End != w.End || g.Accepted != w.Accepted {
+			t.Errorf("%s window %d: header %+v, want %+v", label, w.Index, g, w)
+		}
+		if len(g.Values) != len(w.Values) {
+			t.Fatalf("%s window %d: %d values, want %d", label, w.Index, len(g.Values), len(w.Values))
+		}
+		for j := range w.Values {
+			if g.Values[j] != w.Values[j] {
+				t.Fatalf("%s window %d value %d: %v, want %v", label, w.Index, j, g.Values[j], w.Values[j])
+			}
+		}
+		if !bytes.Equal(marshal(t, g.Sketch), marshal(t, w.Sketch)) {
+			t.Errorf("%s window %d: sketch differs", label, w.Index)
+		}
+	}
+}
+
+// TestSnapshotInFlightInPopOrder pins the snapshot's in-flight layout:
+// events are written in Before order (a sorted slice is also a valid
+// binary min-heap, so binaries that adopt the slice as their heap
+// verbatim read it too).
+func TestSnapshotInFlightInPopOrder(t *testing.T) {
+	cfg := recoveryCfg(1, 4)
+	store := checkpoint.NewMemStore()
+	cfg.CheckpointStore = store
+	mustRunCollect(t, cfg)
+	seqs, err := store.Seqs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, seq := range seqs {
+		data, err := store.Get(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := checkpoint.DecodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(snap.InFlight); i++ {
+			a, b := snap.InFlight[i-1], snap.InFlight[i]
+			if a.Arrival > b.Arrival || (a.Arrival == b.Arrival && a.Gen >= b.Gen) {
+				t.Fatalf("snapshot %d: in-flight events %d and %d out of pop order", seq, i-1, i)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no snapshot held two or more in-flight events")
+	}
+}
+
+// TestResumeHeapOrderSnapshot is the compatibility contract with
+// snapshots that store the in-flight events as a binary heap's backing
+// slice (heap order, not sorted): resuming one is bit-identical to the
+// uninterrupted run.
+func TestResumeHeapOrderSnapshot(t *testing.T) {
+	cfg := recoveryCfg(1, 4)
+	baseline, baseStats := mustRunCollect(t, cfg)
+	snap := midRunSnapshot(t, cfg)
+
+	// Push in reverse pop order: the heap's slice is then valid but
+	// far from sorted.
+	var h minHeap[Event]
+	for i := len(snap.InFlight) - 1; i >= 0; i-- {
+		ev := snap.InFlight[i]
+		h.Push(Event{GenTime: time.Duration(ev.Gen), Arrival: time.Duration(ev.Arrival), Value: ev.Value, Partition: int(ev.Partition)})
+	}
+	sorted := true
+	for i, ev := range h.data {
+		snap.InFlight[i] = checkpoint.Event{Gen: int64(ev.GenTime), Arrival: int64(ev.Arrival), Value: ev.Value, Partition: int64(ev.Partition)}
+		if i > 0 && ev.Before(h.data[i-1]) {
+			sorted = false
+		}
+	}
+	if sorted {
+		t.Fatal("heap-order in-flight slice came out sorted; the test needs an unsorted one")
+	}
+	resumed, stats, err := resumeFromSnapshot(t, cfg, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats != baseStats {
+		t.Errorf("resumed stats %+v, want %+v", stats, baseStats)
+	}
+	assertResumedTail(t, "heap-order", resumed, baseline, snap.NextFire)
+}
+
+// TestResumeRejectsCorruptInFlight feeds restore snapshots whose
+// in-flight events no run could hold. Each must be refused with
+// checkpoint.ErrCorrupt before the run starts, instead of panicking in
+// the sink (a partition out of range) or replaying an impossible
+// stream.
+func TestResumeRejectsCorruptInFlight(t *testing.T) {
+	cfg := recoveryCfg(1, 4)
+	interval := time.Second / time.Duration(cfg.Rate)
+	for _, tc := range []struct {
+		name   string
+		mutate func(snap *checkpoint.Snapshot, ev *checkpoint.Event)
+	}{
+		{"partition -1", func(_ *checkpoint.Snapshot, ev *checkpoint.Event) { ev.Partition = -1 }},
+		{"partition = Partitions", func(_ *checkpoint.Snapshot, ev *checkpoint.Event) { ev.Partition = int64(cfg.Partitions) }},
+		{"arrival before generation", func(_ *checkpoint.Snapshot, ev *checkpoint.Event) { ev.Arrival = ev.Gen - 1 }},
+		{"generated after the last draw", func(snap *checkpoint.Snapshot, ev *checkpoint.Event) {
+			ev.Gen = snap.Drawn * int64(interval)
+			ev.Arrival = ev.Gen
+		}},
+	} {
+		snap := midRunSnapshot(t, cfg)
+		tc.mutate(snap, &snap.InFlight[len(snap.InFlight)-1])
+		_, _, err := resumeFromSnapshot(t, cfg, snap)
+		var pe *PanicError
+		if errors.As(err, &pe) {
+			t.Fatalf("%s: restore let the event through and the run panicked: %v", tc.name, err)
+		}
+		if !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Fatalf("%s: got %v, want ErrCorrupt", tc.name, err)
+		}
+	}
+}
+
+// TestCrashRecoveryPastQueueHorizon runs delays beyond the arrival
+// queue's ring, so events go through the spill heap and migrate back:
+// a constant delay of twice the horizon (every event spills) and an
+// exponential delay whose mean is three horizons. The Stats identity
+// must hold and a crashed-and-resumed run must be bit-identical to an
+// uninterrupted one.
+func TestCrashRecoveryPastQueueHorizon(t *testing.T) {
+	base := recoveryCfg(1, 4)
+	base.Rate = 50_000
+	base.WindowSize = 200 * time.Millisecond
+	base.NumWindows = 5
+	// At least the ring's reach: a bucket spans at most
+	// queueBucketIntervals source intervals.
+	horizon := time.Second / time.Duration(base.Rate) * queueBucketIntervals * queueBuckets
+	for _, tc := range []struct {
+		name  string
+		delay func() DelayModel
+	}{
+		{"constant", func() DelayModel { return ConstantDelay{D: 2 * horizon} }},
+		{"exponential", func() DelayModel { return NewExponentialDelay(3*horizon, 43) }},
+	} {
+		cfg := base
+		cfg.NewDelay = tc.delay
+		baseline, baseStats := mustRunCollect(t, cfg)
+		if baseStats.Accepted < 100 {
+			t.Fatalf("%s: only %d events accepted", tc.name, baseStats.Accepted)
+		}
+
+		cfg.CheckpointStore = checkpoint.NewMemStore()
+		cfg.Faults = faultinject.New().WithPanic(0, baseStats.Accepted/2)
+		results, stats, err := RunRecovering(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		assertSameRun(t, tc.name, results, stats, baseline, baseStats)
+
+		cfg.Faults = nil
+		snap := midRunSnapshot(t, cfg)
+		resumed, stats, err := resumeFromSnapshot(t, cfg, snap)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if stats != baseStats {
+			t.Errorf("%s: resumed stats %+v, want %+v", tc.name, stats, baseStats)
+		}
+		assertResumedTail(t, tc.name, resumed, baseline, snap.NextFire)
 	}
 }

@@ -125,6 +125,7 @@ gate bench-smoke-accuracy go test -run '^$' -bench 'BenchmarkAccuracyEval' -benc
 gate bench-smoke-concurrent go test -run '^$' -bench 'BenchmarkConcurrentInsert' -benchtime 100x .
 gate bench-smoke-pane go test -run '^$' -bench 'BenchmarkSlidingThroughput' -benchtime 100x .
 gate bench-smoke-budget go test -run '^$' -bench 'BenchmarkBudgetOverhead' -benchtime 100x .
+gate bench-smoke-queue go test -run '^$' -bench 'BenchmarkArrivalQueue' -benchtime 100x ./internal/stream
 gate metrics-endpoint metrics_smoke
 # The session-window example is the only non-test program driving
 # session windows; it must still build and run end to end.
