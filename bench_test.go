@@ -258,10 +258,12 @@ func BenchmarkInsertBatch(b *testing.B) {
 }
 
 // BenchmarkQuantileAll compares answering the study's 8-quantile set
-// with one Quantile call per q (scalar) against the native batched
-// kernels (sketch.MultiQuantiler). Each iteration inserts one value
-// first so cached CDF snapshots and maxent solutions are invalidated,
-// as they are between stream windows.
+// with one Quantile call per q (scalar) against sketch.Quantiles
+// (batch), which runs the native kernel of DDSketch and UDDSketch
+// (sketch.MultiQuantiler) and the same per-q loop on the other
+// sketches. Each iteration inserts one value first so cached sorted
+// views and maxent solutions are invalidated, as they are between
+// stream windows.
 func BenchmarkQuantileAll(b *testing.B) {
 	qs := core.AllQuantiles()
 	vals := paretoValues(1<<20, 13)

@@ -168,7 +168,7 @@ func runGridAblation(opts Options) ([]Table, error) {
 // momentsGroups evaluates the study's quantile groups on one sketch.
 func momentsGroups(sk *moments.Sketch, exact *stats.ExactQuantiles) (mid, upper, p99 float64, err error) {
 	sum := func(qs []float64) (float64, error) {
-		ests, err := sk.QuantileAll(qs)
+		ests, err := sketch.Quantiles(sk, qs)
 		if err != nil {
 			return 0, err
 		}

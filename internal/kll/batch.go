@@ -6,10 +6,7 @@ import (
 	"repro/internal/sketch"
 )
 
-var (
-	_ sketch.BatchInserter  = (*Sketch)(nil)
-	_ sketch.MultiQuantiler = (*Sketch)(nil)
-)
+var _ sketch.BatchInserter = (*Sketch)(nil)
 
 // InsertBatch implements sketch.BatchInserter: equivalent to inserting
 // every value of xs in order, but with the level-0 buffer, count and
@@ -24,7 +21,7 @@ func (s *Sketch) InsertBatch(xs []float64) {
 	if len(xs) == 0 {
 		return
 	}
-	s.auxValid = false
+	s.view.Invalidate()
 	buf := s.levels[0]
 	cap0 := s.capacity(0)
 	count := s.count

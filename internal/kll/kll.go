@@ -21,7 +21,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"slices"
-	"sort"
 
 	"repro/internal/sketch"
 )
@@ -49,16 +48,11 @@ type Sketch struct {
 	seed   uint64
 	caps   []int // cached per-level capacities for the current height
 
-	// Sorted-view cache (values ascending with cumulative weights), built
-	// lazily at query time and invalidated by mutation — the same
-	// auxiliary structure DataSketches builds, and the reason KLL query
-	// times are fast and size-stable (Sec 4.4.2). The slices (and the
-	// weighted scratch the build sorts in) keep their capacity across
-	// rebuilds, so steady-state queries allocate nothing.
-	auxValid   bool
-	auxVals    []float32
-	auxCum     []uint64
-	auxScratch []weighted
+	// view is the sorted query view, built lazily at query time and
+	// invalidated by mutation — the same auxiliary structure DataSketches
+	// builds, and the reason KLL query times are fast and size-stable
+	// (Sec 4.4.2).
+	view sketch.LevelView
 }
 
 var _ sketch.Sketch = (*Sketch)(nil)
@@ -121,7 +115,7 @@ func (s *Sketch) Insert(x float64) {
 	}
 	s.levels[0] = append(s.levels[0], float32(x))
 	s.count++
-	s.auxValid = false
+	s.view.Invalidate()
 	if x < s.min {
 		s.min = x
 	}
@@ -185,56 +179,14 @@ func sortFloat32(b []float32) { slices.Sort(b) }
 // Count implements sketch.Sketch.
 func (s *Sketch) Count() uint64 { return s.count }
 
-// weighted is one retained sample with its level weight.
-type weighted struct {
-	v float32
-	w uint64
-}
-
-// samples returns all retained items with weights, sorted by value. The
-// returned slice aliases the sketch's reusable scratch buffer. Equal
-// values may land in any order (the sort is unstable), which cannot be
-// observed: Quantile and Rank only consult cumulative weight at value
-// boundaries.
-func (s *Sketch) samples() []weighted {
-	out := s.auxScratch[:0]
-	for h, lv := range s.levels {
-		w := uint64(1) << uint(h)
-		for _, v := range lv {
-			out = append(out, weighted{v, w})
+// buildView brings the sorted query view up to date with the levels.
+func (s *Sketch) buildView() {
+	if s.view.Begin() {
+		for h, lv := range s.levels {
+			s.view.AddLevel(h, lv)
 		}
+		s.view.Sort()
 	}
-	slices.SortFunc(out, func(a, b weighted) int {
-		switch {
-		case a.v < b.v:
-			return -1
-		case a.v > b.v:
-			return 1
-		default:
-			return 0
-		}
-	})
-	s.auxScratch = out
-	return out
-}
-
-// buildAux materializes the sorted view once per mutation epoch, reusing
-// the capacity of the previous epoch's arrays.
-func (s *Sketch) buildAux() {
-	if s.auxValid {
-		return
-	}
-	sm := s.samples()
-	vals := s.auxVals[:0]
-	cums := s.auxCum[:0]
-	var cum uint64
-	for _, e := range sm {
-		cum += e.w
-		vals = append(vals, e.v)
-		cums = append(cums, cum)
-	}
-	s.auxVals, s.auxCum = vals, cums
-	s.auxValid = true
 }
 
 // Quantile implements sketch.Sketch: the retained sample whose cumulative
@@ -250,39 +202,8 @@ func (s *Sketch) Quantile(q float64) (float64, error) {
 	if q == 1 {
 		return s.max, nil
 	}
-	s.buildAux()
-	return s.quantileFromAux(q), nil
-}
-
-// quantileFromAux answers one valid q against the built sorted view.
-func (s *Sketch) quantileFromAux(q float64) float64 {
-	if q == 1 {
-		return s.max
-	}
-	target := uint64(math.Ceil(q * float64(s.count)))
-	if target < 1 {
-		target = 1
-	}
-	// First position whose cumulative weight reaches the target rank.
-	i := sort.Search(len(s.auxCum), func(i int) bool { return s.auxCum[i] >= target })
-	if i >= len(s.auxVals) {
-		return s.max
-	}
-	return clampF(float64(s.auxVals[i]), s.min, s.max)
-}
-
-// QuantileAll implements sketch.MultiQuantiler: the cumulative CDF
-// snapshot is built once and every target rank binary-searches it.
-func (s *Sketch) QuantileAll(qs []float64) ([]float64, error) {
-	if err := sketch.ValidateQuantiles(qs, s.count == 0); err != nil {
-		return nil, err
-	}
-	s.buildAux()
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = s.quantileFromAux(q)
-	}
-	return out, nil
+	s.buildView()
+	return s.view.Quantile(q, s.count, s.min, s.max), nil
 }
 
 // Rank implements sketch.Sketch.
@@ -290,14 +211,8 @@ func (s *Sketch) Rank(x float64) (float64, error) {
 	if s.count == 0 {
 		return 0, sketch.ErrEmpty
 	}
-	s.buildAux()
-	xf := float32(x)
-	// Last position with value ≤ x.
-	i := sort.Search(len(s.auxVals), func(i int) bool { return s.auxVals[i] > xf })
-	if i == 0 {
-		return 0, nil
-	}
-	return float64(s.auxCum[i-1]) / float64(s.count), nil
+	s.buildView()
+	return s.view.Rank(x, s.count), nil
 }
 
 // Merge implements sketch.Sketch: compactors at the same height are
@@ -326,7 +241,7 @@ func (s *Sketch) Merge(other sketch.Sketch) error {
 		s.levels[h] = append(s.levels[h], lv...)
 	}
 	s.count += o.count
-	s.auxValid = false
+	s.view.Invalidate()
 	if o.min < s.min {
 		s.min = o.min
 	}
@@ -388,7 +303,7 @@ func (s *Sketch) Footprint() int {
 	for _, lv := range s.levels {
 		slots += cap(lv)
 	}
-	return 4*slots + 4*cap(s.auxVals) + 8*cap(s.auxCum) + 16*cap(s.auxScratch) + 8*8
+	return 4*slots + s.view.Bytes() + 8*8
 }
 
 // minDegradeK is the floor Degrade will not shrink k below: at k = 8
@@ -413,12 +328,11 @@ func (s *Sketch) Degrade() (int, error) {
 	}
 	s.k = nk
 	s.caps = nil
-	s.auxValid = false
 	s.compress()
 	for h := range s.levels {
 		s.levels[h] = slices.Clip(s.levels[h])
 	}
-	s.auxVals, s.auxCum, s.auxScratch = nil, nil, nil
+	s.view = sketch.LevelView{} // drop the query view's capacity too
 	freed := before - s.Footprint()
 	if freed < 0 {
 		freed = 0
@@ -472,16 +386,6 @@ func (s *Sketch) Clone() *Sketch {
 	c.pcg = pcg
 	c.rng = rand.New(pcg)
 	return c
-}
-
-func clampF(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.

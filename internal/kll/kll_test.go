@@ -51,12 +51,15 @@ func TestTable2Example(t *testing.T) {
 	}
 	// The retained samples are either the odd- or even-indexed elements.
 	var kept []float64
-	for _, sm := range s.samples() {
-		kept = append(kept, float64(sm.v))
-		if sm.w != 2 {
-			t.Errorf("sample %v has weight %d, want 2", sm.v, sm.w)
+	for h, lv := range s.levels {
+		for _, v := range lv {
+			kept = append(kept, float64(v))
+			if h != 1 {
+				t.Errorf("sample %v has weight %d, want 2", v, uint64(1)<<h)
+			}
 		}
 	}
+	sort.Float64s(kept)
 	even := []float64{3, 11, 30, 55, 75}
 	odd := []float64{8, 16, 51, 61, 100}
 	match := func(a, b []float64) bool {
@@ -74,8 +77,9 @@ func TestTable2Example(t *testing.T) {
 		t.Errorf("kept %v, want every-other elements %v or %v", kept, even, odd)
 	}
 	// Total weight is preserved exactly.
-	if s.Count() != 10 {
-		t.Errorf("count %d, want 10", s.Count())
+	s.buildView()
+	if s.Count() != 10 || s.view.Weight() != 10 {
+		t.Errorf("count %d, view weight %d, want 10", s.Count(), s.view.Weight())
 	}
 }
 
@@ -125,11 +129,8 @@ func TestWeightConservation(t *testing.T) {
 	for i := uint64(0); i < n; i++ {
 		s.Insert(float64(i))
 	}
-	var total uint64
-	for _, sm := range s.samples() {
-		total += sm.w
-	}
-	if total != n {
+	s.buildView()
+	if total := s.view.Weight(); total != n {
 		t.Fatalf("total sample weight %d, want %d", total, n)
 	}
 }
@@ -326,11 +327,8 @@ func TestQuickWeightConservation(t *testing.T) {
 		for i := 0; i < int(n); i++ {
 			s.Insert(float64(i % 97))
 		}
-		var total uint64
-		for _, sm := range s.samples() {
-			total += sm.w
-		}
-		return total == uint64(n)
+		s.buildView()
+		return s.view.Weight() == uint64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -26,7 +26,7 @@ const (
 	// engine packages.
 	RuleContainerHeap = "container-heap"
 	// RuleQuantileLoop flags loops that query a sketch one quantile at a
-	// time where a batched Quantiles/QuantileAll call applies.
+	// time where one sketch.Quantiles call applies.
 	RuleQuantileLoop = "quantile-loop"
 	// RuleNakedPanic flags undocumented panic calls in the fault-tolerant
 	// scopes (stream engine, checkpoint layer).
@@ -69,7 +69,7 @@ var ruleTable = []ruleInfo{
 	{RuleGlobalRand, "seeded generators only; never the process-global math/rand", checkGlobalRand, nil},
 	{RulePanic, "sketch packages panic only in invariant files or documented guards", checkPanic, nil},
 	{RuleContainerHeap, "stream engine uses the generic non-boxing heap, not container/heap", checkContainerHeap, nil},
-	{RuleQuantileLoop, "batch quantile targets through Quantiles/QuantileAll, not per-q loops", checkQuantileLoop, nil},
+	{RuleQuantileLoop, "batch quantile targets through sketch.Quantiles, not per-q loops", checkQuantileLoop, nil},
 	{RuleNakedPanic, "fault-tolerant scopes turn failures into errors, not panics", checkNakedPanic, nil},
 	{RulePurity, "encode paths must be pure: no clock, no global RNG, no map-order leaks", nil, checkPurity},
 	{RuleAtomicMix, "a field accessed via sync/atomic is never accessed plainly outside its constructor", nil, checkAtomicMix},
@@ -521,11 +521,12 @@ func checkContainerHeap(c *Checker, pkg *Package) []Finding {
 
 // checkQuantileLoop flags loops that evaluate a sketch one quantile at
 // a time: a range statement whose loop variable is passed to a Quantile
-// method returning an error. Every study sketch answers a whole target
-// set in one pass over its state via sketch.Quantiles / QuantileAll;
-// a per-q loop rebuilds the CDF snapshot (or re-solves max-entropy)
-// once per target. Errorless Quantile helpers (exact reference values)
-// are exempt, as are the files in QuantileLoopAllowFiles.
+// method returning an error. sketch.Quantiles is the one entry point for
+// a target set: DDSketch and UDDSketch answer it in one store sweep
+// (their MultiQuantiler kernels) instead of one sweep per target, and
+// KLL, REQ and moments reuse their cached sorted view or solve.
+// Errorless Quantile helpers (exact reference values) are exempt, as are
+// the files in QuantileLoopAllowFiles.
 func checkQuantileLoop(c *Checker, pkg *Package) []Finding {
 	cfg := c.Cfg
 	allow := make(map[string]bool, len(cfg.QuantileLoopAllowFiles))
@@ -575,7 +576,7 @@ func checkQuantileLoop(c *Checker, pkg *Package) []Finding {
 				out = append(out, Finding{
 					Pos:  pkg.Fset.Position(call.Pos()),
 					Rule: RuleQuantileLoop,
-					Msg:  "sketch queried one quantile per iteration; batch the targets through sketch.Quantiles / QuantileAll (one pass over the sketch state)",
+					Msg:  "sketch queried one quantile per iteration; batch the targets through sketch.Quantiles (one store sweep on DDSketch/UDDSketch)",
 				})
 				return true
 			})

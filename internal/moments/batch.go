@@ -6,10 +6,7 @@ import (
 	"repro/internal/sketch"
 )
 
-var (
-	_ sketch.BatchInserter  = (*Sketch)(nil)
-	_ sketch.MultiQuantiler = (*Sketch)(nil)
-)
+var _ sketch.BatchInserter = (*Sketch)(nil)
 
 // InsertBatch implements sketch.BatchInserter: a fused power-sum
 // accumulation loop. The transform dispatch, moment count and bounds

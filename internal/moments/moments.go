@@ -289,36 +289,6 @@ func (s *Sketch) quantileFromDensity(d *maxent.Density, q float64) float64 {
 	return s.transform.invert(y)
 }
 
-// QuantileAll implements sketch.MultiQuantiler: the max-entropy problem
-// is solved once per mutation epoch (warm-started by the solver from the
-// previous epoch's solution) and the fitted CDF is inverted for every
-// target.
-func (s *Sketch) QuantileAll(qs []float64) ([]float64, error) {
-	// Validation interleaves with evaluation in slice order, exactly like
-	// the per-q fallback loop: a solve failure at an early valid q must
-	// win over an invalid q later in the slice.
-	out := make([]float64, len(qs))
-	var d *maxent.Density
-	solved := false
-	for i, q := range qs {
-		if err := sketch.CheckQuantile(q); err != nil {
-			return nil, fmt.Errorf("quantile %v: %w", q, err)
-		}
-		if s.powerSums[0] == 0 {
-			return nil, fmt.Errorf("quantile %v: %w", q, sketch.ErrEmpty)
-		}
-		if !solved {
-			var err error
-			if d, err = s.solve(); err != nil {
-				return nil, fmt.Errorf("quantile %v: %w", q, err)
-			}
-			solved = true
-		}
-		out[i] = s.quantileFromDensity(d, q)
-	}
-	return out, nil
-}
-
 // Rank implements sketch.Sketch via the fitted CDF.
 func (s *Sketch) Rank(x float64) (float64, error) {
 	if s.powerSums[0] == 0 {

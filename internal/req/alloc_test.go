@@ -23,3 +23,34 @@ func TestInsertBatchAllocs(t *testing.T) {
 		t.Errorf("InsertBatch allocates %.2f times per 1024-value batch, want ~0 (boxing would be ~1024)", avg)
 	}
 }
+
+// TestQuantileAllocs pins the query path: once warm, an Insert (which
+// invalidates the sorted view) followed by queries over the study's
+// 8-target grid allocates nothing, because the view rebuild reuses the
+// previous epoch's capacity.
+func TestQuantileAllocs(t *testing.T) {
+	s := New(DefaultSectionSize, true)
+	qs := []float64{0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.98, 0.99}
+	state := uint64(0x9e3779b97f4a7c15)
+	next := func() float64 {
+		state = state*6364136223846793005 + 1442695040888963407
+		return 1 + float64(state>>11)/float64(1<<53)*999
+	}
+	query := func() {
+		s.Insert(next())
+		for _, q := range qs {
+			if _, err := s.Quantile(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 100_000; i++ {
+		s.Insert(next())
+	}
+	for i := 0; i < 100; i++ {
+		query() // warm: grow the view's arrays to the working size
+	}
+	if avg := testing.AllocsPerRun(200, query); avg != 0 {
+		t.Errorf("Insert + %d Quantile calls allocate %.2f times, want 0", len(qs), avg)
+	}
+}

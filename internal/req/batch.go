@@ -6,10 +6,7 @@ import (
 	"repro/internal/sketch"
 )
 
-var (
-	_ sketch.BatchInserter  = (*Sketch)(nil)
-	_ sketch.MultiQuantiler = (*Sketch)(nil)
-)
+var _ sketch.BatchInserter = (*Sketch)(nil)
 
 // InsertBatch implements sketch.BatchInserter: equivalent to inserting
 // every value of xs in order, with the level-0 buffer, count and bounds
@@ -25,7 +22,7 @@ func (s *Sketch) InsertBatch(xs []float64) {
 	if len(xs) == 0 {
 		return
 	}
-	s.auxValid = false
+	s.view.Invalidate()
 	c0 := s.compactors[0]
 	buf := c0.buf
 	capc := c0.capacity()

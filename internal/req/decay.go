@@ -8,44 +8,23 @@ import (
 
 var _ sketch.CountScaler = (*Sketch)(nil)
 
-// ScaleCount implements sketch.CountScaler with the same binary
-// re-decomposition KLL uses: an item in the height-h compactor carries
-// weight 2^h, so after scaling it should carry W = round(g·2^h) and is
-// re-placed into the compactor at every set bit of W (all ≤ h, so no
-// new compactors appear). Each compactor keeps its section
-// configuration and compaction-schedule state; only its buffer contents
-// are rebuilt (unsorted, sortedLen reset). The new count is
-// Σ_h |buf_h|·W_h, conserving retained weight exactly, and the whole
-// transform is deterministic — compactors ascending, items in retained
-// order, coin flips only in the final compress from the sketch's own
-// PCG stream. Heights whose scaled weight rounds to 0 drop their items;
-// if everything rounds away the sketch resets. min/max are kept as
-// conservative bounds.
+// ScaleCount implements sketch.CountScaler through
+// sketch.ScaleLevels, the binary re-decomposition KLL uses: each item in
+// the height-h compactor is re-placed into the compactor at every set
+// bit of round(g·2^h). Each compactor keeps its section configuration
+// and compaction-schedule state; only its buffer contents are rebuilt
+// (unsorted, sortedLen reset). Coin flips happen only in the final
+// compress, from the sketch's own PCG stream. If everything rounds away
+// the sketch resets. min/max are kept as conservative bounds.
 func (s *Sketch) ScaleCount(g float64) {
 	if math.IsNaN(g) || g >= 1 {
 		return
 	}
-	if g <= 0 {
-		s.Reset()
-		return
-	}
-	newBufs := make([][]float32, len(s.compactors))
-	var count uint64
+	bufs := make([][]float32, len(s.compactors))
 	for h, c := range s.compactors {
-		if len(c.buf) == 0 {
-			continue
-		}
-		w := uint64(math.Round(g * float64(uint64(1)<<uint(h))))
-		if w == 0 {
-			continue
-		}
-		count += w * uint64(len(c.buf))
-		for b := uint(0); w>>b != 0; b++ {
-			if w&(1<<b) != 0 {
-				newBufs[b] = append(newBufs[b], c.buf...)
-			}
-		}
+		bufs[h] = c.buf
 	}
+	newBufs, count := sketch.ScaleLevels(bufs, g)
 	if count == 0 {
 		s.Reset()
 		return
@@ -55,6 +34,6 @@ func (s *Sketch) ScaleCount(g float64) {
 		c.sortedLen = 0
 	}
 	s.count = count
-	s.auxValid = false
+	s.view.Invalidate()
 	s.compress()
 }

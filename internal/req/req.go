@@ -19,7 +19,6 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"slices"
-	"sort"
 
 	"repro/internal/sketch"
 )
@@ -105,16 +104,11 @@ type Sketch struct {
 	pcg        *rand.PCG // rng's source, kept for exact state serialization
 	seed       uint64
 
-	// Sorted-view cache (values ascending with cumulative weights), built
-	// lazily at query time and invalidated by mutation. Unlike KLL's, the
-	// rebuild must re-sort higher compactors too, which is why ReqSketch
-	// query time grows with data size (Sec 4.4.2). The slices (and the
-	// weighted scratch the build sorts in) keep their capacity across
-	// rebuilds, so steady-state queries allocate nothing.
-	auxValid   bool
-	auxVals    []float32
-	auxCum     []uint64
-	auxScratch []weighted
+	// view is the sorted query view, built lazily at query time and
+	// invalidated by mutation. Unlike KLL's, the rebuild must re-sort
+	// higher compactors too, which is why ReqSketch query time grows
+	// with data size (Sec 4.4.2).
+	view sketch.LevelView
 }
 
 var _ sketch.Sketch = (*Sketch)(nil)
@@ -163,7 +157,7 @@ func (s *Sketch) Insert(x float64) {
 	c0 := s.compactors[0]
 	c0.buf = append(c0.buf, float32(x))
 	s.count++
-	s.auxValid = false
+	s.view.Invalidate()
 	if x < s.min {
 		s.min = x
 	}
@@ -263,55 +257,15 @@ func (s *Sketch) compactLevel(h int) {
 // Count implements sketch.Sketch.
 func (s *Sketch) Count() uint64 { return s.count }
 
-type weighted struct {
-	v float32
-	w uint64
-}
-
-// samples returns all retained items with weights, sorted by value. The
-// returned slice aliases the sketch's reusable scratch buffer. Equal
-// values may land in any order (the sort is unstable), which cannot be
-// observed: Quantile and Rank only consult cumulative weight at value
-// boundaries.
-func (s *Sketch) samples() []weighted {
-	out := s.auxScratch[:0]
-	for _, c := range s.compactors {
-		w := uint64(1) << uint(c.h)
-		for _, v := range c.buf {
-			out = append(out, weighted{v, w})
+// buildView brings the sorted query view up to date with the
+// compactors.
+func (s *Sketch) buildView() {
+	if s.view.Begin() {
+		for _, c := range s.compactors {
+			s.view.AddLevel(c.h, c.buf)
 		}
+		s.view.Sort()
 	}
-	slices.SortFunc(out, func(a, b weighted) int {
-		switch {
-		case a.v < b.v:
-			return -1
-		case a.v > b.v:
-			return 1
-		default:
-			return 0
-		}
-	})
-	s.auxScratch = out
-	return out
-}
-
-// buildAux materializes the sorted view once per mutation epoch, reusing
-// the capacity of the previous epoch's arrays.
-func (s *Sketch) buildAux() {
-	if s.auxValid {
-		return
-	}
-	sm := s.samples()
-	vals := s.auxVals[:0]
-	cums := s.auxCum[:0]
-	var cum uint64
-	for _, e := range sm {
-		cum += e.w
-		vals = append(vals, e.v)
-		cums = append(cums, cum)
-	}
-	s.auxVals, s.auxCum = vals, cums
-	s.auxValid = true
 }
 
 // Quantile implements sketch.Sketch; estimates are actual inserted values
@@ -326,38 +280,8 @@ func (s *Sketch) Quantile(q float64) (float64, error) {
 	if q == 1 {
 		return s.max, nil
 	}
-	s.buildAux()
-	return s.quantileFromAux(q), nil
-}
-
-// quantileFromAux answers one valid q against the built sorted view.
-func (s *Sketch) quantileFromAux(q float64) float64 {
-	if q == 1 {
-		return s.max
-	}
-	target := uint64(math.Ceil(q * float64(s.count)))
-	if target < 1 {
-		target = 1
-	}
-	i := sort.Search(len(s.auxCum), func(i int) bool { return s.auxCum[i] >= target })
-	if i >= len(s.auxVals) {
-		return s.max
-	}
-	return clampF(float64(s.auxVals[i]), s.min, s.max)
-}
-
-// QuantileAll implements sketch.MultiQuantiler: the cumulative CDF
-// snapshot is built once and every target rank binary-searches it.
-func (s *Sketch) QuantileAll(qs []float64) ([]float64, error) {
-	if err := sketch.ValidateQuantiles(qs, s.count == 0); err != nil {
-		return nil, err
-	}
-	s.buildAux()
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = s.quantileFromAux(q)
-	}
-	return out, nil
+	s.buildView()
+	return s.view.Quantile(q, s.count, s.min, s.max), nil
 }
 
 // Rank implements sketch.Sketch.
@@ -365,13 +289,8 @@ func (s *Sketch) Rank(x float64) (float64, error) {
 	if s.count == 0 {
 		return 0, sketch.ErrEmpty
 	}
-	s.buildAux()
-	xf := float32(x)
-	i := sort.Search(len(s.auxVals), func(i int) bool { return s.auxVals[i] > xf })
-	if i == 0 {
-		return 0, nil
-	}
-	return float64(s.auxCum[i-1]) / float64(s.count), nil
+	s.buildView()
+	return s.view.Rank(x, s.count), nil
 }
 
 // Merge implements sketch.Sketch: same-height compactors concatenate
@@ -414,7 +333,7 @@ func (s *Sketch) Merge(other sketch.Sketch) error {
 		}
 	}
 	s.count += o.count
-	s.auxValid = false
+	s.view.Invalidate()
 	if o.min < s.min {
 		s.min = o.min
 	}
@@ -452,7 +371,7 @@ func (s *Sketch) Footprint() int {
 	for _, c := range s.compactors {
 		b += 4*(cap(c.buf)+cap(c.scratch)) + 5*8
 	}
-	return b + 4*cap(s.auxVals) + 8*cap(s.auxCum) + 16*cap(s.auxScratch) + 8*8
+	return b + s.view.Bytes() + 8*8
 }
 
 // Degrade implements sketch.Degrader: halve every compactor's section
@@ -476,13 +395,12 @@ func (s *Sketch) Degrade() (int, error) {
 	if nk := nearestEven(float64(s.k) / 2); nk >= minSectionSize {
 		s.k = nk
 	}
-	s.auxValid = false
 	s.compress()
 	for _, c := range s.compactors {
 		c.buf = slices.Clip(c.buf)
 		c.scratch = nil
 	}
-	s.auxVals, s.auxCum, s.auxScratch = nil, nil, nil
+	s.view = sketch.LevelView{} // drop the query view's capacity too
 	freed := before - s.Footprint()
 	if freed < 0 {
 		freed = 0
@@ -502,16 +420,6 @@ func (s *Sketch) AccuracyBound() float64 {
 // Reset implements sketch.Sketch.
 func (s *Sketch) Reset() {
 	*s = *NewWithSeed(s.k, s.hra, s.seed)
-}
-
-func clampF(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.

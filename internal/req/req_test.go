@@ -98,11 +98,8 @@ func TestWeightConservation(t *testing.T) {
 	for i := uint64(0); i < n; i++ {
 		s.Insert(float64(i % 1013))
 	}
-	var total uint64
-	for _, sm := range s.samples() {
-		total += sm.w
-	}
-	if total != n {
+	s.buildView()
+	if total := s.view.Weight(); total != n {
 		t.Fatalf("total sample weight %d, want %d", total, n)
 	}
 }
@@ -266,11 +263,8 @@ func TestQuickWeightConservation(t *testing.T) {
 		for i := 0; i < int(n); i++ {
 			s.Insert(float64(i % 31))
 		}
-		var total uint64
-		for _, sm := range s.samples() {
-			total += sm.w
-		}
-		return total == uint64(n)
+		s.buildView()
+		return s.view.Weight() == uint64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -42,9 +42,15 @@ var quantileAllGrids = [][]float64{
 	{},
 }
 
+// quantileAllKernels names the batchBuilders configurations with a
+// native QuantileAll: the DDSketch and UDDSketch store sweeps. KLL, REQ
+// and moments answer through the per-q loop over their cached view or
+// solve.
+var quantileAllKernels = map[string]bool{"ddsketch": true, "ddsketch-collapse": true, "uddsketch": true}
+
 // TestQuantileAllEquivalence pins QuantileAll to the scalar path on
-// every study sketch (including the stress configurations of
-// batchBuilders) across empty, filled, warm-cache and post-merge states.
+// every sketch with a batch kernel across empty, filled, warm-cache and
+// post-merge states.
 func TestQuantileAllEquivalence(t *testing.T) {
 	const n = 20_000
 	vals := batchTestValues(n)
@@ -52,8 +58,11 @@ func TestQuantileAllEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			sk := builder()
 			mq, ok := sk.(sketch.MultiQuantiler)
+			if ok != quantileAllKernels[name] {
+				t.Fatalf("%s implements sketch.MultiQuantiler: %v, want %v", name, ok, quantileAllKernels[name])
+			}
 			if !ok {
-				t.Fatalf("%s does not implement sketch.MultiQuantiler", name)
+				return
 			}
 			check := func(stage string) {
 				t.Helper()

@@ -128,9 +128,11 @@ func Quantiles(s Quantiler, qs []float64) ([]float64, error) {
 }
 
 // MultiQuantiler is implemented by sketches with a native batched query
-// kernel that answers a whole quantile set in one pass: a single CDF
-// snapshot / store scan / maxent solve is shared across all targets
-// instead of being redone per quantile.
+// kernel that answers a whole quantile set in one pass: DDSketch and
+// UDDSketch satisfy every target in a single cumulative sweep of their
+// stores instead of one sweep per quantile. Sketches that cache their
+// query view or solve between mutations (KLL, REQ, moments) gain
+// nothing from a kernel and answer through the per-q loop.
 //
 // Contract: QuantileAll(qs) must be indistinguishable from calling
 // Quantile(q) for each q in order — bitwise-identical estimates, and on

@@ -530,11 +530,6 @@ func (s *Sketch) clone() *Sketch {
 // NonEmptyBuckets reports the live bucket count across both stores.
 func (s *Sketch) NonEmptyBuckets() int { return len(s.positive) + len(s.negative) }
 
-// Footprint implements sketch.Footprinter. The map-backed stores hold
-// no hidden capacity beyond the paper's 3-numbers-per-bucket
-// accounting, so the live footprint is MemoryBytes itself.
-func (s *Sketch) Footprint() int { return s.MemoryBytes() }
-
 // maxDegradeCollapses caps the collapse counter at its serialization
 // bound (the counter shares its wire word with the indexer flag; α has
 // long saturated at 1 by then anyway).
@@ -546,15 +541,17 @@ const maxDegradeCollapses = 4096
 // α ← 2α/(1+α²). Merge already aligns differing collapse counts, so a
 // degraded sketch stays mergeable with any sketch of the same initial
 // α. Refused when fewer than 4 buckets are live (a collapse would
-// degrade α while freeing almost nothing).
+// degrade α while freeing almost nothing). Freed bytes are measured by
+// MemoryBytes, which sketch.FootprintOf charges: the map-backed stores
+// hold no hidden capacity beyond the paper's accounting.
 func (s *Sketch) Degrade() (int, error) {
 	if s.NonEmptyBuckets() < 4 || s.collapses >= maxDegradeCollapses {
 		return 0, sketch.ErrNotDegradable
 	}
-	before := s.Footprint()
+	before := s.MemoryBytes()
 	s.uniformCollapse()
 	s.assertInvariants("degrade")
-	freed := before - s.Footprint()
+	freed := before - s.MemoryBytes()
 	if freed < 0 {
 		freed = 0
 	}

@@ -142,8 +142,8 @@ func NewMomentsWithTransform(k int, tr MomentsTransform) *moments.Sketch {
 }
 
 // MultiQuantiler is implemented by sketches that answer a whole set of
-// quantile queries in one pass over their state. All five study sketches
-// implement it; Quantiles uses it automatically.
+// quantile queries in one pass over their state (DDSketch and
+// UDDSketch); Quantiles uses it automatically.
 type MultiQuantiler = sketch.MultiQuantiler
 
 // Quantiles evaluates sk at each q in qs. When sk implements
