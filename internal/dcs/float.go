@@ -117,10 +117,14 @@ func (f *FloatSketch) Quantile(q float64) (float64, error) {
 
 // Rank implements sketch.Sketch.
 func (f *FloatSketch) Rank(x float64) (float64, error) {
-	if x <= 0 {
-		if f.dcs.Count() == 0 {
-			return 0, sketch.ErrEmpty
-		}
+	if f.dcs.Count() == 0 {
+		return 0, sketch.ErrEmpty
+	}
+	switch {
+	case x >= f.maxSeen:
+		// Exact, and key(+Inf) is out of the quantizer's range.
+		return 1, nil
+	case !(x > 0): // NaN, −Inf, and the zero bucket
 		return 0, nil
 	}
 	return f.dcs.Rank(f.key(x))

@@ -351,6 +351,9 @@ func (s *Sketch) Rank(x float64) (float64, error) {
 	if total == 0 {
 		return 0, sketch.ErrEmpty
 	}
+	if math.IsNaN(x) {
+		return 0, nil
+	}
 	var le int64
 	if x >= 0 {
 		le += s.negative.Total()

@@ -140,6 +140,9 @@ func (s *Sketch) Rank(x float64) (float64, error) {
 	if s.count == 0 {
 		return 0, sketch.ErrEmpty
 	}
+	if math.IsNaN(x) {
+		return 0, nil
+	}
 	var rmin int64
 	for _, t := range s.tuples {
 		if t.v > x {

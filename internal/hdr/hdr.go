@@ -203,12 +203,15 @@ func (h *Histogram) Rank(x float64) (float64, error) {
 	if h.total == 0 {
 		return 0, sketch.ErrEmpty
 	}
-	v := int64(math.Round(x))
-	if v < h.lowest {
+	// Compare in float64 before converting: int64 of a NaN or of a
+	// value past the int64 range is undefined (MinInt64 on amd64).
+	r := math.Round(x)
+	if math.IsNaN(r) || r < float64(h.lowest) {
 		return 0, nil
 	}
-	if v > h.highest {
-		v = h.highest
+	v := h.highest
+	if r < float64(h.highest) {
+		v = int64(r)
 	}
 	idx := h.countsIndexFor(v)
 	var le int64

@@ -227,6 +227,9 @@ func (s *FullSketch) Rank(x float64) (float64, error) {
 	if err := s.solve(); err != nil {
 		return 0, err
 	}
+	if math.IsNaN(x) {
+		return 0, nil
+	}
 	if s.solved == nil {
 		if x >= s.min {
 			return 1, nil

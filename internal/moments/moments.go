@@ -298,7 +298,7 @@ func (s *Sketch) Rank(x float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if s.transform == TransformLog && x <= 0 {
+	if math.IsNaN(x) || s.transform == TransformLog && x <= 0 {
 		return 0, nil
 	}
 	y := s.transform.apply(x)

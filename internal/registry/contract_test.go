@@ -66,6 +66,48 @@ func TestQuantileNaNContract(t *testing.T) {
 	}
 }
 
+// TestRankNonFinite pins the Rank contract at the edges of the real
+// line for every sketch: Rank(NaN) = Rank(−Inf) = 0, and every x at or
+// above the largest inserted value, however large, ranks 1. Negative
+// values sit in the stream so a NaN that slips through a sign test
+// would pick up their weight. Each Rank call is checked on its own, so
+// a panic is reported against the value that caused it.
+func TestRankNonFinite(t *testing.T) {
+	for _, e := range Entries() {
+		s := e.New()
+		for i := 1; i <= 1000; i++ {
+			s.Insert(float64(i))
+			if i <= 200 {
+				s.Insert(-float64(i))
+			}
+		}
+		cases := []struct {
+			x, want float64
+		}{
+			{math.NaN(), 0},
+			{math.Inf(-1), 0},
+			{1000, 1},
+			{1000.5, 1},
+			{1e300, 1},
+			{math.MaxFloat64, 1},
+			{math.Inf(1), 1},
+		}
+		for _, c := range cases {
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s: Rank(%v) panicked: %v", e.Name, c.x, p)
+					}
+				}()
+				got, err := s.Rank(c.x)
+				if err != nil || got != c.want {
+					t.Errorf("%s: Rank(%v) = %v, %v; want %v", e.Name, c.x, got, err, c.want)
+				}
+			}()
+		}
+	}
+}
+
 // TestInsertNaNContract pins the documented ingest policy: NaN is not a
 // value, so Insert(NaN) is ignored — the count must not move and
 // subsequent queries must not be poisoned.

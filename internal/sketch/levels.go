@@ -109,8 +109,11 @@ func (v *LevelView) Quantile(q float64, count uint64, min, max float64) float64 
 }
 
 // Rank returns the weight of the items ≤ x (compared as float32) as a
-// fraction of count. The view must be built.
+// fraction of count, and 0 for NaN. The view must be built.
 func (v *LevelView) Rank(x float64, count uint64) float64 {
+	if math.IsNaN(x) {
+		return 0
+	}
 	xf := float32(x)
 	// Last position with value ≤ x.
 	i := sort.Search(len(v.vals), func(i int) bool { return v.vals[i] > xf })

@@ -49,6 +49,8 @@ type Sketch interface {
 
 	// Rank returns an estimate of the fraction of inserted values that are
 	// less than or equal to x. It returns ErrEmpty on an empty sketch.
+	// Otherwise Rank(NaN) = 0, Rank(−Inf) = 0, and Rank(x) = 1 for every
+	// x ≥ the largest inserted value, +Inf included.
 	Rank(x float64) (float64, error)
 
 	// Merge folds other into the receiver so that the receiver summarizes

@@ -198,7 +198,7 @@ func (s *Sketch) Rank(x float64) (float64, error) {
 		return 0, sketch.ErrEmpty
 	}
 	s.flush()
-	if x < s.min {
+	if x < s.min || math.IsNaN(x) {
 		return 0, nil
 	}
 	if x >= s.max {

@@ -267,7 +267,7 @@ func (s *ArraySketch) Rank(x float64) (float64, error) {
 	if s.count == 0 {
 		return 0, sketch.ErrEmpty
 	}
-	if x < 0 {
+	if x < 0 || math.IsNaN(x) {
 		return 0, nil
 	}
 	le := s.zeroCnt

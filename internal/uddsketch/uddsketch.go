@@ -432,6 +432,9 @@ func (s *Sketch) Rank(x float64) (float64, error) {
 	if s.count == 0 {
 		return 0, sketch.ErrEmpty
 	}
+	if math.IsNaN(x) {
+		return 0, nil
+	}
 	var le int64
 	if x >= 0 {
 		for _, c := range s.negative {
