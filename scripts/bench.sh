@@ -5,11 +5,13 @@
 #    (results/bench_seed_stream.txt, captured on the seed engine: boxing
 #    container/heap event queue, per-element scalar inserts) →
 #    BENCH_stream.json
-#  - query: multi-quantile batch kernels and parallel accuracy
-#    evaluation vs the pre-kernel baseline
-#    (results/bench_seed_query.txt, captured with QuantileAll falling
-#    back to the per-q scalar loop and sequential window evaluation) →
-#    BENCH_query.json
+#  - query: the DDSketch/UDDSketch multi-quantile batch kernels and
+#    parallel accuracy evaluation vs the pre-kernel baseline
+#    (results/bench_seed_query.txt, captured with every sketch answering
+#    through the per-q scalar loop and sequential window evaluation) →
+#    BENCH_query.json. KLL, REQ and moments have no kernel: both of
+#    their BenchmarkQuantileAll variants run the same loop, so they are
+#    not paired.
 #  - insert: index-mapping family (exact log vs interpolated
 #    cubic/linear), UDDSketch indexer kind, and store layout (dense vs
 #    buffered-paginated) vs results/bench_seed_insert.txt; the
@@ -90,11 +92,8 @@ compare_query() {
 	go run ./cmd/benchjson \
 		-baseline results/bench_seed_query.txt \
 		-current "$query_current" \
-		-compare 'BenchmarkQuantileAll/kll/scalar=BenchmarkQuantileAll/kll/batch' \
-		-compare 'BenchmarkQuantileAll/req/scalar=BenchmarkQuantileAll/req/batch' \
 		-compare 'BenchmarkQuantileAll/ddsketch/scalar=BenchmarkQuantileAll/ddsketch/batch' \
 		-compare 'BenchmarkQuantileAll/uddsketch/scalar=BenchmarkQuantileAll/uddsketch/batch' \
-		-compare 'BenchmarkQuantileAll/moments/scalar=BenchmarkQuantileAll/moments/batch' \
 		-compare 'BenchmarkAccuracyEval/w=1=BenchmarkAccuracyEval/w=4' \
 		-out BENCH_query.json
 }
