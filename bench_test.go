@@ -317,8 +317,8 @@ func BenchmarkAccuracyEval(b *testing.B) {
 // into the own sketch of all 16 open windows that contain it, and the
 // oldest window fires at every slide boundary) against the
 // pane-sharing engine (each event is inserted once into its pane, and
-// each window is assembled by merging its 16 pane sketches). Both
-// variants process ~b.N events.
+// each window is assembled by merging its 16 pane sketches), undecayed
+// and decayed. Every variant processes ~b.N events.
 func BenchmarkSlidingThroughput(b *testing.B) {
 	const (
 		window = time.Second
@@ -373,25 +373,34 @@ func BenchmarkSlidingThroughput(b *testing.B) {
 			}
 		}
 	})
-	b.Run("pane", func(b *testing.B) {
-		eng, err := stream.NewEngine(stream.Config{
-			WindowSize: window,
-			Slide:      slide,
-			Rate:       rate,
-			NumWindows: b.N/perSlide + 1,
-			Partitions: 4,
-			Workers:    1,
-			Values:     newSrc(),
-			Builder:    builders["ddsketch"],
+	// pane-decay is the pane run with exponential decay (λ = 1.25, as
+	// in perfbench's sliding-ckpt): every window merges its 15 older
+	// panes down-weighted, so pane=pane-decay is what decay still costs.
+	for _, v := range []struct {
+		name   string
+		lambda float64
+	}{{"pane", 0}, {"pane-decay", 1.25}} {
+		b.Run(v.name, func(b *testing.B) {
+			eng, err := stream.NewEngine(stream.Config{
+				WindowSize:  window,
+				Slide:       slide,
+				Rate:        rate,
+				NumWindows:  b.N/perSlide + 1,
+				Partitions:  4,
+				Workers:     1,
+				Values:      newSrc(),
+				Builder:     builders["ddsketch"],
+				DecayLambda: v.lambda,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			if _, err := eng.Run(func(stream.WindowResult) {}); err != nil {
+				b.Fatal(err)
+			}
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		if _, err := eng.Run(func(stream.WindowResult) {}); err != nil {
-			b.Fatal(err)
-		}
-	})
+	}
 }
 
 // BenchmarkRelatedInsert covers the Sec 5 related sketches under the

@@ -149,6 +149,36 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeSnapshotAllocs pins the presized encoder: with every
+// section present (values, partials, a pane trailer and the shed
+// extension), the record is sized exactly — the envelope has no spare
+// capacity — and encoding allocates once.
+func TestEncodeSnapshotAllocs(t *testing.T) {
+	snap := sampleSnapshot()
+	snap.ShedBudget = 7
+	snap.Panes = []PaneSnap{
+		{Index: 0, Accepted: 4, HasValues: true, Values: []float64{1, 2}, Sketch: []byte("pane-0")},
+		{Index: 1, Accepted: 0},
+	}
+	data, err := EncodeSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(data) != len(data) {
+		t.Errorf("snapshot envelope has capacity %d for %d bytes, want an exact fit", cap(data), len(data))
+	}
+	got, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, snap) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, snap)
+	}
+	if avg := testing.AllocsPerRun(50, func() { _, _ = EncodeSnapshot(snap) }); avg != 1 {
+		t.Errorf("EncodeSnapshot allocates %.1f times, want 1", avg)
+	}
+}
+
 // TestSnapshotCorruptionContained mirrors the envelope sweep at the
 // snapshot level: damage anywhere must produce an error, not a panic
 // or a silently wrong snapshot.

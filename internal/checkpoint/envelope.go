@@ -52,18 +52,36 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // registry name of the sketch that produced it, or a record type like
 // "engine-snapshot").
 func Seal(name string, payload []byte) ([]byte, error) {
+	buf, err := openEnvelope(name, len(payload))
+	if err != nil {
+		return nil, err
+	}
+	return closeEnvelope(append(buf, payload...), name), nil
+}
+
+// openEnvelope allocates an envelope with room for a payload of
+// payloadLen bytes and writes its header. The caller appends the
+// payload and finishes with closeEnvelope; a payload of another length
+// still yields a valid envelope, at the cost of a reallocation.
+func openEnvelope(name string, payloadLen int) ([]byte, error) {
 	if len(name) == 0 || len(name) > maxNameLen {
 		return nil, fmt.Errorf("checkpoint: envelope name %q must be 1..%d bytes", name, maxNameLen)
 	}
-	buf := make([]byte, 0, envelopeOverhead+len(name)+len(payload))
+	buf := make([]byte, 0, envelopeOverhead+len(name)+payloadLen)
 	buf = append(buf, magic[:]...)
 	buf = append(buf, EnvelopeVersion)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
 	buf = append(buf, name...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-	return buf, nil
+	return binary.LittleEndian.AppendUint32(buf, uint32(payloadLen)), nil
+}
+
+// closeEnvelope records the length of the payload appended after
+// openEnvelope's header and appends the checksum of every byte before
+// it.
+func closeEnvelope(buf []byte, name string) []byte {
+	off := 7 + len(name)
+	binary.LittleEndian.PutUint32(buf[off:], uint32(len(buf)-off-4))
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 }
 
 // Open validates data as an envelope (magic, version, lengths, CRC32-C)

@@ -103,9 +103,14 @@ type Snapshot struct {
 }
 
 // EncodeSnapshot serializes s and seals it in an "engine-snapshot"
-// envelope.
+// envelope. The record is sized first (encodedLen), so the envelope is
+// the encoding's only allocation.
 func EncodeSnapshot(s *Snapshot) ([]byte, error) {
-	w := sketch.NewWriter(256 + 32*len(s.InFlight))
+	buf, err := openEnvelope(snapshotName, encodedLen(s))
+	if err != nil {
+		return nil, err
+	}
+	w := sketch.AppendWriter(buf)
 	w.U64(s.Seq)
 	w.Blob([]byte(s.SketchName))
 	w.I64(s.Drawn)
@@ -169,7 +174,43 @@ func EncodeSnapshot(s *Snapshot) ([]byte, error) {
 		w.U32(0) // extension-trailer marker; a pane count is never 0
 		w.I64(s.ShedBudget)
 	}
-	return Seal(snapshotName, w.Bytes())
+	return closeEnvelope(w.Bytes(), snapshotName), nil
+}
+
+// encodedLen is the exact length of EncodeSnapshot's record for s,
+// field for field.
+func encodedLen(s *Snapshot) int {
+	values := func(has bool, vs []float64) int {
+		if has {
+			return 4 + 8*len(vs)
+		}
+		return 0
+	}
+	n := 8 + 4 + len(s.SketchName) + 7*8 +
+		4 + 8*len(s.LateWindows) + 4 + 8*len(s.LateDrops) +
+		4 + 32*len(s.InFlight) + 4
+	for _, win := range s.Windows {
+		n += 4*8 + 1 + values(win.HasValues, win.Values) + 4
+		for _, blob := range win.Partials {
+			n++
+			if blob != nil {
+				n += 4 + len(blob)
+			}
+		}
+	}
+	if len(s.Panes) > 0 {
+		n += 4
+		for _, p := range s.Panes {
+			n += 2*8 + 1 + values(p.HasValues, p.Values) + 1
+			if p.Sketch != nil {
+				n += 4 + len(p.Sketch)
+			}
+		}
+	}
+	if s.ShedBudget != 0 {
+		n += 4 + 8
+	}
+	return n
 }
 
 // DecodeSnapshot opens data's envelope (validating the checksum) and

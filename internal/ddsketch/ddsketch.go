@@ -383,14 +383,9 @@ func (s *Sketch) Rank(x float64) (float64, error) {
 // Merge implements sketch.Sketch. Sketches must share the same γ (and
 // hence α); bucket counts in the same range are added (Sec 3.3).
 func (s *Sketch) Merge(other sketch.Sketch) error {
-	o, ok := other.(*Sketch)
-	if !ok {
-		return fmt.Errorf("%w: cannot merge %s into ddsketch", sketch.ErrIncompatible, other.Name())
-	}
-	if o.mapping.Name() != s.mapping.Name() ||
-		math.Float64bits(o.mapping.Gamma()) != math.Float64bits(s.mapping.Gamma()) {
-		return fmt.Errorf("%w: mapping mismatch %s/%v vs %s/%v", sketch.ErrIncompatible,
-			s.mapping.Name(), s.mapping.Gamma(), o.mapping.Name(), o.mapping.Gamma())
+	o, err := s.mergeable(other)
+	if err != nil {
+		return err
 	}
 	mergedCount := s.Count() + o.Count()
 	o.positive.ForEach(func(i int, c int64) bool {
@@ -413,6 +408,21 @@ func (s *Sketch) Merge(other sketch.Sketch) error {
 	}
 	s.assertCount("merge", mergedCount)
 	return nil
+}
+
+// mergeable returns other as a DDSketch sharing the receiver's mapping,
+// or the ErrIncompatible a merge of it must fail with.
+func (s *Sketch) mergeable(other sketch.Sketch) (*Sketch, error) {
+	o, ok := other.(*Sketch)
+	if !ok {
+		return nil, fmt.Errorf("%w: cannot merge %s into ddsketch", sketch.ErrIncompatible, other.Name())
+	}
+	if o.mapping.Name() != s.mapping.Name() ||
+		math.Float64bits(o.mapping.Gamma()) != math.Float64bits(s.mapping.Gamma()) {
+		return nil, fmt.Errorf("%w: mapping mismatch %s/%v vs %s/%v", sketch.ErrIncompatible,
+			s.mapping.Name(), s.mapping.Gamma(), o.mapping.Name(), o.mapping.Gamma())
+	}
+	return o, nil
 }
 
 // ChangeMapping returns a copy of the sketch re-bucketed under a new

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"bytes"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -242,6 +244,63 @@ func TestMultiSketchSerde(t *testing.T) {
 	after, _ := recv.MarshalBinary()
 	if string(before) != string(after) {
 		t.Error("failed decode mutated the receiver")
+	}
+}
+
+// TestMultiSketchMergeScaled extends the fused scaled merge contract
+// (TestMergeScaledEquivalence in internal/sketch) to the multiplexer:
+// forwarding MergeScaled to every child leaves the receiver
+// byte-identical to the clone → ScaleCount → Merge reference and the
+// source untouched, for empty and loaded receivers and every clamp
+// region of g.
+func TestMultiSketchMergeScaled(t *testing.T) {
+	builders, err := core.BuildersForDataset("uniform", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb := newMultiBuilder(core.AlgorithmNames(), builders)
+	// load holds negatives and zeros as well as positives.
+	load := func(n, x0 int) sketch.Sketch {
+		m := mb()
+		for i := 0; i < n; i++ {
+			m.Insert(float64((i*37+x0)%997 - 100))
+		}
+		return m
+	}
+	marshal := func(s sketch.Sketch) []byte {
+		blob, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	for _, g := range []float64{math.NaN(), -1, 0, 1e-9, 0.3, 0.5, 0.999, 1, 2} {
+		for _, recvN := range []int{0, 2000} {
+			o := load(5000, 1)
+			before := marshal(o)
+			got := load(recvN, 5)
+			if err := got.(sketch.CountScaler).MergeScaled(o, g); err != nil {
+				t.Fatalf("g=%v: %v", g, err)
+			}
+			if !bytes.Equal(marshal(o), before) {
+				t.Errorf("g=%v receiver %d: MergeScaled modified the source", g, recvN)
+			}
+			want := load(recvN, 5)
+			clone := mb()
+			if err := clone.UnmarshalBinary(before); err != nil {
+				t.Fatal(err)
+			}
+			clone.(sketch.CountScaler).ScaleCount(g)
+			if err := want.Merge(clone); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(marshal(got), marshal(want)) {
+				t.Errorf("g=%v receiver %d: MergeScaled differs from clone, ScaleCount, Merge", g, recvN)
+			}
+		}
+	}
+	if err := mb().(sketch.CountScaler).MergeScaled(builders["kll"](), 0.5); err == nil {
+		t.Error("scaled merge of a non-multi sketch should fail")
 	}
 }
 

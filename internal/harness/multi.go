@@ -159,6 +159,26 @@ func (m *multiSketch) ScaleCount(g float64) {
 	}
 }
 
+// MergeScaled implements sketch.CountScaler by forwarding to every
+// child in algorithm order, each merging its counterpart in other
+// through its own fused form.
+func (m *multiSketch) MergeScaled(other sketch.Sketch, g float64) error {
+	o, ok := other.(*multiSketch)
+	if !ok {
+		return fmt.Errorf("%w: cannot merge %s into multi", sketch.ErrIncompatible, other.Name())
+	}
+	for _, name := range m.order {
+		oc := o.children[name]
+		if oc == nil {
+			return fmt.Errorf("%w: missing child %s", sketch.ErrIncompatible, name)
+		}
+		if err := m.children[name].(sketch.CountScaler).MergeScaled(oc, g); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // multiTag is the type tag of the multiplexer's own wire format. It is
 // harness-local (not in sketch's shared tag space) because multi blobs
 // only ever live inside checkpoint envelopes written and read by the

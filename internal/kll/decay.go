@@ -32,3 +32,20 @@ func (s *Sketch) ScaleCount(g float64) {
 	s.view.Invalidate()
 	s.compress()
 }
+
+// MergeScaled implements sketch.CountScaler the reference way: scale a
+// Clone of o (its compaction RNG state included, so the coin flips
+// match a decoded copy's) and merge it. KLL's rescaling re-places and
+// recompacts samples, so there is no cheaper fused form.
+func (s *Sketch) MergeScaled(other sketch.Sketch, g float64) error {
+	if math.IsNaN(g) || g >= 1 {
+		return s.Merge(other)
+	}
+	o, ok := other.(*Sketch)
+	if !ok {
+		return s.Merge(other) // reports the incompatibility
+	}
+	c := o.Clone()
+	c.ScaleCount(g)
+	return s.Merge(c)
+}

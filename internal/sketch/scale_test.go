@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ddsketch"
+	"repro/internal/invariant"
 	"repro/internal/kll"
 	"repro/internal/moments"
 	"repro/internal/req"
@@ -13,18 +14,20 @@ import (
 	"repro/internal/uddsketch"
 )
 
-// scalers builds one loaded instance of every CountScaler
-// implementation (all five study sketches), each fed the same
-// deterministic positive stream. Seeded builders keep the KLL/REQ coin
-// flips reproducible so byte comparisons are meaningful.
-func scalers(t *testing.T, n int) map[string]func() sketch.Sketch {
+// scalerBuilders returns an empty-sketch builder for every CountScaler
+// implementation (all five study sketches, DDSketch in each of its
+// store layouts). Seeded builders keep the KLL/REQ coin flips
+// reproducible so byte comparisons are meaningful.
+func scalerBuilders(t *testing.T) map[string]func() sketch.Sketch {
 	t.Helper()
-	builders := map[string]func() sketch.Sketch{
+	return map[string]func() sketch.Sketch{
 		"kll": func() sketch.Sketch { return kll.NewWithSeed(128, 7) },
 		"req": func() sketch.Sketch { return req.NewWithSeed(30, true, 7) },
 		"ddsketch": func() sketch.Sketch {
 			return ddsketch.New(0.01)
 		},
+		"ddsketch-collapsing": func() sketch.Sketch { return ddsketch.NewCollapsing(0.01, 256) },
+		"ddsketch-paginated":  func() sketch.Sketch { return ddsketch.NewPaginated(0.01) },
 		"uddsketch": func() sketch.Sketch {
 			s, err := uddsketch.NewWithBudget(0.01, 1024, 12)
 			if err != nil {
@@ -34,16 +37,32 @@ func scalers(t *testing.T, n int) map[string]func() sketch.Sketch {
 		},
 		"moments": func() sketch.Sketch { return moments.New(8) },
 	}
-	out := make(map[string]func() sketch.Sketch, len(builders))
-	for name, b := range builders {
-		build := b
+}
+
+// feed inserts n values of a deterministic stream in [1, 1001) starting
+// from x; mixed negates every third value and zeroes every seventh.
+func feed(s sketch.Sketch, n int, x float64, mixed bool) {
+	for i := 0; i < n; i++ {
+		v := x
+		if mixed && i%7 == 0 {
+			v = 0
+		} else if mixed && i%3 == 0 {
+			v = -x
+		}
+		s.Insert(v)
+		x = math.Mod(x*1.37+0.11, 1000) + 1
+	}
+}
+
+// scalers builds one loaded instance of every CountScaler
+// implementation, each fed the same deterministic positive stream.
+func scalers(t *testing.T, n int) map[string]func() sketch.Sketch {
+	t.Helper()
+	out := map[string]func() sketch.Sketch{}
+	for name, build := range scalerBuilders(t) {
 		out[name] = func() sketch.Sketch {
 			s := build()
-			x := 1.0
-			for i := 0; i < n; i++ {
-				s.Insert(x)
-				x = math.Mod(x*1.37+0.11, 1000) + 1
-			}
+			feed(s, n, 1, false)
 			return s
 		}
 	}
@@ -144,5 +163,114 @@ func TestScaleCountMomentsExact(t *testing.T) {
 	s.ScaleCount(0.5)
 	if c := s.Count(); c != 250 {
 		t.Fatalf("count %d after second ScaleCount(0.5), want 250", c)
+	}
+}
+
+// loadMixed loads a sketch with the mixed-sign stream and then shrinks
+// it by up to steps budget degradations (fewer where the sketch reaches
+// its floor).
+func loadMixed(build func() sketch.Sketch, n int, x float64, steps int) sketch.Sketch {
+	s := build()
+	feed(s, n, x, true)
+	if d, ok := s.(sketch.Degrader); ok {
+		for i := 0; i < steps; i++ {
+			if _, err := d.Degrade(); err != nil {
+				break
+			}
+		}
+	}
+	return s
+}
+
+// mergeScaledReference is the path MergeScaled replaces: clone src
+// through a Marshal/Unmarshal round-trip into a fresh builder product,
+// scale the clone and merge it into dst.
+func mergeScaledReference(t *testing.T, dst, src sketch.Sketch, build func() sketch.Sketch, g float64) {
+	t.Helper()
+	clone := build()
+	if err := clone.UnmarshalBinary(marshalSk(t, src)); err != nil {
+		t.Fatal(err)
+	}
+	clone.(sketch.CountScaler).ScaleCount(g)
+	if err := dst.Merge(clone); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMergeScaledEquivalence pins the fused scaled merge against the
+// clone → ScaleCount → Merge reference on every CountScaler: the
+// receiver ends byte-identical and the source is left untouched, for
+// every clamp region of g (NaN, ≤ 0, whole panes rounding away at 1e-9,
+// genuine down-weights, ≥ 1), empty and loaded receivers, and sources
+// holding negatives and zeros or already shrunk by Degrade. The
+// degraded receivers and sources put UDDSketch's collapse alignment on
+// both sides of the merge.
+func TestMergeScaledEquivalence(t *testing.T) {
+	gs := []float64{math.NaN(), -1, 0, 1e-9, 0.3, 0.5, 0.999, 1, 2}
+	for name, build := range scalerBuilders(t) {
+		t.Run(name, func(t *testing.T) {
+			sources := map[string]func() sketch.Sketch{
+				"empty": build,
+				"positive": func() sketch.Sketch {
+					s := build()
+					feed(s, 3000, 1, false)
+					return s
+				},
+				"mixed":    func() sketch.Sketch { return loadMixed(build, 3000, 1, 0) },
+				"degraded": func() sketch.Sketch { return loadMixed(build, 3000, 1, 2) },
+			}
+			receivers := map[string]func() sketch.Sketch{
+				"empty": build,
+				"loaded": func() sketch.Sketch {
+					s := build()
+					feed(s, 3000, 3.3, false)
+					return s
+				},
+				"degraded": func() sketch.Sketch { return loadMixed(build, 3000, 3.3, 4) },
+			}
+			for sn, src := range sources {
+				for rn, recv := range receivers {
+					for _, g := range gs {
+						o := src()
+						before := marshalSk(t, o)
+						got := recv()
+						if err := got.(sketch.CountScaler).MergeScaled(o, g); err != nil {
+							t.Fatalf("%s into %s, g=%v: %v", sn, rn, g, err)
+						}
+						if !bytes.Equal(marshalSk(t, o), before) {
+							t.Errorf("%s into %s, g=%v: MergeScaled modified the source", sn, rn, g)
+						}
+						want := recv()
+						mergeScaledReference(t, want, o, build, g)
+						if !bytes.Equal(marshalSk(t, got), marshalSk(t, want)) {
+							t.Errorf("%s into %s, g=%v: MergeScaled differs from clone, ScaleCount, Merge", sn, rn, g)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestMergeScaledAllocs pins the fused forms allocation-free: once the
+// receiver spans the source's buckets, a DDSketch (every store),
+// UDDSketch or moments MergeScaled is pure arithmetic on existing
+// state.
+func TestMergeScaledAllocs(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("the armed build's merge assertions allocate")
+	}
+	builders := scalerBuilders(t)
+	for _, name := range []string{"ddsketch", "ddsketch-collapsing", "ddsketch-paginated", "uddsketch", "moments"} {
+		build := builders[name]
+		o := loadMixed(build, 3000, 1, 0)
+		r := loadMixed(build, 3000, 1, 0)
+		cs := r.(sketch.CountScaler)
+		if err := cs.MergeScaled(o, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		if avg := testing.AllocsPerRun(100, func() { _ = cs.MergeScaled(o, 0.5) }); avg != 0 {
+			t.Errorf("%s: warm MergeScaled allocates %.1f times, want 0", name, avg)
+		}
 	}
 }

@@ -37,6 +37,10 @@ func NewWriter(n int) *Writer {
 	return &Writer{buf: make([]byte, 0, n)}
 }
 
+// AppendWriter returns a Writer that appends to buf, for encoders that
+// size their output up front and write their own prefix into it.
+func AppendWriter(buf []byte) *Writer { return &Writer{buf: buf} }
+
 // Bytes returns the accumulated encoding.
 func (w *Writer) Bytes() []byte { return w.buf }
 

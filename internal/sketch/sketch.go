@@ -212,9 +212,21 @@ type BatchInserter interface {
 // exact mechanism is per-sketch (sample re-placement for samplers,
 // rounded bucket scaling for histograms, exact moment scaling) and
 // documented on each implementation.
+//
+// MergeScaled is the fused form the engine's window assembly uses:
+// s.MergeScaled(o, g) leaves s byte-identical (MarshalBinary) to
+// cloning o through a MarshalBinary/UnmarshalBinary round-trip into a
+// fresh sketch of the same configuration, calling ScaleCount(g) on the
+// clone and merging the clone into s — without building the clone
+// where the sketch can fold the scaling into the merge. o is never
+// modified, so an immutable pane can enter many windows at different
+// weights. ScaleCount stays the reference primitive the fused form is
+// tested against (TestMergeScaledEquivalence).
 type CountScaler interface {
 	// ScaleCount multiplies the sketch's effective weight by g.
 	ScaleCount(g float64)
+	// MergeScaled merges other, down-weighted by g, into the receiver.
+	MergeScaled(other Sketch, g float64) error
 }
 
 // Footprinter is implemented by sketches that can report their live

@@ -79,6 +79,7 @@ func (rs *runState) coarsenOldestPane() bool {
 					// elsewhere; skip the fold rather than lose data.
 					continue
 				}
+				dst.sealed = nil
 			}
 			// Pane j precedes j+1, so its values prefix the successor's.
 			if src.values != nil {
@@ -89,9 +90,7 @@ func (rs *runState) coarsenOldestPane() bool {
 		}
 		delete(rs.sealed, j)
 		rs.gov.Untrack(-1 - int64(j))
-		if sk := rs.sealed[j+1].sketch; sk != nil {
-			rs.gov.Track(-1-int64(j+1), sk)
-		}
+		rs.trackPane(j+1, rs.sealed[j+1])
 		if rs.met != nil {
 			rs.met.BudgetEvictions.Inc()
 			rs.met.PanesOpen.Set(int64(len(rs.open) + len(rs.sealed)))

@@ -149,7 +149,7 @@ func (rs *runState) snapshot() error {
 				ps.Values = sp.values
 			}
 			if sp.sketch != nil {
-				sealed, err := sealPartial(sp.sketch)
+				sealed, err := sp.envelope()
 				if err != nil {
 					return err
 				}
@@ -289,11 +289,9 @@ func (rs *runState) restore(snap *checkpoint.Snapshot) error {
 				return err
 			}
 			sp.sketch = sk
-			if rs.gov != nil {
-				rs.gov.Track(-1-int64(j), sk)
-			}
 		}
 		rs.sealed[j] = sp
+		rs.trackPane(j, sp)
 	}
 	for i := int64(0); i < snap.Drawn; i++ {
 		rs.vals.Next()

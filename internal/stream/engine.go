@@ -49,10 +49,11 @@ type Config struct {
 	// seconds between the pane's end and the window's end (the newest
 	// pane always has weight 1). Requires sliding mode (0 < Slide <
 	// WindowSize) and a Builder whose product implements
-	// sketch.CountScaler — the weighting clones the sealed pane sketch
-	// and rescales the clone's count, so the pane itself stays exact
-	// for later windows. 0 disables decay; a DecayLambda of 0 is
-	// bit-identical to the undecayed sliding run.
+	// sketch.CountScaler — the window merges each older pane through
+	// MergeScaled, which adds the down-weighted counts without
+	// modifying the pane, so the pane stays exact for later windows. 0
+	// disables decay; a DecayLambda of 0 is bit-identical to the
+	// undecayed sliding run.
 	DecayLambda float64
 	// SessionGap, when positive, switches the engine to session windows
 	// (paper Sec 2.5): an event at time t opens the proto-window

@@ -2,14 +2,18 @@ package stream
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/kll"
+	"repro/internal/moments"
 	"repro/internal/obs"
 	"repro/internal/sketch"
 )
@@ -48,9 +52,10 @@ type refPane struct {
 // sketch in ascending pane order. cfg must use zero delay (the
 // reference reconstructs the accepted stream as the generation
 // sequence) and NewValues (the engine consumes its own source copy).
-// lambda > 0 applies the engine's decay rule: panes older than the
-// window's newest are cloned and count-scaled by exp(-lambda·age)
-// before merging.
+// lambda > 0 applies the engine's decay rule through the reference
+// path, an oracle independent of the engine's fused MergeScaled: panes
+// older than the window's newest are cloned through a Marshal/Unmarshal
+// round-trip and count-scaled by exp(-lambda·age) before merging.
 func paneReference(t *testing.T, cfg Config, lambda float64) []WindowResult {
 	t.Helper()
 	g := gcdDur(cfg.WindowSize, cfg.Slide)
@@ -223,16 +228,118 @@ func TestPaneBitIdentityVsRecompute(t *testing.T) {
 }
 
 // TestPaneDecayVsRecompute extends the recompute contract to the
-// exponentially decayed mode: the engine's per-pane clone-and-scale
-// assembly matches an independent recomputation applying the same
-// weights.
+// exponentially decayed mode for every study sketch: the engine's fused
+// scaled pane merges (sketch.CountScaler.MergeScaled) match an
+// independent recomputation that clones, scales and merges each
+// down-weighted pane. At λ = 40 the older panes' weights are below
+// 1e-4, so whole panes round away — the edge where the clone resets
+// and must bring no min/max into the window.
 func TestPaneDecayVsRecompute(t *testing.T) {
-	const lambda = 0.9
-	cfg := paneCfg()
-	cfg.DecayLambda = lambda
-	want := paneReference(t, paneCfg(), lambda)
-	got, _ := mustRunCollect(t, cfg)
-	assertSameWindows(t, "decayed", got, want)
+	builders, err := core.BuildersForDataset(datagen.DatasetPareto, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range core.AlgorithmNames() {
+		for _, lambda := range []float64{0.9, 40} {
+			t.Run(fmt.Sprintf("%s/lambda=%v", name, lambda), func(t *testing.T) {
+				base := paneCfg()
+				base.Builder = builders[name]
+				cfg := base
+				cfg.DecayLambda = lambda
+				want := paneReference(t, base, lambda)
+				got, _ := mustRunCollect(t, cfg)
+				assertSameWindows(t, "decayed", got, want)
+			})
+		}
+	}
+}
+
+// checkedStore runs check before storing each snapshot.
+type checkedStore struct {
+	checkpoint.Store
+	check func()
+}
+
+func (s checkedStore) Put(seq uint64, data []byte) error {
+	s.check()
+	return s.Store.Put(seq, data)
+}
+
+// TestPaneEnvelopeCacheFresh pins the sealed-pane envelope cache:
+// after every snapshot, each sealed pane's cached envelope equals a
+// fresh sealPartial of its sketch, through both ways a sealed pane
+// changes — the governor degrading it (a decayed run under a binding
+// budget) and rung 2 folding a neighbour into it (an undecayed run of
+// sketches that refuse degradation). Each run must re-seal some pane
+// between snapshots, or it would not exercise the invalidation.
+func TestPaneEnvelopeCacheFresh(t *testing.T) {
+	cases := map[string]Config{
+		"degrade": {
+			WindowSize:   800 * time.Millisecond,
+			Slide:        50 * time.Millisecond,
+			Rate:         50000,
+			NumWindows:   24,
+			Partitions:   4,
+			Workers:      2,
+			Values:       datagen.NewPareto(1, 1, 41),
+			Builder:      ddBuilder,
+			DecayLambda:  1.25,
+			MemoryBudget: 150 << 10,
+		},
+		// Pane size 1 s: a fold target can outlive the next fire, so a
+		// stale envelope would reach a later snapshot.
+		"coarsen": {
+			WindowSize:   7 * time.Second,
+			Slide:        2 * time.Second,
+			Rate:         4000,
+			NumWindows:   8,
+			Partitions:   2,
+			Values:       datagen.NewUniform(1, 1000, 17),
+			Builder:      func() sketch.Sketch { return moments.New(10) },
+			MemoryBudget: 900,
+		},
+	}
+	for name, cfg := range cases {
+		t.Run(name, func(t *testing.T) {
+			var rs *runState
+			cached := map[*sealedPane]*byte{}
+			snapshots, resealed := 0, 0
+			cfg.CheckpointStore = checkedStore{checkpoint.NewMemStore(), func() {
+				snapshots++
+				for j, sp := range rs.sealed {
+					if sp.sketch == nil {
+						continue
+					}
+					fresh, err := sealPartial(sp.sketch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(sp.sealed, fresh) {
+						t.Fatalf("snapshot %d: pane %d's cached envelope is stale", snapshots, j)
+					}
+					if prev, ok := cached[sp]; ok && prev != &sp.sealed[0] {
+						resealed++
+					}
+					cached[sp] = &sp.sealed[0]
+				}
+			}}
+			e, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs, err = e.newRunState(func(WindowResult) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rs.sink.close()
+			if err := rs.loop(); err != nil {
+				t.Fatal(err)
+			}
+			if snapshots == 0 || resealed == 0 {
+				t.Fatalf("%d snapshots re-sealed %d changed panes, want both > 0", snapshots, resealed)
+			}
+		})
+	}
 }
 
 // TestPaneParallelBitIdentical extends the Workers determinism

@@ -33,20 +33,78 @@ import (
 // With DecayLambda > 0, window assembly down-weights each pane by
 // exp(-λ·age), age being the seconds between the pane's end and the
 // window's end. The newest pane has age 0 and is merged directly; an
-// older pane's sealed sketch is cloned (Marshal/Unmarshal round-trip
-// into a fresh builder product) and the clone's count rescaled via
-// sketch.CountScaler before merging, so the sealed pane stays exact
-// for the later windows that still reference it. λ = 0 makes every
-// weight 1 and is bit-identical to the undecayed sliding run.
+// older pane's sealed sketch enters through sketch.CountScaler's
+// MergeScaled, which adds the down-weighted counts without modifying
+// the pane, so it stays exact for the later windows that still
+// reference it. λ = 0 makes every weight 1 and is bit-identical to the
+// undecayed sliding run.
+//
+// A sealed pane changes only when the budget governor degrades it or
+// rung 2 folds a neighbour into it, so its checkpoint envelope is
+// sealed once, on the first snapshot that needs it, and reused by
+// every later snapshot until one of those two changes drops it.
 
 // sealedPane is one sealed pane: its merged sketch (nil if the pane
 // held engine-side state but no inserts) plus the engine-side
-// counters, immutable until evicted.
+// counters, immutable until evicted except by the budget ladder.
 type sealedPane struct {
 	sketch   sketch.Sketch
 	values   []float64
 	accepted int64
 	degrades int // budget degradations applied to this pane's sketch
+	// sealed caches sealPartial(sketch) for snapshots; nil until the
+	// first snapshot needs it and again after the sketch changes.
+	sealed []byte
+}
+
+// envelope returns the pane sketch's checkpoint envelope, sealing it
+// on first use.
+func (sp *sealedPane) envelope() ([]byte, error) {
+	if sp.sealed == nil {
+		blob, err := sealPartial(sp.sketch)
+		if err != nil {
+			return nil, err
+		}
+		sp.sealed = blob
+	}
+	return sp.sealed, nil
+}
+
+// governedPane is a sealed pane as the budget governor sees it: the
+// pane's sketch, whose Degrade drops the pane's cached envelope when
+// the step changed the sketch. Dropping it here rather than in
+// onDegrade also covers a step that changed the sketch but freed
+// nothing, which onDegrade never hears of; a refused step (an error)
+// leaves the sketch, and so the cache, as it was.
+type governedPane struct {
+	sketch.Sketch
+	pane *sealedPane
+}
+
+// Degrade implements sketch.Degrader for the governor.
+func (gp governedPane) Degrade() (int, error) {
+	d, ok := gp.Sketch.(sketch.Degrader)
+	if !ok {
+		return 0, sketch.ErrNotDegradable
+	}
+	freed, err := d.Degrade()
+	if err == nil {
+		gp.pane.sealed = nil
+	}
+	return freed, err
+}
+
+// Footprint implements sketch.Footprinter for the governor, charging
+// the wrapped sketch exactly what FootprintOf charges it unwrapped.
+func (gp governedPane) Footprint() int { return sketch.FootprintOf(gp.Sketch) }
+
+// trackPane hands sealed pane j's sketch to the budget governor, under
+// the negative-id namespace (-1-j) that keeps it apart from the sink's
+// open sketches.
+func (rs *runState) trackPane(j int, sp *sealedPane) {
+	if sp.sketch != nil && rs.gov != nil {
+		rs.gov.Track(-1-int64(j), governedPane{sp.sketch, sp})
+	}
 }
 
 // gcdDur is the greatest common divisor of two positive durations.
@@ -203,11 +261,9 @@ func (rs *runState) sealPane(j int) error {
 		sp.degrades += w.degrades
 	}
 	rs.sealed[j] = sp
-	if sk != nil && rs.gov != nil {
-		// Sealed panes stay resident until evicted, so the governor
-		// tracks them under the negative-id namespace (-1-j).
-		rs.gov.Track(-1-int64(j), sk)
-	}
+	// Sealed panes stay resident until evicted, so the governor tracks
+	// them too.
+	rs.trackPane(j, sp)
 	return nil
 }
 
@@ -220,22 +276,6 @@ func (rs *runState) paneWeight(j int, endT time.Duration) float64 {
 	}
 	age := (endT - rs.paneSize*time.Duration(j+1)).Seconds()
 	return math.Exp(-rs.cfg.DecayLambda * age)
-}
-
-// cloneScaled clones a sealed pane sketch via a Marshal/Unmarshal
-// round-trip into a fresh builder product and rescales the clone's
-// count by g, leaving the original untouched for later windows.
-func (rs *runState) cloneScaled(src sketch.Sketch, g float64) (sketch.Sketch, error) {
-	blob, err := src.MarshalBinary()
-	if err != nil {
-		return nil, fmt.Errorf("stream: decay clone: %w", err)
-	}
-	clone := rs.cfg.Builder()
-	if err := clone.UnmarshalBinary(blob); err != nil {
-		return nil, fmt.Errorf("stream: decay clone: %w", err)
-	}
-	clone.(sketch.CountScaler).ScaleCount(g)
-	return clone, nil
 }
 
 // firePaned fires window k: seal every pane the fire makes immutable,
@@ -271,15 +311,13 @@ func (rs *runState) firePaned(k int) error {
 		if sp.sketch == nil {
 			continue
 		}
-		src := sp.sketch
+		var err error
 		if g := rs.paneWeight(j, endT); g < 1 {
-			clone, err := rs.cloneScaled(src, g)
-			if err != nil {
-				return err
-			}
-			src = clone
+			err = merged.(sketch.CountScaler).MergeScaled(sp.sketch, g)
+		} else {
+			err = merged.Merge(sp.sketch)
 		}
-		if err := merged.Merge(src); err != nil {
+		if err != nil {
 			return fmt.Errorf("stream: window %d pane merge: %w", k, err)
 		}
 		if rs.met != nil {

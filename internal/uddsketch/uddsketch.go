@@ -465,17 +465,9 @@ func (s *Sketch) Rank(x float64) (float64, error) {
 // the aligned bucket counts are added, and a final uniform collapse runs
 // if the bucket budget is exceeded.
 func (s *Sketch) Merge(other sketch.Sketch) error {
-	o, ok := other.(*Sketch)
-	if !ok {
-		return fmt.Errorf("%w: cannot merge %s into uddsketch", sketch.ErrIncompatible, other.Name())
-	}
-	if math.Abs(o.initAlpha-s.initAlpha) > 1e-15 {
-		return fmt.Errorf("%w: initial alpha mismatch %v vs %v", sketch.ErrIncompatible, s.initAlpha, o.initAlpha)
-	}
-	if o.indexer != s.indexer {
-		// Different indexers bucket at different boundaries; adding their
-		// counts index-by-index would silently corrupt both guarantees.
-		return fmt.Errorf("%w: indexer mismatch %d vs %d", sketch.ErrIncompatible, s.indexer, o.indexer)
+	o, err := s.mergeable(other)
+	if err != nil {
+		return err
 	}
 	mergedCount := s.count + o.count
 	// Work on a private copy of the more-refined side so `other` is not
@@ -515,6 +507,24 @@ func (s *Sketch) Merge(other sketch.Sketch) error {
 	}
 	s.assertCount("merge", mergedCount)
 	return nil
+}
+
+// mergeable returns other as a UDDSketch with the receiver's initial α
+// and indexer, or the ErrIncompatible a merge of it must fail with.
+func (s *Sketch) mergeable(other sketch.Sketch) (*Sketch, error) {
+	o, ok := other.(*Sketch)
+	if !ok {
+		return nil, fmt.Errorf("%w: cannot merge %s into uddsketch", sketch.ErrIncompatible, other.Name())
+	}
+	if math.Abs(o.initAlpha-s.initAlpha) > 1e-15 {
+		return nil, fmt.Errorf("%w: initial alpha mismatch %v vs %v", sketch.ErrIncompatible, s.initAlpha, o.initAlpha)
+	}
+	if o.indexer != s.indexer {
+		// Different indexers bucket at different boundaries; adding their
+		// counts index-by-index would silently corrupt both guarantees.
+		return nil, fmt.Errorf("%w: indexer mismatch %d vs %d", sketch.ErrIncompatible, s.indexer, o.indexer)
+	}
+	return o, nil
 }
 
 func (s *Sketch) clone() *Sketch {

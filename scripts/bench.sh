@@ -28,7 +28,10 @@
 #    engine recomputing every overlapping window (each event inserted
 #    into ~16 open sketches at slide = window/16) against the
 #    pane-sharing engine (one insert per event, windows assembled by
-#    merging panes), with a hard >= 3x speedup floor → BENCH_pane.json
+#    merging panes), with a hard >= 3x speedup floor, plus the undecayed
+#    pane run against the decayed one (pane-decay, λ = 1.25): what
+#    exponential decay still costs on top of pane sharing →
+#    BENCH_pane.json
 #  - budget: memory-budget governor overhead. Self-comparison: the
 #    disabled path (MemoryBudget 0) against a slack budget that tracks
 #    footprints on cadence but never degrades, with a >= 0.98x floor
@@ -159,6 +162,7 @@ compare_pane() {
 	go run ./cmd/benchjson \
 		-current "$pane_current" \
 		-compare 'BenchmarkSlidingThroughput/recompute=BenchmarkSlidingThroughput/pane' \
+		-compare 'BenchmarkSlidingThroughput/pane=BenchmarkSlidingThroughput/pane-decay' \
 		-out BENCH_pane.json
 }
 

@@ -84,7 +84,8 @@ gate tests go test ./...
 # called out as its own gate.
 gate hotpath-allocs go test -run 'Allocs' ./internal/kll ./internal/req \
 	./internal/ddsketch ./internal/uddsketch ./internal/moments \
-	./internal/fastlog ./internal/stream ./internal/concurrent
+	./internal/fastlog ./internal/stream ./internal/concurrent \
+	./internal/sketch ./internal/checkpoint
 gate invariant-tests go test -tags invariants ./internal/...
 gate race go test -race ./internal/stream ./internal/harness
 # Crash-recovery / corruption matrix under the race detector: injected
@@ -103,9 +104,10 @@ gate concurrent go test -race -run 'Concurrent|Relaxation|Shared|Epoch|Snapshot|
 # Sliding-window pane sharing under the race detector: pane-merged
 # windows must be bit-identical to recompute-from-scratch references
 # (serial and parallel), decay must be metamorphic at λ=0, pane state
-# must survive crash recovery, and ScaleCount must be deterministic.
+# must survive crash recovery, ScaleCount must be deterministic, and
+# the fused MergeScaled must match the clone-and-scale reference.
 gate pane go test -race \
-	-run 'Pane|Sliding|Decay|ScaleCount|WeightedQuantiles|TumblingSlide' \
+	-run 'Pane|Sliding|Decay|ScaleCount|MergeScaled|WeightedQuantiles|TumblingSlide' \
 	./internal/stream ./internal/sketch ./internal/stats ./internal/harness
 # Memory-budget governor and fault-hardened checkpoint I/O under the
 # race detector: the budget-never-exceeded property, graceful
