@@ -475,6 +475,30 @@ func BenchmarkStreamThroughput(b *testing.B) {
 			})
 		}
 	}
+	// The cases above replay precomputed values, so they cannot see what
+	// drawing costs. drift-pareto draws from the real sources of the
+	// paper's late-data run: the drifting Pareto and a 150 ms mean
+	// exponential delay.
+	b.Run("drift-pareto/w=1", func(b *testing.B) {
+		windows := b.N/100_000 + 1
+		eng, err := stream.NewEngine(stream.Config{
+			WindowSize: time.Second,
+			Rate:       100_000,
+			NumWindows: windows,
+			Partitions: 4,
+			Workers:    1,
+			Values:     datagen.NewDriftingPareto(29, datagen.ResampleEveryAt50k),
+			Delay:      stream.NewExponentialDelay(150*time.Millisecond, 31),
+			Builder:    builders["ddsketch"],
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		if _, err := eng.Run(func(stream.WindowResult) {}); err != nil {
+			b.Fatal(err)
+		}
+	})
 }
 
 // BenchmarkBudgetOverhead measures what the memory-budget governor

@@ -8,8 +8,8 @@ import "math/rand/v2"
 // (Sec 4.1). At 50,000 events/s a millisecond is 50 events, so a drifting
 // source re-parameterizes itself every ResampleEvery events.
 
-// Drifting wraps a family of distributions and re-instantiates the active
-// member from freshly sampled parameters every ResampleEvery observations.
+// Drifting wraps one member of a distribution family and re-parameterizes
+// it from freshly sampled parameters every ResampleEvery observations.
 type Drifting struct {
 	// ResampleEvery is the number of observations drawn from one parameter
 	// set before re-sampling (50 ≙ 1 ms at the paper's 50k events/s).
@@ -17,15 +17,18 @@ type Drifting struct {
 
 	rng     *rand.Rand
 	seedSrc uint64
-	make    func(rng *rand.Rand, seed uint64) Source
+	reseed  func(rng *rand.Rand, seed uint64)
 	active  Source
 	drawn   int
 }
 
-// NewDrifting returns a drifting source. makeFn receives the parameter RNG
-// (for drawing new distribution parameters) and a derived seed (for the
-// new member's own value stream).
-func NewDrifting(seed uint64, every int, makeFn func(rng *rand.Rand, seed uint64) Source) *Drifting {
+// NewDrifting returns a drifting source over the member active. reseed
+// re-parameterizes active in place: it receives the parameter RNG (for
+// drawing new distribution parameters) and a derived seed (for the
+// member's own value stream), and must leave active drawing exactly what
+// a member freshly built from those parameters and that seed would. It
+// runs once here and then every `every` draws, so it must not allocate.
+func NewDrifting(seed uint64, every int, active Source, reseed func(rng *rand.Rand, seed uint64)) *Drifting {
 	if every < 1 {
 		every = 1
 	}
@@ -33,14 +36,15 @@ func NewDrifting(seed uint64, every int, makeFn func(rng *rand.Rand, seed uint64
 		ResampleEvery: every,
 		rng:           NewRand(seed),
 		seedSrc:       seed ^ 0xd1f7a9e3b5c80421,
-		make:          makeFn,
+		reseed:        reseed,
+		active:        active,
 	}
 	d.resample()
 	return d
 }
 
 func (d *Drifting) resample() {
-	d.active = d.make(d.rng, SplitMix64(&d.seedSrc))
+	d.reseed(d.rng, SplitMix64(&d.seedSrc))
 	d.drawn = 0
 }
 
@@ -58,10 +62,12 @@ func (d *Drifting) Next() float64 {
 // observations. Parameters are clamped away from zero so the distribution
 // stays well-defined under unlucky draws.
 func NewDriftingPareto(seed uint64, every int) *Drifting {
-	return NewDrifting(seed, every, func(rng *rand.Rand, s uint64) Source {
-		alpha := clampMin(1+0.05*rng.NormFloat64(), 0.5)
-		xm := clampMin(1+0.05*rng.NormFloat64(), 0.5)
-		return NewPareto(alpha, xm, s)
+	pcg := new(rand.PCG)
+	p := &Pareto{rng: rand.New(pcg)}
+	return NewDrifting(seed, every, p, func(rng *rand.Rand, s uint64) {
+		p.Alpha = clampMin(1+0.05*rng.NormFloat64(), 0.5)
+		p.Xm = clampMin(1+0.05*rng.NormFloat64(), 0.5)
+		seedPCG(pcg, s)
 	})
 }
 
@@ -70,9 +76,12 @@ func NewDriftingPareto(seed uint64, every int) *Drifting {
 // `every` observations.
 func NewDriftingUniform(seed uint64, every int) *Drifting {
 	const width = 1000
-	return NewDrifting(seed, every, func(rng *rand.Rand, s uint64) Source {
-		lo := clampMin(1000+100*rng.NormFloat64(), 1)
-		return NewUniform(lo, lo+width, s)
+	pcg := new(rand.PCG)
+	u := &Uniform{rng: rand.New(pcg)}
+	return NewDrifting(seed, every, u, func(rng *rand.Rand, s uint64) {
+		u.Lo = clampMin(1000+100*rng.NormFloat64(), 1)
+		u.Hi = u.Lo + width
+		seedPCG(pcg, s)
 	})
 }
 

@@ -24,10 +24,19 @@ func SplitMix64(state *uint64) uint64 {
 
 // NewRand returns a deterministic PCG-backed generator for seed.
 func NewRand(seed uint64) *rand.Rand {
+	pcg := new(rand.PCG)
+	seedPCG(pcg, seed)
+	return rand.New(pcg)
+}
+
+// seedPCG puts pcg in the state NewRand(seed) starts from. math/rand/v2's
+// Rand keeps no state beside its source, so a Rand over a reseeded PCG
+// draws exactly the stream of a freshly built one.
+func seedPCG(pcg *rand.PCG, seed uint64) {
 	s := seed
 	a := SplitMix64(&s)
 	b := SplitMix64(&s)
-	return rand.New(rand.NewPCG(a, b))
+	pcg.Seed(a, b)
 }
 
 // DeriveSeed returns the i-th derived seed from root, suitable for seeding

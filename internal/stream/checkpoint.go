@@ -173,10 +173,11 @@ func (rs *runState) snapshot() error {
 }
 
 // restore rebuilds the run state from a decoded snapshot: counters are
-// adopted directly, in-flight events are re-queued, partition sketches
-// are unsealed and seeded into the sink, and the fresh sources are
-// fast-forwarded to the checkpointed offset (events are a pure function
-// of the seeds, so re-drawing reproduces the exact remaining stream).
+// adopted directly, in-flight events are re-queued, and partition
+// sketches are unsealed and seeded into the sink. The fresh sources are
+// fast-forwarded to the checkpointed offset by loop, under its panic
+// recovery, so a source that panics during the replay fails the run
+// with a *PanicError like any other source panic.
 func (rs *runState) restore(snap *checkpoint.Snapshot) error {
 	cfg := rs.cfg
 	if snap.SketchName != rs.builderName {
@@ -292,10 +293,6 @@ func (rs *runState) restore(snap *checkpoint.Snapshot) error {
 		}
 		rs.sealed[j] = sp
 		rs.trackPane(j, sp)
-	}
-	for i := int64(0); i < snap.Drawn; i++ {
-		rs.vals.Next()
-		rs.delay.Delay()
 	}
 	if rs.met != nil {
 		rs.met.Restores.Inc()

@@ -104,21 +104,29 @@ type Config struct {
 	// Builder must be safe to call from multiple goroutines when
 	// Workers > 1.
 	Workers int
-	// Values supplies the event payloads in generation order.
+	// Values supplies the event payloads in generation order. A run
+	// draws it on an engine-owned goroutine (the source stage, DESIGN.md
+	// §8), so the caller must not touch it while Run is in progress; it
+	// is the caller's again when Run returns. A clean run draws exactly
+	// one value per event it generates, grace period included. A failed
+	// run may have drawn up to 2,048 values past the event it failed at.
 	Values datagen.Source
 	// NewValues returns a fresh copy of the Values source, positioned at
 	// its start. Sources are forward-only, so crash recovery re-derives
 	// the event stream from a fresh source and fast-forwards it to the
 	// checkpointed offset: Resume and RunRecovering require NewValues.
 	// When set, every run draws from its own NewValues() result and
-	// Values may be nil.
+	// Values may be nil. NewValues itself is called on the caller's
+	// goroutine; the source it returns is drawn like Values.
 	NewValues func() datagen.Source
-	// Delay is the network-delay model; nil means ZeroDelay.
+	// Delay is the network-delay model; nil means ZeroDelay. It is
+	// drawn beside Values, one delay per value, on the same goroutine
+	// and with the same rules.
 	Delay DelayModel
 	// NewDelay is NewValues for the delay model. Stateless models
 	// (ZeroDelay, ConstantDelay) do not need it; a stateful model
 	// (ExponentialDelay) must provide it for Resume to reproduce the
-	// original delay sequence.
+	// original delay sequence. The model it returns is drawn like Delay.
 	NewDelay func() DelayModel
 	// Builder constructs the sketch under test; one (per partition) per
 	// window.
@@ -582,7 +590,8 @@ type runState struct {
 	nextSeal    int                 // first pane index not yet sealed
 	sealed      map[int]*sealedPane // sealed, still-referenced panes
 
-	drawn     int64  // source draws so far (event n was draw n, zero-based)
+	drawn     int64  // source draws consumed so far (event n was draw n, zero-based)
+	part      int    // partition of the next event: drawn mod Partitions
 	fired     uint64 // windows fired so far (checkpoint sequence basis)
 	sinceSnap int    // fires since the last snapshot
 	snapEvery int    // snapshot cadence; math.MaxInt disables
@@ -994,59 +1003,50 @@ func (rs *runState) take(ev Event) error {
 
 // loop is the run driver: generate, drain, fire, until the source is
 // exhausted and every tracked window has fired. On a resumed state
-// (drawn > 0) it first finishes the arrival drain the snapshot
-// interrupted, then continues generating from the checkpointed source
-// offset — the exact state sequence of an uninterrupted run. Panics on
-// the engine goroutine (including injected faults on the serial insert
-// path) are converted into a *PanicError result.
+// (drawn > 0) it first fast-forwards the fresh sources to the
+// checkpointed offset (events are a pure function of the seeds, so
+// re-drawing reproduces the exact remaining stream) and finishes the
+// arrival drain the snapshot interrupted — the exact state sequence of
+// an uninterrupted run. The first event is drawn inline; the rest come
+// from the source stage (source.go), which loop stops on every exit.
+// Panics on the engine goroutine (including injected faults on the
+// serial insert path, and source panics the stage forwards) are
+// converted into a *PanicError result.
 func (rs *runState) loop() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = asPanicError(r)
 		}
 	}()
-	cfg := rs.cfg
+	for i := int64(0); i < rs.drawn; i++ {
+		rs.vals.Next()
+		rs.delay.Delay()
+	}
 	if rs.drawn > 0 {
 		if err := rs.drain(rs.interval * time.Duration(rs.drawn-1)); err != nil {
 			return err
 		}
 	}
-	part := int(rs.drawn % int64(cfg.Partitions))
-	for gen := rs.interval * time.Duration(rs.drawn); gen < rs.genEnd; gen += rs.interval {
-		v := rs.vals.Next()
-		d := rs.delay.Delay()
-		at := gen
-		if cfg.UseIngestionTime {
-			at += d
+	rs.part = int(rs.drawn % int64(rs.cfg.Partitions))
+	gen := rs.interval * time.Duration(rs.drawn)
+	if gen < rs.genEnd {
+		// Drawn inline so a run reaches its first event without paying
+		// for the producer's start.
+		if err := rs.generate(gen, rs.vals.Next(), rs.delay.Delay()); err != nil {
+			return err
 		}
-		if at < rs.runEnd {
-			// Grace-period events (event time ≥ runEnd) exist only to
-			// push the watermark past the final boundary; they belong to
-			// no tracked window and are excluded from the accounting so
-			// Generated == Accepted + DroppedLate + RejectedInput holds
-			// exactly.
-			rs.stats.Generated++
-			if rs.met != nil {
-				rs.met.Generated.Inc()
-			}
-		}
-		rs.drawn++
-		ev := Event{GenTime: gen, Arrival: gen + d, Value: v, Partition: part}
-		part++
-		if part == cfg.Partitions {
-			part = 0
-		}
-		if d == 0 && rs.inFlight.Len() == 0 {
-			// Arrived as generated, with nothing in flight: it is the
-			// one event drain(gen) would pop, so it skips the queue.
-			if err := rs.take(ev); err != nil {
+		gen += rs.interval
+	}
+	if gen < rs.genEnd {
+		// Exactly the draws the loop below consumes, and never more: a
+		// clean run leaves the sources where inline drawing would.
+		src := startProducer(rs.vals, rs.delay, int64((rs.genEnd-gen+rs.interval-1)/rs.interval))
+		defer src.stop()
+		for ; gen < rs.genEnd; gen += rs.interval {
+			dr := src.next()
+			if err := rs.generate(gen, dr.v, dr.d); err != nil {
 				return err
 			}
-			continue
-		}
-		rs.inFlight.Push(ev)
-		if err := rs.drain(gen); err != nil {
-			return err
 		}
 	}
 	// Source exhausted: everything still in flight has arrived.
@@ -1063,6 +1063,41 @@ func (rs *runState) loop() (err error) {
 		}
 	}
 	return nil
+}
+
+// generate admits the event drawn at gen with payload v and delay d:
+// it processes the event at once when it arrives as generated with
+// nothing in flight, and otherwise queues it and drains everything that
+// has arrived by gen.
+func (rs *runState) generate(gen time.Duration, v float64, d time.Duration) error {
+	at := gen
+	if rs.cfg.UseIngestionTime {
+		at += d
+	}
+	if at < rs.runEnd {
+		// Grace-period events (event time ≥ runEnd) exist only to push
+		// the watermark past the final boundary; they belong to no
+		// tracked window and are excluded from the accounting so
+		// Generated == Accepted + DroppedLate + RejectedInput holds
+		// exactly.
+		rs.stats.Generated++
+		if rs.met != nil {
+			rs.met.Generated.Inc()
+		}
+	}
+	rs.drawn++
+	ev := Event{GenTime: gen, Arrival: gen + d, Value: v, Partition: rs.part}
+	rs.part++
+	if rs.part == rs.cfg.Partitions {
+		rs.part = 0
+	}
+	if d == 0 && rs.inFlight.Len() == 0 {
+		// Arrived as generated, with nothing in flight: it is the one
+		// event drain(gen) would pop, so it skips the queue.
+		return rs.take(ev)
+	}
+	rs.inFlight.Push(ev)
+	return rs.drain(gen)
 }
 
 // RunCollect is Run but returning the window results as a slice, with

@@ -88,6 +88,12 @@ gate hotpath-allocs go test -run 'Allocs' ./internal/kll ./internal/req \
 	./internal/sketch ./internal/checkpoint
 gate invariant-tests go test -tags invariants ./internal/...
 gate race go test -race ./internal/stream ./internal/harness
+# The source stage's block handoff on a single P under the race
+# detector: with one processor the producer and the coordinator share
+# it, so a handoff that relied on the two running side by side would
+# deadlock or starve here.
+gate gomaxprocs1 env GOMAXPROCS=1 go test -race \
+	-run 'Source|Producer|Parallel|Resume|Recovery|Pane' ./internal/stream
 # Crash-recovery / corruption matrix under the race detector: injected
 # worker panics at every worker×partition shape, corrupt and truncated
 # checkpoints, duplicate batch delivery, stalls, sliding- and
