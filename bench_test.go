@@ -53,6 +53,31 @@ func BenchmarkInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkInsertWindow is the per-window partial cost the stream
+// engine pays: a fresh study sketch per window of n Pareto values, in
+// ns per inserted value (sketch construction included). BenchmarkInsert's
+// single long stream hides it, because there the bottom levels of a
+// tall KLL have shrunk to capacity 2 and fresh-sketch growth never
+// recurs.
+func BenchmarkInsertWindow(b *testing.B) {
+	vals := paretoValues(1<<20, 11)
+	builders := benchBuilders(b)
+	for _, alg := range core.AlgorithmNames() {
+		builder := builders[alg]
+		for _, n := range []int{2500, 10_000, 100_000} {
+			b.Run(fmt.Sprintf("%s/n=%d", alg, n), func(b *testing.B) {
+				var sk sketch.Sketch
+				for i := 0; i < b.N; i++ {
+					if i%n == 0 {
+						sk = builder()
+					}
+					sk.Insert(vals[i&(1<<20-1)])
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkQuery is Fig 5b: answering the study's 8-quantile set at
 // different consumed data sizes.
 func BenchmarkQuery(b *testing.B) {

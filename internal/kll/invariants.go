@@ -4,6 +4,7 @@ package kll
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/invariant"
 )
@@ -20,6 +21,11 @@ import (
 //     stale cache is caught.
 //   - Ordered bounds: min ≤ max whenever the sketch is non-empty, and
 //     no retained sample may be NaN.
+//   - Sorted mask: bit h of sorted is set exactly when level h ≥ 1 is
+//     ascending, and bit 0 is clear. A flagged level that is not
+//     ascending would make compaction skip a needed sort; an ascending
+//     level left unflagged would make a decoded copy (which re-derives
+//     the mask by scanning) merge where the original appends.
 func (s *Sketch) assertInvariants(op string) {
 	var weight uint64
 	for h, lv := range s.levels {
@@ -42,6 +48,15 @@ func (s *Sketch) assertInvariants(op string) {
 		if got := s.capacity(h); got != want {
 			invariant.Violationf("kll", op, "capacity schedule broken at level %d: got %d, want %d (k=%d, levels=%d)",
 				h, got, want, s.k, len(s.levels))
+		}
+	}
+	if s.sorted&1 != 0 {
+		invariant.Violationf("kll", op, "sorted mask flags level 0")
+	}
+	for h := 1; h < len(s.levels) && h < 64; h++ {
+		flagged := s.sorted&(1<<h) != 0
+		if asc := slices.IsSorted(s.levels[h]); flagged != asc {
+			invariant.Violationf("kll", op, "sorted mask broken at level %d: flagged %v, ascending %v", h, flagged, asc)
 		}
 	}
 	if s.count > 0 && !(s.min <= s.max) {

@@ -40,6 +40,13 @@ const capacityDecay = 2.0 / 3.0
 type Sketch struct {
 	k      int
 	levels [][]float32 // levels[h] holds items of weight 2^h
+	// sorted has bit h set exactly when levels[h], h ≥ 1, is ascending;
+	// bit 0 is never set, since inserts append to level 0 unsorted.
+	// Compaction keeps the levels it promotes into sorted (see
+	// compactLevel), and every other mutator re-derives the bits of the
+	// levels it touches, so the mask is a pure function of the levels —
+	// which is what lets UnmarshalBinary restore it by scanning.
+	sorted uint64
 	count  uint64
 	min    float64
 	max    float64
@@ -89,20 +96,26 @@ func (s *Sketch) K() int { return s.k }
 // capacity returns the target capacity of level h given the current
 // number of levels: ⌈k·(2/3)^(H−1−h)⌉ bounded below by 2, so the top
 // level holds k items and lower levels shrink geometrically. Capacities
-// are cached per sketch height since they are consulted on every insert.
+// are cached per sketch height since they are consulted on every insert;
+// the check stays small enough to inline and rebuildCaps does the rest.
 func (s *Sketch) capacity(h int) int {
 	if len(s.caps) != len(s.levels) {
-		s.caps = make([]int, len(s.levels))
-		for lvl := range s.caps {
-			depth := len(s.levels) - 1 - lvl
-			c := int(math.Ceil(float64(s.k) * math.Pow(capacityDecay, float64(depth))))
-			if c < minCompactorSize {
-				c = minCompactorSize
-			}
-			s.caps[lvl] = c
-		}
+		s.rebuildCaps()
 	}
 	return s.caps[h]
+}
+
+// rebuildCaps recomputes the capacity schedule for the current height.
+func (s *Sketch) rebuildCaps() {
+	s.caps = slices.Grow(s.caps[:0], len(s.levels))[:len(s.levels)]
+	for lvl := range s.caps {
+		depth := len(s.levels) - 1 - lvl
+		c := int(math.Ceil(float64(s.k) * math.Pow(capacityDecay, float64(depth))))
+		if c < minCompactorSize {
+			c = minCompactorSize
+		}
+		s.caps[lvl] = c
+	}
 }
 
 // Insert implements sketch.Sketch. NaNs are ignored.
@@ -148,6 +161,18 @@ func (s *Sketch) compress() {
 // even-indexed items) to level h+1 and discards the rest. When the level
 // holds an odd number of items one item stays behind so total weight is
 // conserved exactly.
+//
+// Levels above 0 are kept sorted, so only level 0 and a level whose
+// sorted bit a merge or rescale cleared pay for a sort. The promoted
+// half is itself ascending, and it is merged into a sorted level h+1 in
+// place, from the back, reading the run straight out of level h's array;
+// an unsorted level h+1 just takes it appended. A float32 multiset
+// without ±0 ties has one ascending order, so every compaction promotes
+// the same items and draws the same coin flips as sorting the whole
+// level each time would: answers are unchanged, and only the order of
+// samples inside a level (visible in serialized bytes) differs. −0 and
+// +0 compare equal, so on data holding both, which zero is promoted —
+// and so which one an answer returns — may differ from that reference.
 func (s *Sketch) compactLevel(h int) {
 	buf := s.levels[h]
 	if len(buf) < minCompactorSize {
@@ -156,7 +181,9 @@ func (s *Sketch) compactLevel(h int) {
 	if h+1 >= len(s.levels) {
 		s.levels = append(s.levels, make([]float32, 0, s.capacity(h)+1))
 	}
-	sortFloat32(buf)
+	if h == 0 || s.sorted&(1<<h) == 0 {
+		sortFloat32(buf)
+	}
 	// Keep one leftover on odd sizes: compact items buf[start:start+2m].
 	m := len(buf) / 2
 	start := len(buf) - 2*m // 0 or 1; the smallest item stays on odd sizes
@@ -164,13 +191,59 @@ func (s *Sketch) compactLevel(h int) {
 	if s.rng.Uint64()&1 == 1 {
 		offset = 1
 	}
-	for i := 0; i < m; i++ {
-		s.levels[h+1] = append(s.levels[h+1], buf[start+2*i+offset])
+	run := buf[start+offset:] // the promoted items are run[0], run[2], …
+	next := s.levels[h+1]
+	if len(next) == 0 || s.sorted&(1<<(h+1)) != 0 {
+		s.levels[h+1] = mergeRun(next, run, m)
+		s.sorted |= 1 << (h + 1)
+	} else {
+		for i := 0; i < m; i++ {
+			next = append(next, run[2*i])
+		}
+		s.levels[h+1] = next
 	}
 	if start == 1 {
 		s.levels[h] = append(s.levels[h][:0], buf[0])
 	} else {
 		s.levels[h] = s.levels[h][:0]
+	}
+	if h > 0 {
+		s.sorted |= 1 << h // at most one item is left
+	}
+}
+
+// mergeRun merges the m ascending items run[0], run[2], …, run[2(m−1)]
+// into the ascending dst and returns the result. dst grows exactly as m
+// single appends would grow it, so the allocated capacity (which
+// Footprint reports) is what appending the run would leave. The merge
+// runs backward in place, largest items first; run must not share
+// dst's array.
+func mergeRun(dst, run []float32, m int) []float32 {
+	n := len(dst)
+	for cap(dst) < n+m {
+		dst = append(dst[:cap(dst)], 0)
+	}
+	dst = dst[:n+m]
+	i, j := n-1, m-1
+	for k := n + m - 1; j >= 0; k-- {
+		if i >= 0 && dst[i] > run[2*j] {
+			dst[k] = dst[i]
+			i--
+		} else {
+			dst[k] = run[2*j]
+			j--
+		}
+	}
+	return dst
+}
+
+// markSorted re-derives bit h of the sorted mask from levels[h], for a
+// mutator that changed the level other than by compaction.
+func (s *Sketch) markSorted(h int) {
+	if h > 0 && slices.IsSorted(s.levels[h]) {
+		s.sorted |= 1 << h
+	} else {
+		s.sorted &^= 1 << h
 	}
 }
 
@@ -239,6 +312,7 @@ func (s *Sketch) Merge(other sketch.Sketch) error {
 	}
 	for h, lv := range o.levels {
 		s.levels[h] = append(s.levels[h], lv...)
+		s.markSorted(h)
 	}
 	s.count += o.count
 	s.view.Invalidate()
@@ -364,12 +438,13 @@ func (s *Sketch) Reset() {
 // state the RNG itself produced.
 func (s *Sketch) Clone() *Sketch {
 	c := &Sketch{
-		k:     s.k,
-		count: s.count,
-		min:   s.min,
-		max:   s.max,
-		seed:  s.seed,
-		caps:  slices.Clone(s.caps),
+		k:      s.k,
+		count:  s.count,
+		min:    s.min,
+		max:    s.max,
+		seed:   s.seed,
+		caps:   slices.Clone(s.caps),
+		sorted: s.sorted,
 	}
 	c.levels = make([][]float32, len(s.levels))
 	for h, lv := range s.levels {
@@ -463,20 +538,14 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	// Structural validation: a blob that decodes but breaks the sketch's
 	// invariants (weight conservation, ordered bounds, NaN samples) is
 	// corrupt, even if every field parsed.
-	var weight uint64
-	for h, lv := range ns.levels {
-		weight += uint64(len(lv)) << uint(h)
-		for _, v := range lv {
-			if math.IsNaN(float64(v)) {
-				return sketch.ErrCorrupt
-			}
-		}
-	}
-	if weight != ns.count {
+	if !sketch.ValidLevels(ns.levels, ns.count, ns.min, ns.max) {
 		return sketch.ErrCorrupt
 	}
-	if ns.count > 0 && !(ns.min <= ns.max) {
-		return sketch.ErrCorrupt
+	// The sorted mask is a pure function of the levels, so scanning
+	// restores exactly the original's, and the decoded sketch merges
+	// where the original would have: resume stays byte-identical.
+	for h := range ns.levels {
+		ns.markSorted(h)
 	}
 	ns.assertInvariants("unmarshal")
 	*s = *ns

@@ -511,6 +511,16 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if r.Remaining() != 0 {
 		return sketch.ErrCorrupt
 	}
+	// Structural validation, as KLL's decoder: NaN samples, unordered
+	// bounds or a count that disagrees with the retained weight would
+	// otherwise decode and answer from a sketch no stream produced.
+	bufs := make([][]float32, len(ns.compactors))
+	for h, c := range ns.compactors {
+		bufs[h] = c.buf
+	}
+	if !sketch.ValidLevels(bufs, ns.count, ns.min, ns.max) {
+		return sketch.ErrCorrupt
+	}
 	*s = *ns
 	return nil
 }

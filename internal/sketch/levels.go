@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -169,4 +170,34 @@ func ScaleLevels(levels [][]float32, g float64) ([][]float32, uint64) {
 		}
 	}
 	return out, count
+}
+
+// ValidLevels reports whether decoded level-based samples are
+// structurally sound: no sample is NaN, the retained weight
+// Σ_h |levels[h]|·2^h sums without overflow to exactly count, and
+// min ≤ max when count > 0. Decoders reject a blob failing it as
+// corrupt even when every field parsed; the overflow check matters
+// because a wrapped sum can match any count.
+func ValidLevels(levels [][]float32, count uint64, min, max float64) bool {
+	var weight uint64
+	for h, lv := range levels {
+		if len(lv) == 0 {
+			continue
+		}
+		if h >= 64 {
+			return false
+		}
+		hi, lo := bits.Mul64(uint64(len(lv)), 1<<uint(h))
+		var carry uint64
+		weight, carry = bits.Add64(weight, lo, 0)
+		if hi != 0 || carry != 0 {
+			return false
+		}
+		for _, v := range lv {
+			if math.IsNaN(float64(v)) {
+				return false
+			}
+		}
+	}
+	return weight == count && (count == 0 || min <= max)
 }

@@ -87,6 +87,18 @@ gate hotpath-allocs go test -run 'Allocs' ./internal/kll ./internal/req \
 	./internal/fastlog ./internal/stream ./internal/concurrent \
 	./internal/sketch ./internal/checkpoint
 gate invariant-tests go test -tags invariants ./internal/...
+# KLL keeps its levels above 0 sorted and merges into them instead of
+# re-sorting at every compaction. The differential test against the
+# sort-every-compaction reference and the short-suffix resume test run
+# by name, plain and invariant-armed (which also checks the sorted mask
+# against the levels after every mutation), so a broken sortedness
+# contract is reported as this gate.
+kll_compaction() {
+	local tests='TestSortedCompactionDifferential|TestSortedResumeShortSuffix'
+	go test -count=1 -run "$tests" ./internal/kll &&
+		go test -count=1 -tags invariants -run "$tests" ./internal/kll
+}
+gate kll-compaction kll_compaction
 gate race go test -race ./internal/stream ./internal/harness
 # The source stage's block handoff on a single P under the race
 # detector: with one processor the producer and the coordinator share
@@ -126,7 +138,7 @@ gate budget go test -race \
 	./internal/moments ./internal/stream ./internal/concurrent ./internal/harness .
 # Smoke-run the perf-gate benchmarks (fixed iteration count: checks
 # they still execute, not their timing — scripts/bench.sh does that).
-gate bench-smoke-stream go test -run '^$' -bench 'BenchmarkInsertBatch|BenchmarkStreamThroughput' -benchtime 100x .
+gate bench-smoke-stream go test -run '^$' -bench 'BenchmarkInsertBatch|BenchmarkInsertWindow|BenchmarkStreamThroughput' -benchtime 100x .
 gate bench-smoke-query go test -run '^$' -bench 'BenchmarkQuantileAll' -benchtime 100x .
 gate bench-smoke-insert go test -run '^$' -bench 'BenchmarkInsertMapping|BenchmarkInsertStore|BenchmarkInsertIndexer' -benchtime 100x .
 gate bench-smoke-accuracy go test -run '^$' -bench 'BenchmarkAccuracyEval' -benchtime 1x .
