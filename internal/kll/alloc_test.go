@@ -55,3 +55,40 @@ func TestQuantileAllocs(t *testing.T) {
 		t.Errorf("Insert + %d Quantile calls allocate %.2f times, want 0", len(qs), avg)
 	}
 }
+
+// TestCompactionAllocs pins the //sketch:hotpath contract on the
+// level-0 sort: once warm, scalar Insert at DefaultK, while level 0's
+// capacity puts its sorts in the radix class, allocates nothing — the
+// radix scratch stays on the stack. The window (five levels, level 0
+// compacting at 70 items) sees 21 level-0 sorts and no height change.
+func TestCompactionAllocs(t *testing.T) {
+	s := New(DefaultK)
+	state := uint64(0x9e3779b97f4a7c15)
+	next := func() float64 {
+		state = state*6364136223846793005 + 1442695040888963407
+		return 1 + float64(state>>11)/float64(1<<53)*999
+	}
+	for s.NumLevels() < 5 {
+		s.Insert(next())
+	}
+	for i := 0; i < 500; i++ {
+		s.Insert(next()) // warm: grow level 0 and the levels above to their working size
+	}
+	if c := s.capacity(0); c < radixMin || c > radixMax {
+		t.Fatalf("level-0 capacity %d is outside the radix class [%d, %d]", c, radixMin, radixMax)
+	}
+	// One run is one level-0 fill, so it holds one sort: AllocsPerRun
+	// rounds its average down, and a per-value run would hide an
+	// allocation per sort.
+	fill := func() {
+		for i := 0; i < s.capacity(0); i++ {
+			s.Insert(next())
+		}
+	}
+	if avg := testing.AllocsPerRun(20, fill); avg != 0 {
+		t.Errorf("a level-0 fill (%d inserts, one radix sort) allocates %.0f times, want 0", s.capacity(0), avg)
+	}
+	if s.NumLevels() != 5 {
+		t.Fatalf("the measured window grew the sketch to %d levels; move it", s.NumLevels())
+	}
+}

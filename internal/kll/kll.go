@@ -54,6 +54,13 @@ type Sketch struct {
 	pcg    *rand.PCG // rng's source, kept for exact state serialization
 	seed   uint64
 	caps   []int // cached per-level capacities for the current height
+	// peakStale is set when caps is rebuilt and cleared when compress
+	// records the peak-bytes gauge. MemoryBytes after a compaction
+	// cascade is a function of the capacity schedule, except for levels
+	// a height change in that same cascade left over their new, smaller
+	// capacity — and that change rebuilds the schedule too. So only the
+	// first cascade after a rebuild can raise the gauge.
+	peakStale bool
 
 	// view is the sorted query view, built lazily at query time and
 	// invalidated by mutation — the same auxiliary structure DataSketches
@@ -107,6 +114,7 @@ func (s *Sketch) capacity(h int) int {
 
 // rebuildCaps recomputes the capacity schedule for the current height.
 func (s *Sketch) rebuildCaps() {
+	s.peakStale = true
 	s.caps = slices.Grow(s.caps[:0], len(s.levels))[:len(s.levels)]
 	for lvl := range s.caps {
 		depth := len(s.levels) - 1 - lvl
@@ -151,7 +159,8 @@ func (s *Sketch) compress() {
 			}
 		}
 	}
-	if metrics != nil {
+	if metrics != nil && s.peakStale {
+		s.peakStale = false
 		metrics.PeakBytes.Max(int64(s.MemoryBytes()))
 	}
 	s.assertInvariants("compress")
@@ -246,8 +255,6 @@ func (s *Sketch) markSorted(h int) {
 		s.sorted &^= 1 << h
 	}
 }
-
-func sortFloat32(b []float32) { slices.Sort(b) }
 
 // Count implements sketch.Sketch.
 func (s *Sketch) Count() uint64 { return s.count }
@@ -445,6 +452,8 @@ func (s *Sketch) Clone() *Sketch {
 		seed:   s.seed,
 		caps:   slices.Clone(s.caps),
 		sorted: s.sorted,
+
+		peakStale: s.peakStale,
 	}
 	c.levels = make([][]float32, len(s.levels))
 	for h, lv := range s.levels {

@@ -88,15 +88,20 @@ gate hotpath-allocs go test -run 'Allocs' ./internal/kll ./internal/req \
 	./internal/sketch ./internal/checkpoint
 gate invariant-tests go test -tags invariants ./internal/...
 # KLL keeps its levels above 0 sorted and merges into them instead of
-# re-sorting at every compaction. The differential test against the
-# sort-every-compaction reference and the short-suffix resume test run
-# by name, plain and invariant-armed (which also checks the sorted mask
-# against the levels after every mutation), so a broken sortedness
-# contract is reported as this gate.
+# re-sorting at every compaction, and sorts level 0 with a size-classed
+# kernel (insertion, pdqsort, radix). The differential tests against the
+# sort-every-compaction reference and against slices.Sort and the
+# short-suffix resume test run by name, plain and invariant-armed (which
+# also checks the sorted mask against the levels after every mutation),
+# then the kernel's fuzzer runs for 10 s, so a broken sortedness
+# contract or sort is reported as this gate. Minimizing a new
+# interesting input is capped at 1 s: at the default 60 s it would take
+# the whole 10 s from fuzzing.
 kll_compaction() {
-	local tests='TestSortedCompactionDifferential|TestSortedResumeShortSuffix'
+	local tests='TestSortedCompactionDifferential|TestSortedResumeShortSuffix|TestSortFloat32MatchesSlicesSort'
 	go test -count=1 -run "$tests" ./internal/kll &&
-		go test -count=1 -tags invariants -run "$tests" ./internal/kll
+		go test -count=1 -tags invariants -run "$tests" ./internal/kll &&
+		go test -run '^$' -fuzz FuzzSortFloat32 -fuzztime 10s -fuzzminimizetime 1s ./internal/kll
 }
 gate kll-compaction kll_compaction
 gate race go test -race ./internal/stream ./internal/harness
