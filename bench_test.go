@@ -247,10 +247,12 @@ func BenchmarkBulkInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkInsertBatch compares per-element Insert against the native
-// batch kernels (sketch.BatchInserter) on the same Pareto stream, in
-// ns/event. The batch path feeds 256-value chunks, the granularity the
-// stream engine's worker pool ships.
+// BenchmarkInsertBatch compares per-element Insert against
+// sketch.InsertAll on the same Pareto stream, in ns/event. The batch
+// path feeds 256-value chunks, the granularity the stream engine's
+// worker pool ships. DDSketch, UDDSketch and moments have a native
+// kernel (sketch.BatchInserter); KLL and REQ do not, so their batch
+// rows measure InsertAll's per-value fallback loop.
 func BenchmarkInsertBatch(b *testing.B) {
 	const chunk = 256
 	vals := paretoValues(1<<20, 11)

@@ -5,7 +5,7 @@
 //
 //	benchjson -baseline results/bench_seed_stream.txt \
 //	          -current  results/bench_stream_current.txt \
-//	          -compare  'BenchmarkInsert/kll=BenchmarkInsertBatch/kll/batch' \
+//	          -compare  'BenchmarkInsert/ddsketch=BenchmarkInsertBatch/ddsketch/batch' \
 //	          -out      BENCH_stream.json
 //
 // Each -compare flag (repeatable) names a baseline benchmark and the

@@ -1,6 +1,8 @@
 package concurrent
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -36,38 +38,54 @@ func exactQuantile(sorted []float64, q float64) float64 {
 }
 
 // TestSharedKLLSingleWriterMatchesSerial: with one writer, handoffs
-// replay the stream in order through the serial batch kernel, so after
+// replay the stream in order through the serial Insert path, so after
 // Flush the shared sketch must be indistinguishable from a serial KLL
-// fed the same stream — identical count and identical quantile
-// estimates (same samples, same compaction coin flips).
+// fed the same stream — identical count, identical quantile estimates
+// and identical serialized bytes (same samples, same compaction coin
+// flips) — at every buffer size, including one value per handoff.
 func TestSharedKLLSingleWriterMatchesSerial(t *testing.T) {
 	xs := testValues(20000)
 	ref := kll.New(kll.DefaultK)
 	for _, x := range xs {
 		ref.Insert(x)
 	}
-	sh := NewKLL(kll.DefaultK, 1, 512)
-	w := sh.Writer(0)
-	for _, x := range xs {
-		w.Insert(x)
+	refBlob, err := ref.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
-	sh.Flush()
-	snap := sh.Snapshot()
-	if snap.Count() != ref.Count() {
-		t.Fatalf("count: shared %d, serial %d", snap.Count(), ref.Count())
-	}
-	for _, q := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
-		got, err := snap.Quantile(q)
-		if err != nil {
-			t.Fatalf("shared quantile(%v): %v", q, err)
-		}
-		want, err := ref.Quantile(q)
-		if err != nil {
-			t.Fatalf("serial quantile(%v): %v", q, err)
-		}
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("quantile(%v): shared %v, serial %v", q, got, want)
-		}
+	for _, bufSize := range []int{1, 7, 512} {
+		t.Run(fmt.Sprintf("buf=%d", bufSize), func(t *testing.T) {
+			sh := NewKLL(kll.DefaultK, 1, bufSize)
+			w := sh.Writer(0)
+			for _, x := range xs {
+				w.Insert(x)
+			}
+			sh.Flush()
+			blob, err := sh.state.Load().sk.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(blob, refBlob) {
+				t.Errorf("published sketch serializes differently from the serial reference")
+			}
+			snap := sh.Snapshot()
+			if snap.Count() != ref.Count() {
+				t.Fatalf("count: shared %d, serial %d", snap.Count(), ref.Count())
+			}
+			for _, q := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
+				got, err := snap.Quantile(q)
+				if err != nil {
+					t.Fatalf("shared quantile(%v): %v", q, err)
+				}
+				want, err := ref.Quantile(q)
+				if err != nil {
+					t.Fatalf("serial quantile(%v): %v", q, err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("quantile(%v): shared %v, serial %v", q, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -19,10 +19,10 @@ type kllState struct {
 
 // SharedKLL is a concurrent KLL sketch: per-writer buffers propagated
 // by copy-on-write CAS publication. A handoff clones the current shared
-// sketch, batch-inserts the writer's buffer into the clone (reusing the
-// serial compaction kernel, so the published sketch is always a state
-// some serial KLL could have reached), and compare-and-swaps the new
-// version in; losing the race re-clones from the winner and retries.
+// sketch, inserts the writer's buffer into the clone (the serial Insert
+// path, so the published sketch is always a state some serial KLL could
+// have reached), and compare-and-swaps the new version in; losing the
+// race re-clones from the winner and retries.
 // Readers never block writers and vice versa.
 type SharedKLL struct {
 	state   atomic.Pointer[kllState]
@@ -72,7 +72,9 @@ func (s *SharedKLL) flushBuffer(vals []float64) {
 	for {
 		cur := s.state.Load()
 		next := cur.sk.Clone()
-		next.InsertBatch(vals)
+		for _, v := range vals {
+			next.Insert(v)
+		}
 		if s.state.CompareAndSwap(cur, &kllState{epoch: cur.epoch + 1, sk: next}) {
 			break
 		}

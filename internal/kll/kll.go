@@ -127,6 +127,8 @@ func (s *Sketch) rebuildCaps() {
 }
 
 // Insert implements sketch.Sketch. NaNs are ignored.
+//
+//sketch:hotpath
 func (s *Sketch) Insert(x float64) {
 	if math.IsNaN(x) {
 		return

@@ -229,7 +229,7 @@ func roundTrip(t *testing.T, s *Sketch) *Sketch {
 // sort-every-compaction reference through pure insert streams (fresh
 // 2.5k and 10k windows at the study's k, and long streams whose bottom
 // levels have shrunk to capacity 2) and through random interleavings
-// of Insert, InsertBatch, Merge (equal and smaller k), ScaleCount,
+// of Insert, InsertAll, Merge (equal and smaller k), ScaleCount,
 // Degrade, Clone and a serialization round trip. After every step the
 // two must agree exactly.
 func TestSortedCompactionDifferential(t *testing.T) {
@@ -274,7 +274,7 @@ func TestSortedCompactionDifferential(t *testing.T) {
 							batch = append(batch, diffValue(rng))
 						}
 						if op%2 == 0 {
-							got.InsertBatch(batch)
+							sketch.InsertAll(got, batch)
 						} else {
 							for _, x := range batch {
 								got.Insert(x)

@@ -2,12 +2,13 @@ package req
 
 import "testing"
 
-// TestInsertBatchAllocs pins the //sketch:hotpath contract on the batch
-// kernel: at steady state a 1024-value batch allocates (amortized)
-// nothing — compaction reuses its buffers. Interface boxing on the
-// insert path would read as ~1024 allocations per batch; the bound of
-// 4 leaves headroom only for a rare compactor-growth reallocation.
-func TestInsertBatchAllocs(t *testing.T) {
+// TestInsertAllocs pins the //sketch:hotpath contract on Insert: at
+// steady state a 1024-value batch of scalar inserts allocates
+// (amortized) nothing — compaction reuses its buffers. Interface boxing
+// on the insert path would read as ~1024 allocations per batch; the
+// bound of 4 leaves headroom only for a rare compactor-growth
+// reallocation.
+func TestInsertAllocs(t *testing.T) {
 	s := New(12, false)
 	xs := make([]float64, 1024)
 	state := uint64(0x9e3779b97f4a7c15)
@@ -15,12 +16,17 @@ func TestInsertBatchAllocs(t *testing.T) {
 		state = state*6364136223846793005 + 1442695040888963407
 		xs[i] = 1 + float64(state>>11)/float64(1<<53)*999
 	}
-	for i := 0; i < 200; i++ {
-		s.InsertBatch(xs) // warm: grow compactors past the measured window
+	insert := func() {
+		for _, x := range xs {
+			s.Insert(x)
+		}
 	}
-	avg := testing.AllocsPerRun(200, func() { s.InsertBatch(xs) })
+	for i := 0; i < 200; i++ {
+		insert() // warm: grow compactors past the measured window
+	}
+	avg := testing.AllocsPerRun(200, insert)
 	if avg > 4 {
-		t.Errorf("InsertBatch allocates %.2f times per 1024-value batch, want ~0 (boxing would be ~1024)", avg)
+		t.Errorf("Insert allocates %.2f times per 1024-value batch, want ~0 (boxing would be ~1024)", avg)
 	}
 }
 

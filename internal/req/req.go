@@ -147,6 +147,8 @@ func (s *Sketch) K() int { return s.k }
 func (s *Sketch) HighRankAccuracy() bool { return s.hra }
 
 // Insert implements sketch.Sketch. NaNs are ignored.
+//
+//sketch:hotpath
 func (s *Sketch) Insert(x float64) {
 	if math.IsNaN(x) {
 		return
