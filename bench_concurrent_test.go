@@ -18,15 +18,15 @@ import (
 const concurrentBenchBufSize = 4096
 
 // BenchmarkConcurrentInsert measures aggregate insert throughput into
-// ONE logical sketch under concurrent writers (bench.sh →
-// BENCH_concurrent.json):
+// ONE logical sketch under concurrent writers; scripts/bench.sh prints
+// the locked/w=N → w=N and w=1 → w=ncpu ratios from one run:
 //
 //   - <alg>/w=N: N goroutines, each with its own writer handle of a
 //     shared sketch (the internal/concurrent path). ns/op is the
 //     aggregate cost per insert — wall time divided by total inserts —
 //     so halving it means doubling throughput.
 //   - <alg>/w=ncpu: the same at runtime.NumCPU() writers, under a fixed
-//     name so cross-machine comparisons in bench.sh stay stable.
+//     name so bench.sh's pair table names it on any machine.
 //   - <alg>/locked/w=N: the architecture the concurrent layer replaces —
 //     N goroutines sharing one serial sketch behind a mutex, every
 //     insert taking the lock.

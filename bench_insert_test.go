@@ -1,10 +1,9 @@
 // Benchmarks for the insert-path dimensions the hot-path overhaul
 // introduced: the index-mapping family (exact log vs the interpolated
 // cubic/linear mappings) and the store layout (dense array vs
-// buffered-paginated). scripts/bench.sh runs these against the recorded
-// pre-overhaul baseline (results/bench_seed_insert.txt, captured with
-// the exact-log mapping as the only option and the dense store as the
-// only unbounded layout) and emits BENCH_insert.json.
+// buffered-paginated). scripts/bench.sh prints, from one run, each
+// legacy variant (exact-log mapping or indexer, dense store) over its
+// fast-path counterpart.
 package quantiles_test
 
 import (

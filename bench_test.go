@@ -3,7 +3,9 @@
 // feed Table 3 and Fig 5; experiment benchmarks run the corresponding
 // harness experiment at a small scale and report its headline number as
 // a custom metric. cmd/quantbench runs the same experiments at full,
-// paper-sized scale.
+// paper-sized scale. Paired variants (scalar/batch, w=1/w=4,
+// recompute/pane, off/slack) are compared by scripts/bench.sh, which
+// divides only benchmarks of one run.
 package quantiles_test
 
 import (

@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -71,6 +72,12 @@ func main() {
 	)
 	flag.Parse()
 
+	// Options.scaled clamps every size to at least 1, so a zero,
+	// negative or NaN scale would run each experiment on one data point.
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		fmt.Fprintf(os.Stderr, "quantbench: -scale must be a positive finite number, got %v\n", *scale)
+		os.Exit(2)
+	}
 	if *winSlide < 0 || *winSlide > *winSec {
 		fmt.Fprintf(os.Stderr, "quantbench: -window-slide %v outside [0, -window=%v]\n", *winSlide, *winSec)
 		os.Exit(1)

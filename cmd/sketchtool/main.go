@@ -12,9 +12,11 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -33,18 +35,29 @@ import (
 	"repro/internal/uddsketch"
 )
 
+// newSketch builds the named sketch, rejecting an alpha or k the
+// constructors would panic on or silently replace.
 func newSketch(name string, alpha float64, k int) (sketch.Sketch, error) {
+	if !(alpha > 0 && alpha < 1) {
+		return nil, fmt.Errorf("-alpha must be in (0,1), got %v", alpha)
+	}
 	switch name {
-	case "ddsketch":
-		return ddsketch.New(alpha), nil
+	case "ddsketch", "ddsketch-cubic":
+		// ddsketch-cubic is kept for compatibility: the cubic mapping is
+		// ddsketch's default now, so both names build the same sketch.
+		return ddsketch.NewWithStore(alpha, func() ddsketch.Store { return ddsketch.NewDenseStore() })
 	case "uddsketch":
 		return uddsketch.NewChecked(alpha, 1024)
 	case "kll":
+		if k < 2 {
+			return nil, fmt.Errorf("-k must be >= 2 for kll, got %d", k)
+		}
 		return kll.New(k), nil
-	case "req":
-		return req.New(k, true), nil
-	case "req-lra":
-		return req.New(k, false), nil
+	case "req", "req-lra":
+		if k < 4 {
+			return nil, fmt.Errorf("-k must be >= 4 for req, got %d", k)
+		}
+		return req.New(k, name == "req"), nil
 	case "moments":
 		return moments.New(12), nil
 	case "moments-log":
@@ -53,10 +66,6 @@ func newSketch(name string, alpha float64, k int) (sketch.Sketch, error) {
 		return tdigest.New(tdigest.DefaultCompression), nil
 	case "gk":
 		return gk.New(alpha), nil
-	case "ddsketch-cubic":
-		// Kept for compatibility: the cubic mapping is ddsketch's default
-		// now, so this is the same sketch "ddsketch" builds.
-		return ddsketch.New(alpha), nil
 	case "ddsketch-log":
 		m, err := ddsketch.NewLogarithmic(alpha)
 		if err != nil {
@@ -80,18 +89,36 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "checkpoint" {
 		os.Exit(checkpointCmd(os.Args[2:], os.Stdout))
 	}
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is the quantile pipeline behind main; it returns the process
+// exit code: 0 on success, 1 when reading, merging or querying fails,
+// and 2 for bad flags or input values.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sketchtool", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		name      = flag.String("sketch", "ddsketch", "sketch type")
-		alpha     = flag.Float64("alpha", 0.01, "relative accuracy (ddsketch/uddsketch) or rank error (gk)")
-		k         = flag.Int("k", 0, "size parameter for kll (default 350) and req (default 30)")
-		qList     = flag.String("q", "0.5,0.9,0.95,0.99", "comma-separated quantiles to print")
-		rankOf    = flag.Float64("rank", 0, "also print the rank of this value (0 disables)")
-		serialize = flag.Bool("serialize", false, "write the binary sketch to stdout instead of quantiles")
-		mergeIn   = flag.String("merge", "", "comma-separated files holding serialized sketches to merge in")
-		stats     = flag.Bool("stats", false, "print sketch statistics (count, memory) to stderr")
-		metricsF  = flag.Bool("metrics", false, "record sketch metrics (inserts, compactions, collapses, ...) and dump them to stderr at exit")
+		name      = fs.String("sketch", "ddsketch", "sketch type")
+		alpha     = fs.Float64("alpha", 0.01, "relative accuracy (ddsketch/uddsketch) or rank error (gk)")
+		k         = fs.Int("k", 0, "size parameter for kll (default 350) and req (default 30)")
+		qList     = fs.String("q", "0.5,0.9,0.95,0.99", "comma-separated quantiles to print")
+		rankOf    = fs.Float64("rank", 0, "also print the rank of this value (0 disables)")
+		serialize = fs.Bool("serialize", false, "write the binary sketch to stdout instead of quantiles")
+		mergeIn   = fs.String("merge", "", "comma-separated files holding serialized sketches to merge in")
+		stats     = fs.Bool("stats", false, "print sketch statistics (count, memory) to stderr")
+		metricsF  = fs.Bool("metrics", false, "record sketch metrics (inserts, compactions, collapses, ...) and dump them to stderr at exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "sketchtool:", err)
+		return code
+	}
 
 	var reg *obs.Registry
 	if *metricsF {
@@ -108,13 +135,14 @@ func main() {
 
 	sk, err := newSketch(*name, *alpha, *k)
 	if err != nil {
-		fail(err)
+		return fail(2, err)
 	}
 
-	in := bufio.NewScanner(os.Stdin)
+	in := bufio.NewScanner(stdin)
 	in.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	lines := 0
 	for in.Scan() {
+		lines++
 		line := strings.TrimSpace(in.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
@@ -122,77 +150,83 @@ func main() {
 		for _, field := range strings.Fields(line) {
 			v, err := strconv.ParseFloat(field, 64)
 			if err != nil {
-				fail(fmt.Errorf("line %d: %w", lines+1, err))
+				return fail(2, fmt.Errorf("line %d: %w", lines, err))
+			}
+			// The engine and concurrent.Writer reject non-finite values
+			// too: a sketch would drop a NaN silently and turn an
+			// infinity into NaN answers.
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fail(2, fmt.Errorf("line %d: non-finite value %q", lines, field))
 			}
 			sk.Insert(v)
 		}
-		lines++
 	}
 	if err := in.Err(); err != nil {
-		fail(err)
+		return fail(1, err)
 	}
 
 	for _, path := range splitNonEmpty(*mergeIn) {
 		blob, err := os.ReadFile(path)
 		if err != nil {
-			fail(err)
+			return fail(1, err)
 		}
 		other, err := newSketch(*name, *alpha, *k)
 		if err != nil {
-			fail(err)
+			return fail(2, err)
 		}
 		if err := other.UnmarshalBinary(blob); err != nil {
-			fail(fmt.Errorf("%s: %w", path, err))
+			return fail(1, fmt.Errorf("%s: %w", path, err))
 		}
 		if err := sk.Merge(other); err != nil {
-			fail(fmt.Errorf("merging %s: %w", path, err))
+			return fail(1, fmt.Errorf("merging %s: %w", path, err))
 		}
 	}
 
 	if *stats {
-		fmt.Fprintf(os.Stderr, "sketch=%s count=%d memory=%dB\n", sk.Name(), sk.Count(), sk.MemoryBytes())
+		fmt.Fprintf(stderr, "sketch=%s count=%d memory=%dB\n", sk.Name(), sk.Count(), sk.MemoryBytes())
 	}
 	if reg != nil {
-		if err := reg.WriteText(os.Stderr); err != nil {
-			fail(err)
+		if err := reg.WriteText(stderr); err != nil {
+			return fail(1, err)
 		}
 	}
 
 	if *serialize {
 		blob, err := sk.MarshalBinary()
 		if err != nil {
-			fail(err)
+			return fail(1, err)
 		}
-		if _, err := io.Copy(os.Stdout, strings.NewReader(string(blob))); err != nil {
-			fail(err)
+		if _, err := stdout.Write(blob); err != nil {
+			return fail(1, err)
 		}
-		return
+		return 0
 	}
 
 	var qvals []float64
 	for _, qs := range splitNonEmpty(*qList) {
 		q, err := strconv.ParseFloat(qs, 64)
 		if err != nil {
-			fail(fmt.Errorf("bad quantile %q: %w", qs, err))
+			return fail(2, fmt.Errorf("bad quantile %q: %w", qs, err))
 		}
 		qvals = append(qvals, q)
 	}
 	if len(qvals) > 0 {
 		vals, err := sketch.Quantiles(sk, qvals)
 		if err != nil {
-			fail(err)
+			return fail(1, err)
 		}
 		for i, q := range qvals {
-			fmt.Printf("q%v\t%g\n", q, vals[i])
+			fmt.Fprintf(stdout, "q%v\t%g\n", q, vals[i])
 		}
 	}
 	if *rankOf != 0 {
 		r, err := sk.Rank(*rankOf)
 		if err != nil {
-			fail(err)
+			return fail(1, err)
 		}
-		fmt.Printf("rank(%g)\t%.6f\n", *rankOf, r)
+		fmt.Fprintf(stdout, "rank(%g)\t%.6f\n", *rankOf, r)
 	}
+	return 0
 }
 
 func splitNonEmpty(s string) []string {
@@ -203,9 +237,4 @@ func splitNonEmpty(s string) []string {
 		}
 	}
 	return out
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "sketchtool:", err)
-	os.Exit(1)
 }

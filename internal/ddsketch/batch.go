@@ -12,16 +12,6 @@ var (
 	_ sketch.MultiQuantiler = (*Sketch)(nil)
 )
 
-// bulkAdder is the store bulk-increment fast path InsertBatch drains
-// its staged indices through. All package stores except SparseStore
-// implement it; the collapsing store's AddOnes applies elements in
-// order through its collapse-aware Add, so staging per sign preserves
-// its collapse decisions exactly (they depend only on that store's own
-// arrival order, which staging keeps).
-type bulkAdder interface {
-	AddOnes(indexes []int)
-}
-
 // InsertBatch implements sketch.BatchInserter with a tight
 // key-computation loop: the mapping is devirtualized by a one-time type
 // switch so the per-value cost of the default cubic mapping is a
@@ -30,7 +20,8 @@ type bulkAdder interface {
 // store absorbs each sign's indices in one bulk increment
 // (Store.AddOnes) that grows its backing storage at most once per
 // batch. Bucket counts are order-independent and staging preserves
-// per-store arrival order, so the resulting state is identical to
+// per-store arrival order (the only order the collapsing store's
+// collapse decisions depend on), so the resulting state is identical to
 // per-element insertion.
 //
 //sketch:hotpath
@@ -134,20 +125,8 @@ func (s *Sketch) InsertBatch(xs []float64) {
 			}
 		}
 	}
-	if b, ok := s.positive.(bulkAdder); ok {
-		b.AddOnes(pos)
-	} else {
-		for _, i := range pos {
-			s.positive.Add(i, 1)
-		}
-	}
-	if b, ok := s.negative.(bulkAdder); ok {
-		b.AddOnes(neg)
-	} else {
-		for _, i := range neg {
-			s.negative.Add(i, 1)
-		}
-	}
+	s.positive.AddOnes(pos)
+	s.negative.AddOnes(neg)
 	s.posScratch = pos[:0]
 	s.negScratch = neg[:0]
 	s.zeroCnt += zero

@@ -358,21 +358,3 @@ func TestStoreGrowthCoversRange(t *testing.T) {
 		t.Fatalf("ForEach order: %v", visited)
 	}
 }
-
-func TestSparseStore(t *testing.T) {
-	st := NewSparseStore()
-	st.Add(5, 2)
-	st.Add(-3, 1)
-	st.Add(5, 1)
-	if st.Total() != 4 || st.NonEmptyBuckets() != 2 {
-		t.Fatalf("total=%d buckets=%d", st.Total(), st.NonEmptyBuckets())
-	}
-	if st.MinIndex() != -3 || st.MaxIndex() != 5 {
-		t.Fatalf("range [%d,%d]", st.MinIndex(), st.MaxIndex())
-	}
-	cl := st.Clone()
-	st.Add(7, 1)
-	if cl.Total() != 4 {
-		t.Error("clone shares state with original")
-	}
-}

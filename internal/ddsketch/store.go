@@ -1,7 +1,5 @@
 package ddsketch
 
-import "sort"
-
 // Store holds bucket counts keyed by integer index. DDSketch's behaviour
 // under bounded memory depends on the store implementation, and the study
 // calls those differences out explicitly (array-backed dense store vs the
@@ -9,6 +7,10 @@ import "sort"
 type Store interface {
 	// Add increments bucket index by count (count > 0).
 	Add(index int, count int64)
+	// AddOnes increments each listed bucket by one, holding the same
+	// counts as Add(i, 1) for each index in order: the bulk path
+	// InsertBatch drains its staged indices through.
+	AddOnes(indexes []int)
 	// Total returns the sum of all bucket counts.
 	Total() int64
 	// IsEmpty reports whether the store holds no counts.
@@ -23,8 +25,8 @@ type Store interface {
 	// NonEmptyBuckets returns the number of buckets holding a count.
 	NonEmptyBuckets() int
 	// NumbersHeld reports the structural size in 8-byte numbers (array
-	// slots for dense stores, map entries × 3 for the sparse store),
-	// implementing the paper's Table 3 accounting.
+	// slots for the dense stores; buffer, page and page-table slots for
+	// the paginated store), implementing the paper's Table 3 accounting.
 	NumbersHeld() int
 	// CollapseCount reports how many bucket-collapse operations the store
 	// has performed (0 for unbounded stores).
@@ -297,100 +299,4 @@ func (s *CollapsingLowestDenseStore) Clone() Store {
 func (s *CollapsingLowestDenseStore) Reset() {
 	mb := s.maxBuckets
 	*s = *NewCollapsingLowestDenseStore(mb)
-}
-
-// SparseStore keeps counts in a hash map; memory scales with non-empty
-// buckets instead of index range, at the cost of slower iteration.
-type SparseStore struct {
-	counts map[int]int64
-	total  int64
-}
-
-// NewSparseStore returns an empty sparse store.
-func NewSparseStore() *SparseStore {
-	return &SparseStore{counts: make(map[int]int64)}
-}
-
-// Add implements Store.
-func (s *SparseStore) Add(index int, count int64) {
-	if count <= 0 {
-		return
-	}
-	s.counts[index] += count
-	s.total += count
-}
-
-// Total implements Store.
-func (s *SparseStore) Total() int64 { return s.total }
-
-// IsEmpty implements Store.
-func (s *SparseStore) IsEmpty() bool { return s.total == 0 }
-
-// MinIndex implements Store.
-func (s *SparseStore) MinIndex() int {
-	first := true
-	minIdx := 0
-	for i := range s.counts {
-		if first || i < minIdx {
-			minIdx = i
-			first = false
-		}
-	}
-	return minIdx
-}
-
-// MaxIndex implements Store.
-func (s *SparseStore) MaxIndex() int {
-	first := true
-	maxIdx := 0
-	for i := range s.counts {
-		if first || i > maxIdx {
-			maxIdx = i
-			first = false
-		}
-	}
-	return maxIdx
-}
-
-// ForEach implements Store.
-func (s *SparseStore) ForEach(fn func(index int, count int64) bool) {
-	keys := make([]int, 0, len(s.counts))
-	for i := range s.counts {
-		keys = append(keys, i)
-	}
-	sort.Ints(keys)
-	for _, i := range keys {
-		if !fn(i, s.counts[i]) {
-			return
-		}
-	}
-}
-
-// NonEmptyBuckets implements Store.
-func (s *SparseStore) NonEmptyBuckets() int { return len(s.counts) }
-
-// NumbersHeld implements Store.
-func (s *SparseStore) NumbersHeld() int {
-	// Key + count + map bookkeeping per entry, matching the paper's
-	// three-numbers-per-bucket accounting for map-backed stores.
-	return 3*len(s.counts) + 1
-}
-
-// CollapseCount implements Store.
-func (s *SparseStore) CollapseCount() int { return 0 }
-
-// Clone implements Store.
-func (s *SparseStore) Clone() Store {
-	c := NewSparseStore()
-	c.total = s.total
-	for i, v := range s.counts {
-		c.counts[i] = v
-	}
-	return c
-}
-
-// Reset implements Store.
-func (s *SparseStore) Reset() {
-	s.counts = make(map[int]int64)
-	s.total = 0
 }

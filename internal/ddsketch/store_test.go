@@ -2,47 +2,8 @@ package ddsketch
 
 import (
 	"math"
-	"math/rand/v2"
-	"sort"
 	"testing"
 )
-
-func TestSketchWithSparseStore(t *testing.T) {
-	s, err := NewWithStore(0.01, func() Store { return NewSparseStore() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(1, 2))
-	data := make([]float64, 50000)
-	for i := range data {
-		data[i] = math.Exp(rng.NormFloat64() * 2)
-		s.Insert(data[i])
-	}
-	sort.Float64s(data)
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-		truth := exactQuantile(data, q)
-		est, err := s.Quantile(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if re := relErr(truth, est); re > 0.01*(1+1e-9) {
-			t.Errorf("q=%v: rel err %v with sparse store", q, re)
-		}
-	}
-	// Sparse store memory scales with non-empty buckets only.
-	if s.MemoryBytes() > 8*(3*s.NonEmptyBuckets()+20) {
-		t.Errorf("sparse memory %d for %d buckets", s.MemoryBytes(), s.NonEmptyBuckets())
-	}
-}
-
-func TestSparseStoreReset(t *testing.T) {
-	st := NewSparseStore()
-	st.Add(1, 5)
-	st.Reset()
-	if !st.IsEmpty() || st.NonEmptyBuckets() != 0 {
-		t.Error("reset left state")
-	}
-}
 
 func TestDenseStoreCloneIndependence(t *testing.T) {
 	st := NewDenseStore()

@@ -93,7 +93,7 @@ func (c *Checker) purityRoots() []*funcNode {
 
 // pathTo renders the BFS call chain from a root to fn, e.g.
 // "reachable from Sketch.MarshalBinary via Sketch.MarshalBinary →
-// SparseStore.ForEach".
+// DenseStore.ForEach".
 func pathTo(parent map[*types.Func]*types.Func, fn *types.Func) string {
 	var chain []string
 	for f := fn; f != nil; f = parent[f] {

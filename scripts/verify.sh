@@ -69,6 +69,10 @@ metrics_smoke() {
 
 gate build go build ./...
 gate gofmt gofmt_clean
+# CI never runs scripts/bench.sh (its ratios need a quiet host), so at
+# least parse it: a syntax error in its pair table would otherwise go
+# unnoticed.
+gate scripts-syntax bash -n scripts/bench.sh
 gate vet go vet ./...
 gate sketchlint go run ./cmd/sketchlint ./...
 # The cross-function and hot-path rules also run as individual gates so
