@@ -78,6 +78,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "quantbench: -scale must be a positive finite number, got %v\n", *scale)
 		os.Exit(2)
 	}
+	// A run with no measured window would print every error as 0.
+	if *windows < 1 {
+		fmt.Fprintf(os.Stderr, "quantbench: -windows must be at least 1, got %d\n", *windows)
+		os.Exit(2)
+	}
 	if *winSlide < 0 || *winSlide > *winSec {
 		fmt.Fprintf(os.Stderr, "quantbench: -window-slide %v outside [0, -window=%v]\n", *winSlide, *winSec)
 		os.Exit(1)

@@ -82,13 +82,15 @@ type Snapshot struct {
 	// time. A sorted slice is also a valid binary min-heap, so a reader
 	// may adopt it as one; older snapshots hold a heap's backing slice.
 	InFlight []Event
-	// Windows are the open (not yet fired) windows. In pane mode the
-	// entries are open panes, with Index holding the pane index.
+	// Windows are the open (not yet fired) windows. Outside session
+	// mode the entries are open panes, with Index holding the pane
+	// index; a tumbling window is one pane, so the two coincide.
 	Windows []WindowSnap
-	// Panes are the sealed, still-referenced panes of a pane-sharing
-	// sliding run. The section is encoded only when non-empty, as an
-	// optional trailer after Windows, so tumbling snapshots keep their
-	// historical byte layout and old blobs still decode.
+	// Panes are the sealed, still-referenced panes of a sliding run
+	// (tumbling runs hold none at a snapshot). The section is encoded
+	// only when non-empty, as an optional trailer after Windows, so
+	// tumbling snapshots keep their historical byte layout and old
+	// blobs still decode.
 	Panes []PaneSnap
 	// ShedBudget counts events shed by the memory-budget governor's
 	// last rung, extending the accounting identity to

@@ -65,6 +65,11 @@ func streamAccuracy(opts Options, dataset string, delayMean time.Duration) (map[
 // count (the ablation-partitions experiment varies it; everything else
 // uses the default of 4).
 func streamAccuracyPartitioned(opts Options, dataset string, delayMean time.Duration, partitions int) (map[string]*accAgg, *stats.Summary, error) {
+	if opts.Windows < 1 {
+		// No measured window would leave every error summary empty,
+		// and an empty summary renders as a perfect 0.
+		return nil, nil, fmt.Errorf("harness: Windows must be at least 1, got %d", opts.Windows)
+	}
 	windowDur := time.Duration(opts.WindowSeconds * opts.Scale * float64(time.Second))
 	if windowDur < 100*time.Millisecond {
 		windowDur = 100 * time.Millisecond

@@ -2,8 +2,10 @@ package harness
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -301,6 +303,43 @@ func TestMultiSketchMergeScaled(t *testing.T) {
 	}
 	if err := mb().(sketch.CountScaler).MergeScaled(builders["kll"](), 0.5); err == nil {
 		t.Error("scaled merge of a non-multi sketch should fail")
+	}
+}
+
+// TestMultiSketchMergeRejectsMismatch: children pair by index, so a
+// multiplexer over a different algorithm list must be refused rather
+// than merged child by child into the wrong algorithms.
+func TestMultiSketchMergeRejectsMismatch(t *testing.T) {
+	builders, err := core.BuildersForDataset("uniform", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	algs := core.AlgorithmNames()
+	m := newMultiBuilder(algs, builders)()
+	shorter := newMultiBuilder(algs[1:], builders)()
+	rev := slices.Clone(algs)
+	slices.Reverse(rev)
+	reversed := newMultiBuilder(rev, builders)()
+	for name, o := range map[string]sketch.Sketch{"shorter": shorter, "reordered": reversed} {
+		if err := m.Merge(o); !errors.Is(err, sketch.ErrIncompatible) {
+			t.Errorf("%s: Merge = %v, want ErrIncompatible", name, err)
+		}
+		if err := m.(sketch.CountScaler).MergeScaled(o, 0.5); !errors.Is(err, sketch.ErrIncompatible) {
+			t.Errorf("%s: MergeScaled = %v, want ErrIncompatible", name, err)
+		}
+	}
+}
+
+// TestAccuracyRejectsNoWindows: a run with no measured window has no
+// error sample, and would otherwise render every sketch's error as a
+// perfect 0.
+func TestAccuracyRejectsNoWindows(t *testing.T) {
+	for _, windows := range []int{0, -1} {
+		opts := tinyOpts()
+		opts.Windows = windows
+		if _, err := RunAccuracy(opts, "uniform"); err == nil {
+			t.Errorf("Windows=%d: RunAccuracy succeeded, want an error", windows)
+		}
 	}
 }
 

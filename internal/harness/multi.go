@@ -12,10 +12,11 @@ import (
 // windowing, ground-truth collection) evaluates all five algorithms on
 // exactly the same event sequence — the uniform-setting requirement of
 // the study. It is query-opaque: callers evaluate the named children.
+// children[i] is the sketch of algorithm order[i].
 type multiSketch struct {
 	order    []string
 	builders map[string]sketch.Builder
-	children map[string]sketch.Sketch
+	children []sketch.Sketch
 }
 
 var (
@@ -29,21 +30,28 @@ var (
 // the stream engine.
 func newMultiBuilder(order []string, builders map[string]sketch.Builder) sketch.Builder {
 	return func() sketch.Sketch {
-		m := &multiSketch{order: order, builders: builders, children: make(map[string]sketch.Sketch, len(order))}
-		for _, name := range order {
-			m.children[name] = builders[name]()
+		m := &multiSketch{order: order, builders: builders, children: make([]sketch.Sketch, len(order))}
+		for i, name := range order {
+			m.children[i] = builders[name]()
 		}
 		return m
 	}
 }
 
-// child returns the named child sketch.
-func (m *multiSketch) child(name string) sketch.Sketch { return m.children[name] }
+// child returns the named child sketch, nil when there is none.
+func (m *multiSketch) child(name string) sketch.Sketch {
+	for i, n := range m.order {
+		if n == name {
+			return m.children[i]
+		}
+	}
+	return nil
+}
 
 // Insert implements sketch.Sketch.
 func (m *multiSketch) Insert(x float64) {
-	for _, name := range m.order {
-		m.children[name].Insert(x)
+	for _, c := range m.children {
+		c.Insert(x)
 	}
 }
 
@@ -51,27 +59,41 @@ func (m *multiSketch) Insert(x float64) {
 // to every child through its own batch kernel (when it has one), so the
 // stream engine's batched path benefits all algorithms under test.
 func (m *multiSketch) InsertBatch(xs []float64) {
-	for _, name := range m.order {
-		sketch.InsertAll(m.children[name], xs)
+	for _, c := range m.children {
+		sketch.InsertAll(c, xs)
 	}
 }
 
 // Merge implements sketch.Sketch.
 func (m *multiSketch) Merge(other sketch.Sketch) error {
-	o, ok := other.(*multiSketch)
-	if !ok {
-		return fmt.Errorf("%w: cannot merge %s into multi", sketch.ErrIncompatible, other.Name())
+	o, err := m.peer(other)
+	if err != nil {
+		return err
 	}
-	for _, name := range m.order {
-		oc := o.children[name]
-		if oc == nil {
-			return fmt.Errorf("%w: missing child %s", sketch.ErrIncompatible, name)
-		}
-		if err := m.children[name].Merge(oc); err != nil {
+	for i, c := range m.children {
+		if err := c.Merge(o.children[i]); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// peer returns other as a multiplexer whose children pair with m's by
+// index: the same algorithms in the same order.
+func (m *multiSketch) peer(other sketch.Sketch) (*multiSketch, error) {
+	o, ok := other.(*multiSketch)
+	if !ok {
+		return nil, fmt.Errorf("%w: cannot merge %s into multi", sketch.ErrIncompatible, other.Name())
+	}
+	if len(o.children) != len(m.children) {
+		return nil, fmt.Errorf("%w: multi with %d children, want %d", sketch.ErrIncompatible, len(o.children), len(m.children))
+	}
+	for i, name := range m.order {
+		if o.order[i] != name {
+			return nil, fmt.Errorf("%w: multi child %d is %s, want %s", sketch.ErrIncompatible, i, o.order[i], name)
+		}
+	}
+	return o, nil
 }
 
 // Quantile implements sketch.Sketch; the multiplexer is query-opaque.
@@ -86,10 +108,10 @@ func (m *multiSketch) Rank(float64) (float64, error) {
 
 // Count implements sketch.Sketch.
 func (m *multiSketch) Count() uint64 {
-	if len(m.order) == 0 {
+	if len(m.children) == 0 {
 		return 0
 	}
-	return m.children[m.order[0]].Count()
+	return m.children[0].Count()
 }
 
 // MemoryBytes implements sketch.Sketch.
@@ -109,8 +131,8 @@ func (m *multiSketch) Name() string { return "multi" }
 // by what it actually holds.
 func (m *multiSketch) Footprint() int {
 	total := 0
-	for _, name := range m.order {
-		total += sketch.FootprintOf(m.children[name])
+	for _, c := range m.children {
+		total += sketch.FootprintOf(c)
 	}
 	return total
 }
@@ -122,18 +144,18 @@ func (m *multiSketch) Footprint() int {
 // only when every child refuses.
 func (m *multiSketch) Degrade() (int, error) {
 	type cand struct {
-		name string
+		d    sketch.Degrader
 		foot int
 	}
-	cands := make([]cand, 0, len(m.order))
-	for _, name := range m.order {
-		if _, ok := m.children[name].(sketch.Degrader); ok {
-			cands = append(cands, cand{name, sketch.FootprintOf(m.children[name])})
+	cands := make([]cand, 0, len(m.children))
+	for _, c := range m.children {
+		if d, ok := c.(sketch.Degrader); ok {
+			cands = append(cands, cand{d, sketch.FootprintOf(c)})
 		}
 	}
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].foot > cands[j].foot })
 	for _, c := range cands {
-		if freed, err := m.children[c.name].(sketch.Degrader).Degrade(); err == nil {
+		if freed, err := c.d.Degrade(); err == nil {
 			return freed, nil
 		}
 	}
@@ -154,8 +176,8 @@ func (m *multiSketch) Reset() {
 // configuration error surfaced at engine construction via the builder
 // probe, so the assertion here cannot fire in a validated run.
 func (m *multiSketch) ScaleCount(g float64) {
-	for _, name := range m.order {
-		m.children[name].(sketch.CountScaler).ScaleCount(g)
+	for _, c := range m.children {
+		c.(sketch.CountScaler).ScaleCount(g)
 	}
 }
 
@@ -163,16 +185,12 @@ func (m *multiSketch) ScaleCount(g float64) {
 // child in algorithm order, each merging its counterpart in other
 // through its own fused form.
 func (m *multiSketch) MergeScaled(other sketch.Sketch, g float64) error {
-	o, ok := other.(*multiSketch)
-	if !ok {
-		return fmt.Errorf("%w: cannot merge %s into multi", sketch.ErrIncompatible, other.Name())
+	o, err := m.peer(other)
+	if err != nil {
+		return err
 	}
-	for _, name := range m.order {
-		oc := o.children[name]
-		if oc == nil {
-			return fmt.Errorf("%w: missing child %s", sketch.ErrIncompatible, name)
-		}
-		if err := m.children[name].(sketch.CountScaler).MergeScaled(oc, g); err != nil {
+	for i, c := range m.children {
+		if err := c.(sketch.CountScaler).MergeScaled(o.children[i], g); err != nil {
 			return err
 		}
 	}
@@ -193,8 +211,8 @@ func (m *multiSketch) MarshalBinary() ([]byte, error) {
 	w.Byte(multiTag)
 	w.Byte(sketch.SerdeVersion)
 	w.U32(uint32(len(m.order)))
-	for _, name := range m.order {
-		blob, err := m.children[name].MarshalBinary()
+	for i, name := range m.order {
+		blob, err := m.children[i].MarshalBinary()
 		if err != nil {
 			return nil, fmt.Errorf("harness: multi child %s: %w", name, err)
 		}
@@ -216,7 +234,7 @@ func (m *multiSketch) UnmarshalBinary(data []byte) error {
 	if r.Err() != nil || n != len(m.order) {
 		return fmt.Errorf("harness: multi decode: %d children, want %d: %w", n, len(m.order), sketch.ErrCorrupt)
 	}
-	fresh := make(map[string]sketch.Sketch, n)
+	fresh := make([]sketch.Sketch, n)
 	for i := 0; i < n; i++ {
 		name := string(r.Blob())
 		blob := r.Blob()
@@ -234,7 +252,7 @@ func (m *multiSketch) UnmarshalBinary(data []byte) error {
 		if err := c.UnmarshalBinary(blob); err != nil {
 			return fmt.Errorf("harness: multi decode child %s: %w", name, err)
 		}
-		fresh[name] = c
+		fresh[i] = c
 	}
 	if r.Remaining() != 0 {
 		return fmt.Errorf("harness: multi decode: trailing bytes: %w", sketch.ErrCorrupt)

@@ -14,8 +14,8 @@ package stream
 // onDegrade attributes one governor degradation to the window (or
 // sealed pane) whose sketch shrank, for WindowResult.Degradations.
 // Non-negative ids are seqSink sketches (id = win·partitions + part,
-// where win is the pane index in pane mode); negative ids are sealed
-// panes (id = -1-j).
+// where win is the pane index outside session mode); negative ids are
+// sealed panes (id = -1-j).
 func (rs *runState) onDegrade(id int64) {
 	if rs.met != nil {
 		rs.met.Degradations.Inc()
@@ -53,10 +53,11 @@ func (rs *runState) enforceBudget() {
 // every window still to fire sees either both panes or neither, so
 // window contents are unchanged (only PaneCounts attribution moves one
 // slot later). Disabled under time decay, where the two panes carry
-// different ages and the fold would change their weights. Returns
-// whether a pane was folded.
+// different ages and the fold would change their weights. Tumbling and
+// session runs hold no sealed pane here. Returns whether a pane was
+// folded.
 func (rs *runState) coarsenOldestPane() bool {
-	if !rs.paneMode || rs.cfg.DecayLambda > 0 {
+	if rs.cfg.DecayLambda > 0 {
 		return false
 	}
 	// Candidates are sealed panes ascending; stop at the first pane

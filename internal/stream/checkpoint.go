@@ -130,33 +130,32 @@ func (rs *runState) snapshot() error {
 		}
 		snap.Windows = append(snap.Windows, ws)
 	}
-	if rs.paneMode {
-		// Sealed panes ride in the optional trailer, ascending; the
-		// Windows section above already holds the open panes (keyed by
-		// pane index). nextSeal is not stored — every snapshot sits at
-		// a post-fire drain point, so it is always paneEnd(nextFire-1)
-		// and restore re-derives it.
-		paneIdx := make([]int, 0, len(rs.sealed))
-		for j := range rs.sealed {
-			paneIdx = append(paneIdx, j)
+	// Sealed panes ride in the optional trailer, ascending; the Windows
+	// section above already holds the open panes (keyed by pane index).
+	// Only panes a later window still references are resident, so
+	// tumbling and session runs write none. nextSeal is not stored —
+	// every snapshot sits at a post-fire drain point, so it is always
+	// paneEnd(nextFire-1) and restore re-derives it.
+	paneIdx := make([]int, 0, len(rs.sealed))
+	for j := range rs.sealed {
+		paneIdx = append(paneIdx, j)
+	}
+	sort.Ints(paneIdx)
+	for _, j := range paneIdx {
+		sp := rs.sealed[j]
+		ps := checkpoint.PaneSnap{Index: int64(j), Accepted: sp.accepted}
+		if sp.values != nil {
+			ps.HasValues = true
+			ps.Values = sp.values
 		}
-		sort.Ints(paneIdx)
-		for _, j := range paneIdx {
-			sp := rs.sealed[j]
-			ps := checkpoint.PaneSnap{Index: int64(j), Accepted: sp.accepted}
-			if sp.values != nil {
-				ps.HasValues = true
-				ps.Values = sp.values
+		if sp.sketch != nil {
+			sealed, err := sp.envelope()
+			if err != nil {
+				return err
 			}
-			if sp.sketch != nil {
-				sealed, err := sp.envelope()
-				if err != nil {
-					return err
-				}
-				ps.Sketch = sealed
-			}
-			snap.Panes = append(snap.Panes, ps)
+			ps.Sketch = sealed
 		}
+		snap.Panes = append(snap.Panes, ps)
 	}
 	data, err := checkpoint.EncodeSnapshot(snap)
 	if err != nil {
@@ -217,19 +216,13 @@ func (rs *runState) restore(snap *checkpoint.Snapshot) error {
 			Partition: int(ev.Partition),
 		})
 	}
-	// In pane mode the Windows section holds open panes, so the index
-	// bound is the pane count, not the window count; session keys are
-	// draw numbers.
-	trackLimit := cfg.NumWindows
+	// The Windows section holds open panes, so the index bound is the
+	// pane count; session keys are draw numbers.
+	trackLimit := rs.numPanes
 	if cfg.SessionGap > 0 {
 		trackLimit = int(snap.Drawn)
-	} else if rs.paneMode {
-		trackLimit = rs.numPanes
-		if rs.nextFire > 0 {
-			rs.nextSeal = rs.paneEnd(rs.nextFire - 1)
-		}
-	} else if len(snap.Panes) != 0 {
-		return fmt.Errorf("stream: snapshot holds pane state but the engine is tumbling: %w", checkpoint.ErrCorrupt)
+	} else if rs.nextFire > 0 {
+		rs.nextSeal = rs.paneEnd(rs.nextFire - 1)
 	}
 	for i := range snap.Windows {
 		ws := &snap.Windows[i]
@@ -277,7 +270,10 @@ func (rs *runState) restore(snap *checkpoint.Snapshot) error {
 	for i := range snap.Panes {
 		ps := &snap.Panes[i]
 		j := int(ps.Index)
-		if j < 0 || j >= rs.numPanes || j >= rs.nextSeal {
+		// A post-fire snapshot holds only the sealed panes an unfired
+		// window references. That range is empty for tumbling windows,
+		// and for sessions, whose nextSeal stays 0.
+		if j < rs.paneStart(rs.nextFire) || j >= rs.nextSeal {
 			return fmt.Errorf("stream: snapshot pane %d out of range: %w", j, checkpoint.ErrCorrupt)
 		}
 		sp := &sealedPane{accepted: ps.Accepted}

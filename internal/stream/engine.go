@@ -32,16 +32,16 @@ type Config struct {
 	// pane-based sharing: events are inserted once into a sketch for
 	// their non-overlapping pane of length gcd(WindowSize, Slide), and
 	// each window is answered by merging its ~WindowSize/Slide
-	// constituent panes instead of recomputing them. 0 (or Slide ==
-	// WindowSize) keeps the tumbling fast path, bit-identical to before
-	// the field existed. Window starts sit on the slide lattice; the
-	// early windows whose nominal start precedes the stream origin are
-	// emitted with Start clamped to 0 (DESIGN.md §15). NumWindows counts
-	// emitted windows, so the run spans (NumWindows-1)·Slide +
-	// WindowSize of event time. A pane is sealed when the first window
-	// containing it fires; events arriving for a sealed pane are dropped
-	// late from every remaining window (the sharing trade-off, also
-	// §15).
+	// constituent panes instead of recomputing them. 0 means
+	// WindowSize: tumbling windows, the one-pane case of the same path,
+	// where each window is its single pane taken as it is. Window
+	// starts sit on the slide lattice; the early windows whose nominal
+	// start precedes the stream origin are emitted with Start clamped
+	// to 0 (DESIGN.md §15). NumWindows counts emitted windows, so the
+	// run spans (NumWindows-1)·Slide + WindowSize of event time. A pane
+	// is sealed when the first window containing it fires; events
+	// arriving for a sealed pane are dropped late from every remaining
+	// window (the sharing trade-off, also §15).
 	Slide time.Duration
 	// DecayLambda, when positive, applies exponential time decay at
 	// window assembly: each pane's sketch is down-weighted by
@@ -219,7 +219,8 @@ type WindowResult struct {
 	// Stats.DroppedLate either way. TestDroppedLateContract enforces
 	// this.
 	DroppedLate int64
-	// PaneCounts, set only in sliding (pane-sharing) mode, holds the
+	// PaneCounts, set only when windows span several panes (sliding,
+	// Slide < WindowSize; nil when each window is one pane), holds the
 	// accepted-event count of each constituent pane, oldest first — one
 	// entry per pane of the window, zero for panes that saw no events.
 	// With CollectValues set, Values is the concatenation of the panes'
@@ -458,7 +459,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.SessionGap < 0 || cfg.AllowedLateness < 0 {
 		return nil, errors.New("stream: SessionGap and AllowedLateness must be non-negative")
 	}
-	if cfg.SessionGap > 0 && cfg.Slide > 0 && cfg.Slide < cfg.WindowSize {
+	if cfg.Slide == 0 {
+		cfg.Slide = cfg.WindowSize
+	}
+	if cfg.SessionGap > 0 && cfg.Slide < cfg.WindowSize {
 		return nil, errors.New("stream: SessionGap excludes sliding mode (0 < Slide < WindowSize)")
 	}
 	if cfg.Partitions <= 0 {
@@ -482,7 +486,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, errors.New("stream: Builder is required")
 	}
 	if cfg.DecayLambda > 0 {
-		if cfg.Slide == 0 || cfg.Slide == cfg.WindowSize {
+		if cfg.Slide == cfg.WindowSize {
 			return nil, errors.New("stream: DecayLambda requires sliding mode (0 < Slide < WindowSize)")
 		}
 		probe := cfg.Builder()
@@ -578,10 +582,9 @@ type runState struct {
 	// pointing at the session that owns it.
 	sessions []*windowState
 
-	// Pane-sharing sliding mode (0 < Slide < WindowSize). The open map
-	// above is keyed by pane index instead of window index, and fired
-	// windows are assembled from sealed panes (panes.go).
-	paneMode    bool
+	// Pane geometry of every non-session window (panes.go): the open
+	// map above is keyed by pane index, and fired windows are assembled
+	// from sealed panes. A tumbling window is a single pane.
 	paneSize    time.Duration       // gcd(WindowSize, Slide)
 	panesPerGap int                 // Slide / paneSize
 	panesPerWin int                 // WindowSize / paneSize
@@ -605,9 +608,10 @@ type runState struct {
 	sharedW *concurrent.Writer // serial-path shared-sketch handle (writer 0)
 
 	// Memory-budget governor state (Config.MemoryBudget). gov tracks
-	// the serial sink's open sketches and, in pane mode, the sealed
-	// pane sketches (under negative ids); with Workers > 1 the workers
-	// govern their own sketches and gov covers only sealed panes.
+	// the serial sink's open sketches and the sealed pane sketches
+	// (under negative ids); with Workers > 1 the workers govern their
+	// own sketches and gov, present only when windows span several
+	// panes, covers the sealed panes.
 	gov          *budget.Governor
 	shedding     bool // rung 3 engaged: drop new events until under budget
 	sinceEnforce int  // events processed since the last enforcement pass
@@ -639,7 +643,7 @@ func (e *Engine) newRunState(emit func(WindowResult)) (*runState, error) {
 		lateOf:    map[int]int64{},
 		snapEvery: math.MaxInt,
 	}
-	if cfg.Slide > 0 && cfg.Slide < cfg.WindowSize {
+	if cfg.SessionGap == 0 {
 		rs.initPanes()
 	}
 	if cfg.NewValues != nil {
@@ -650,14 +654,16 @@ func (e *Engine) newRunState(emit func(WindowResult)) (*runState, error) {
 	}
 	if cfg.Workers > 1 {
 		// Workers govern their own partitions over equal budget shares;
-		// in pane mode half the budget is reserved for the coordinator's
-		// sealed panes (which live outside the workers).
+		// when windows span several panes half the budget is reserved
+		// for the coordinator's sealed panes (which live outside the
+		// workers). A one-pane window's pane is emitted as it seals, so
+		// there is nothing resident to reserve for.
 		workerBudget := cfg.MemoryBudget
-		if workerBudget > 0 && rs.paneMode {
+		if workerBudget > 0 && rs.panesPerWin > 1 {
 			workerBudget /= 2
 		}
 		rs.sink = newWorkerPool(cfg.Builder, cfg.Partitions, cfg.Workers, cfg.Metrics, cfg.Faults, cfg.SharedSketch, workerBudget)
-		if rs.paneMode {
+		if rs.panesPerWin > 1 {
 			rs.gov = budget.New(cfg.MemoryBudget / 2)
 			rs.enforceAt = rs.gov.Interval()
 		}
@@ -680,14 +686,18 @@ func (e *Engine) newRunState(emit func(WindowResult)) (*runState, error) {
 	return rs, nil
 }
 
-// fire merges the partition sketches the sink holds under keys, in key
-// then partition order, and emits them as window nextFire spanning
-// [start, end). It is the barrier at which worker failures surface and
-// checkpoint cadence advances.
-func (rs *runState) fire(w *windowState, keys []int, start, end time.Duration) error {
+// fireSession fires the oldest open session as window nextFire: it
+// merges the partition sketches the sink holds under the session's
+// keys, in key then partition order. It is the barrier at which worker
+// failures surface.
+func (rs *runState) fireSession() error {
+	w := rs.sessions[0]
+	rs.sessions[0] = nil
+	rs.sessions = rs.sessions[1:]
 	merged := rs.cfg.Builder()
 	degrades := w.degrades
-	for _, key := range keys {
+	for _, key := range w.keys {
+		delete(rs.open, key)
 		parts, sinkDeg := rs.sink.partials(key)
 		if err := rs.sink.err(); err != nil {
 			return err
@@ -698,44 +708,41 @@ func (rs *runState) fire(w *windowState, keys []int, start, end time.Duration) e
 				continue
 			}
 			if err := merged.Merge(p); err != nil {
-				if rs.cfg.SessionGap > 0 {
-					return fmt.Errorf("stream: session merge [%v, %v): %w", start, end, err)
-				}
-				return fmt.Errorf("stream: window merge: %w", err)
+				return fmt.Errorf("stream: session merge [%v, %v): %w", w.start, w.end, err)
 			}
 		}
 	}
+	rs.emitWindow(WindowResult{
+		Index:        rs.nextFire,
+		Start:        w.start,
+		End:          w.end,
+		Sketch:       merged,
+		Values:       w.values,
+		Accepted:     w.accepted,
+		Degradations: degrades,
+	})
+	return nil
+}
+
+// emitWindow is the tail of every fire: it counts the fire, advances
+// the checkpoint cadence, and emits r with its sketch's self-reported
+// error bound (0 when the sketch type has none).
+func (rs *runState) emitWindow(r WindowResult) {
 	if rs.met != nil {
 		rs.met.WindowFires.Inc()
 	}
 	rs.fired++
 	rs.sinceSnap++
-	rs.emit(WindowResult{
-		Index:         rs.nextFire,
-		Start:         start,
-		End:           end,
-		Sketch:        merged,
-		Values:        w.values,
-		Accepted:      w.accepted,
-		Degradations:  degrades,
-		AccuracyBound: accuracyBoundOf(merged),
-	})
-	return nil
-}
-
-// accuracyBoundOf reads a sketch's self-reported error bound, 0 when
-// the sketch type has none.
-func accuracyBoundOf(sk sketch.Sketch) float64 {
-	if ab, ok := sk.(sketch.AccuracyBounder); ok {
-		return ab.AccuracyBound()
+	if ab, ok := r.Sketch.(sketch.AccuracyBounder); ok {
+		r.AccuracyBound = ab.AccuracyBound()
 	}
-	return 0
+	rs.emit(r)
 }
 
 // process routes one arrived event: reject invalid payloads, drop late
 // events, insert the rest, then advance the watermark and fire every
-// window whose end it passed. Pane mode routes by pane and session mode
-// by session instead of window (routePaned, routeSession), sharing the
+// window whose end it passed. Events route by pane (routePaned), or
+// by session in session mode (routeSession); both share the
 // watermark/fire machinery.
 func (rs *runState) process(ev Event) error {
 	cfg := &rs.cfg
@@ -743,13 +750,10 @@ func (rs *runState) process(ev Event) error {
 	if cfg.UseIngestionTime {
 		t = ev.Arrival
 	}
-	switch {
-	case rs.paneMode:
-		rs.routePaned(ev, t)
-	case cfg.SessionGap > 0:
+	if cfg.SessionGap > 0 {
 		rs.routeSession(ev, t)
-	default:
-		rs.routeTumbling(ev, t)
+	} else {
+		rs.routePaned(ev, t)
 	}
 	if rs.gov != nil {
 		rs.sinceEnforce++
@@ -781,53 +785,6 @@ func (rs *runState) process(ev Event) error {
 		}
 	}
 	return nil
-}
-
-// routeTumbling classifies one event at time t on the tumbling path:
-// reject, late-drop, or insert into its window.
-func (rs *runState) routeTumbling(ev Event, t time.Duration) {
-	cfg := &rs.cfg
-	wi := int(t / cfg.WindowSize)
-	switch {
-	case math.IsNaN(ev.Value) || math.IsInf(ev.Value, 0):
-		// Poisoned payload: rejected before reaching any sketch or
-		// the collected values. The event still advances the
-		// watermark in process — its timestamp is sound. Counted only
-		// inside the measured run so the Stats identity stays exact.
-		if wi >= 0 && wi < cfg.NumWindows {
-			rs.stats.RejectedInput++
-			if rs.met != nil {
-				rs.met.RejectedInput.Inc()
-			}
-		}
-	case wi < rs.nextFire:
-		// Window already fired: late event, dropped. Its GenTime is
-		// below the watermark by construction, so the watermark
-		// advance in process is a no-op.
-		if wi >= 0 && wi < cfg.NumWindows {
-			rs.lateOf[wi]++
-			rs.stats.DroppedLate++
-			if rs.met != nil {
-				rs.met.DroppedLate.Inc()
-			}
-		}
-	case wi < cfg.NumWindows:
-		if rs.shedding {
-			// Budget exhausted past every degradation rung: the event is
-			// shed, counted, and still advances the watermark in process.
-			rs.stats.ShedBudget++
-			if rs.met != nil {
-				rs.met.BudgetShed.Inc()
-			}
-			return
-		}
-		w := rs.open[wi]
-		if w == nil {
-			w = &windowState{}
-			rs.open[wi] = w
-		}
-		rs.insert(w, wi, ev)
-	}
 }
 
 // insert adds one accepted event to open window w, whose partition
@@ -930,42 +887,17 @@ func (rs *runState) due() bool {
 	if rs.cfg.SessionGap > 0 {
 		return len(rs.sessions) > 0 && rs.watermark >= rs.sessions[0].end
 	}
-	return rs.nextFire < rs.cfg.NumWindows && rs.watermark >= rs.windowEndTime(rs.nextFire)
-}
-
-// windowEndTime is the end of tumbling or sliding window k.
-func (rs *runState) windowEndTime(k int) time.Duration {
-	if rs.paneMode {
-		return rs.paneSize * time.Duration(rs.paneEnd(k))
-	}
-	return rs.cfg.WindowSize * time.Duration(k+1)
+	return rs.nextFire < rs.cfg.NumWindows && rs.watermark >= rs.paneSize*time.Duration(rs.paneEnd(rs.nextFire))
 }
 
 // fireNext fires window nextFire — the oldest open session in session
-// mode — via the mode's fire path and advances nextFire.
+// mode — and advances nextFire.
 func (rs *runState) fireNext() error {
 	var err error
-	switch {
-	case rs.paneMode:
+	if rs.cfg.SessionGap > 0 {
+		err = rs.fireSession()
+	} else {
 		err = rs.firePaned(rs.nextFire)
-	case rs.cfg.SessionGap > 0:
-		w := rs.sessions[0]
-		rs.sessions[0] = nil
-		rs.sessions = rs.sessions[1:]
-		for _, key := range w.keys {
-			delete(rs.open, key)
-		}
-		err = rs.fire(w, w.keys, w.start, w.end)
-	default:
-		k := rs.nextFire
-		w := rs.open[k]
-		if w == nil {
-			w = &windowState{}
-		}
-		delete(rs.open, k)
-		// Late counts accrue after firing; the final accounting picks
-		// them up via lateOf.
-		err = rs.fire(w, []int{k}, rs.cfg.WindowSize*time.Duration(k), rs.cfg.WindowSize*time.Duration(k+1))
 	}
 	if err != nil {
 		return err
@@ -1054,8 +986,8 @@ func (rs *runState) loop() (err error) {
 		return err
 	}
 	// Lift the watermark past every end and fire the windows still open
-	// — the final tumbling window on extreme delays, or sessions whose
-	// gap outlasts the grace period.
+	// — the final window on extreme delays, or sessions whose gap
+	// outlasts the grace period.
 	rs.watermark = math.MaxInt64
 	for rs.due() {
 		if err := rs.fireNext(); err != nil {

@@ -445,9 +445,9 @@ func TestPaneMetrics(t *testing.T) {
 	}
 }
 
-// TestTumblingSlideDegenerate asserts Slide == WindowSize takes the
-// tumbling fast path: output is byte-identical to Slide == 0 and
-// carries no pane decomposition.
+// TestTumblingSlideDegenerate asserts Slide == WindowSize runs tumbling
+// windows: output is byte-identical to Slide == 0 and carries no pane
+// decomposition.
 func TestTumblingSlideDegenerate(t *testing.T) {
 	tumbling := paneCfg()
 	tumbling.Slide = 0

@@ -8,9 +8,10 @@ import (
 	"repro/internal/sketch"
 )
 
-// Pane-based sharing for sliding windows (DESIGN.md §15).
+// Pane-based sharing for tumbling and sliding windows (DESIGN.md §15).
 //
-// A sliding job with window length W and slide S decomposes the stream
+// A job with window length W and slide S (S = W for tumbling windows)
+// decomposes the stream
 // into non-overlapping panes of length g = gcd(W, S): every window is
 // an exact union of W/g consecutive panes, and consecutive windows
 // differ by S/g panes. Each accepted event is inserted once, into its
@@ -26,9 +27,9 @@ import (
 // containing it fires. Sealed panes are retained until the last window
 // referencing them fires, then evicted. Events arriving for a sealed
 // pane are dropped late from every remaining window: the sharing
-// trade-off, consistent with the tumbling engine's drop-on-fire rule
-// (of which this is the exact degenerate case at S == W, where pane ==
-// window and sealing == firing).
+// trade-off. At S == W a pane is a window and sealing is firing, so the
+// rule is the paper's tumbling drop-on-fire rule, and a window of one
+// pane takes its sealed pane as it is.
 //
 // With DecayLambda > 0, window assembly down-weights each pane by
 // exp(-λ·age), age being the seconds between the pane's end and the
@@ -115,14 +116,14 @@ func gcdDur(a, b time.Duration) time.Duration {
 	return a
 }
 
-// initPanes switches rs into pane mode, deriving the pane geometry
-// from WindowSize and Slide and re-deriving the run span: the run ends
-// when the last window does, (NumWindows-1)·Slide + WindowSize after
-// the origin, not NumWindows·WindowSize.
+// initPanes derives the pane geometry from WindowSize and Slide (which
+// NewEngine has set to WindowSize when it was 0) and re-derives the run
+// span: the run ends when the last window does, (NumWindows-1)·Slide +
+// WindowSize after the origin, which is NumWindows·WindowSize for
+// tumbling windows.
 func (rs *runState) initPanes() {
 	cfg := &rs.cfg
 	g := gcdDur(cfg.WindowSize, cfg.Slide)
-	rs.paneMode = true
 	rs.paneSize = g
 	rs.panesPerGap = int(cfg.Slide / g)
 	rs.panesPerWin = int(cfg.WindowSize / g)
@@ -163,16 +164,18 @@ func (rs *runState) lateWindowOf(pi int) int {
 	return k
 }
 
-// routePaned classifies one event at time t in pane mode: reject,
-// late-drop (sealed pane), or insert into its pane. The open map is
-// keyed by pane index; the sink's window key is the pane index too.
+// routePaned classifies one event at time t: reject, late-drop (sealed
+// pane), shed, or insert into its pane. The open map is keyed by pane
+// index; the sink's window key is the pane index too.
 func (rs *runState) routePaned(ev Event, t time.Duration) {
-	cfg := &rs.cfg
 	pi := int(t / rs.paneSize)
 	switch {
 	case math.IsNaN(ev.Value) || math.IsInf(ev.Value, 0):
-		// Tracked-range guard: pi < numPanes ⟺ t < runEnd, the
-		// pane-mode equivalent of the tumbling wi < NumWindows check.
+		// Poisoned payload: rejected before reaching any sketch or the
+		// collected values. The event still advances the watermark in
+		// process — its timestamp is sound. Counted only inside the
+		// measured run (pi < numPanes ⟺ t < runEnd) so the Stats
+		// identity stays exact.
 		if pi >= 0 && pi < rs.numPanes {
 			rs.stats.RejectedInput++
 			if rs.met != nil {
@@ -208,24 +211,7 @@ func (rs *runState) routePaned(ev Event, t time.Duration) {
 				rs.met.PanesOpen.Set(int64(len(rs.open) + len(rs.sealed)))
 			}
 		}
-		part := ev.Partition % cfg.Partitions
-		if rs.serialFaults != nil {
-			rs.serialFaults.OnEvent(0, part, rs.serialInserts, rs.partInserts[part])
-			rs.serialInserts++
-			rs.partInserts[part]++
-		}
-		rs.sink.insert(pi, part, ev.Value)
-		if rs.sharedW != nil {
-			rs.sharedW.Insert(ev.Value)
-		}
-		w.accepted++
-		rs.stats.Accepted++
-		if rs.met != nil {
-			rs.met.Inserted.Inc()
-		}
-		if cfg.CollectValues {
-			w.values = append(w.values, ev.Value)
-		}
+		rs.insert(w, pi, ev)
 	}
 }
 
@@ -267,6 +253,44 @@ func (rs *runState) sealPane(j int) error {
 	return nil
 }
 
+// mergePanes assembles window r from panes [startPane, endPane) by
+// merging them oldest-first into a fresh sketch (down-weighted under
+// decay), recording each pane's accepted count in r.PaneCounts.
+func (rs *runState) mergePanes(r *WindowResult, startPane, endPane int) error {
+	merged := rs.cfg.Builder()
+	r.Sketch = merged
+	r.PaneCounts = make([]int, 0, endPane-startPane)
+	for j := startPane; j < endPane; j++ {
+		sp := rs.sealed[j]
+		if sp == nil {
+			r.PaneCounts = append(r.PaneCounts, 0)
+			continue
+		}
+		r.PaneCounts = append(r.PaneCounts, int(sp.accepted))
+		r.Accepted += sp.accepted
+		r.Degradations += sp.degrades
+		if rs.cfg.CollectValues {
+			r.Values = append(r.Values, sp.values...)
+		}
+		if sp.sketch == nil {
+			continue
+		}
+		var err error
+		if g := rs.paneWeight(j, r.End); g < 1 {
+			err = merged.(sketch.CountScaler).MergeScaled(sp.sketch, g)
+		} else {
+			err = merged.Merge(sp.sketch)
+		}
+		if err != nil {
+			return fmt.Errorf("stream: window %d pane merge: %w", r.Index, err)
+		}
+		if rs.met != nil {
+			rs.met.PaneMerges.Inc()
+		}
+	}
+	return nil
+}
+
 // paneWeight is pane j's decay weight when merged into a window ending
 // at endT: exp(-λ·age) with age the seconds from the pane's end to the
 // window's end. The window's newest pane has age 0 and weight 1.
@@ -279,8 +303,8 @@ func (rs *runState) paneWeight(j int, endT time.Duration) float64 {
 }
 
 // firePaned fires window k: seal every pane the fire makes immutable,
-// assemble the window by merging its panes oldest-first (down-weighted
-// under decay), emit, and evict panes no remaining window references.
+// assemble the window from its panes, emit, and evict panes no
+// remaining window references.
 func (rs *runState) firePaned(k int) error {
 	endPane := rs.paneEnd(k)
 	for j := rs.nextSeal; j < endPane; j++ {
@@ -290,56 +314,27 @@ func (rs *runState) firePaned(k int) error {
 	}
 	rs.nextSeal = endPane
 	startPane := rs.paneStart(k)
-	endT := rs.paneSize * time.Duration(endPane)
-	merged := rs.cfg.Builder()
-	var values []float64
-	var accepted int64
-	degrades := 0
-	paneCounts := make([]int, 0, endPane-startPane)
-	for j := startPane; j < endPane; j++ {
-		sp := rs.sealed[j]
-		if sp == nil {
-			paneCounts = append(paneCounts, 0)
-			continue
-		}
-		paneCounts = append(paneCounts, int(sp.accepted))
-		accepted += sp.accepted
-		degrades += sp.degrades
-		if rs.cfg.CollectValues {
-			values = append(values, sp.values...)
-		}
-		if sp.sketch == nil {
-			continue
-		}
-		var err error
-		if g := rs.paneWeight(j, endT); g < 1 {
-			err = merged.(sketch.CountScaler).MergeScaled(sp.sketch, g)
-		} else {
-			err = merged.Merge(sp.sketch)
-		}
-		if err != nil {
-			return fmt.Errorf("stream: window %d pane merge: %w", k, err)
-		}
-		if rs.met != nil {
-			rs.met.PaneMerges.Inc()
-		}
+	r := WindowResult{
+		Index: k,
+		Start: rs.paneSize * time.Duration(startPane),
+		End:   rs.paneSize * time.Duration(endPane),
 	}
-	if rs.met != nil {
-		rs.met.WindowFires.Inc()
+	if rs.panesPerWin == 1 {
+		// A window of one pane takes the pane as it is: no other window
+		// references it, so its sketch and values need no copy, and
+		// Builder is called only when the pane holds no sketch — one
+		// call per window, as when a window merged its partitions into
+		// a fresh sketch.
+		if sp := rs.sealed[startPane]; sp != nil {
+			r.Sketch, r.Values, r.Accepted, r.Degradations = sp.sketch, sp.values, sp.accepted, sp.degrades
+		}
+		if r.Sketch == nil {
+			r.Sketch = rs.cfg.Builder()
+		}
+	} else if err := rs.mergePanes(&r, startPane, endPane); err != nil {
+		return err
 	}
-	rs.fired++
-	rs.sinceSnap++
-	rs.emit(WindowResult{
-		Index:         k,
-		Start:         rs.paneSize * time.Duration(startPane),
-		End:           endT,
-		Sketch:        merged,
-		Values:        values,
-		Accepted:      accepted,
-		PaneCounts:    paneCounts,
-		Degradations:  degrades,
-		AccuracyBound: accuracyBoundOf(merged),
-	})
+	rs.emitWindow(r)
 	// Evict panes below the next window's start — no remaining window
 	// references them. After the last window everything goes.
 	keep := rs.numPanes

@@ -128,13 +128,16 @@ gate chaos go test -race \
 # tests and the multi-writer/multi-reader soak in the root package.
 gate concurrent go test -race -run 'Concurrent|Relaxation|Shared|Epoch|Snapshot|Writer' \
 	./internal/concurrent ./internal/stream .
-# Sliding-window pane sharing under the race detector: pane-merged
-# windows must be bit-identical to recompute-from-scratch references
-# (serial and parallel), decay must be metamorphic at λ=0, pane state
-# must survive crash recovery, ScaleCount must be deterministic, and
-# the fused MergeScaled must match the clone-and-scale reference.
+# Pane sharing under the race detector: pane-merged sliding windows
+# must be bit-identical to recompute-from-scratch references (serial
+# and parallel), decay must be metamorphic at λ=0, pane state must
+# survive crash recovery, ScaleCount must be deterministic, and the
+# fused MergeScaled must match the clone-and-scale reference. Tumbling
+# windows are one-pane windows of the same path, so their golden
+# digests, [start, end) boundaries, lateness and late-drop accounting
+# run here too.
 gate pane go test -race \
-	-run 'Pane|Sliding|Decay|ScaleCount|MergeScaled|WeightedQuantiles|TumblingSlide' \
+	-run 'Pane|Sliding|Decay|ScaleCount|MergeScaled|WeightedQuantiles|TumblingSlide|TumblingGolden|WindowBoundary|Lateness|DroppedLate' \
 	./internal/stream ./internal/sketch ./internal/stats ./internal/harness
 # Memory-budget governor and fault-hardened checkpoint I/O under the
 # race detector: the budget-never-exceeded property, graceful
@@ -156,8 +159,12 @@ gate bench-smoke-pane go test -run '^$' -bench 'BenchmarkSlidingThroughput' -ben
 gate bench-smoke-budget go test -run '^$' -bench 'BenchmarkBudgetOverhead' -benchtime 100x .
 gate bench-smoke-queue go test -run '^$' -bench 'BenchmarkArrivalQueue' -benchtime 100x ./internal/stream
 gate metrics-endpoint metrics_smoke
-# The session-window example is the only non-test program driving
-# session windows; it must still build and run end to end.
+# The examples must still build and run end to end: sessionwindows
+# drives the engine's tumbling, sliding and session windows,
+# streamwindow its tumbling windows with late data, and slidingquantile
+# a count-based sliding horizon over KLL± outside the engine.
 gate example-sessions go run ./examples/sessionwindows
+gate example-streamwindow go run ./examples/streamwindow
+gate example-slidingquantile go run ./examples/slidingquantile
 
 echo "verify.sh: all gates passed"
