@@ -78,7 +78,7 @@ func checkIdentity(t *testing.T, st Stats) {
 // first boundary; the ramp payload makes membership visible.
 func TestWindowBoundarySemantics(t *testing.T) {
 	for _, tc := range []struct{ partitions, workers int }{
-		{1, 1}, // serial seqSink
+		{1, 1}, // serial store
 		{2, 2}, // parallel workerPool
 	} {
 		eng, err := NewEngine(Config{

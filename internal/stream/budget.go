@@ -13,21 +13,20 @@ package stream
 
 // onDegrade attributes one governor degradation to the window (or
 // sealed pane) whose sketch shrank, for WindowResult.Degradations.
-// Non-negative ids are seqSink sketches (id = win·partitions + part,
-// where win is the pane index outside session mode); negative ids are
-// sealed panes (id = -1-j).
+// Non-negative ids are the serial store's sketches (id = win·partitions
+// + part, where win is the pane index outside session mode), which the
+// store counts against their window key; negative ids are sealed panes
+// (id = -1-j).
 func (rs *runState) onDegrade(id int64) {
+	if id >= 0 {
+		rs.sink.(*partStore).degraded(id)
+		return
+	}
 	if rs.met != nil {
 		rs.met.Degradations.Inc()
 	}
-	if id < 0 {
-		if sp := rs.sealed[int(-1-id)]; sp != nil {
-			sp.degrades++
-		}
-		return
-	}
-	if w := rs.open[int(id/int64(rs.cfg.Partitions))]; w != nil {
-		w.degrades++
+	if sp := rs.sealed[int(-1-id)]; sp != nil {
+		sp.degrades++
 	}
 }
 

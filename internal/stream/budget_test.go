@@ -334,3 +334,42 @@ func TestBudgetGenericEngine(t *testing.T) {
 		t.Errorf("BudgetShed counter %d != Stats.ShedBudget %d", got, st.ShedBudget)
 	}
 }
+
+// TestBudgetDegradationAccounting: every degradation the governors
+// apply is reported by exactly one fired window, so the windows'
+// Degradations sum to the engine's Degradations counter, on the
+// serial and the parallel path, for tumbling windows and for sessions
+// (whose counts follow their sink keys through joins).
+func TestBudgetDegradationAccounting(t *testing.T) {
+	tumbling := func(workers int) Config {
+		cfg := goldenCfg(workers, 4, true)
+		cfg.Rate = 20000
+		cfg.Builder = func() sketch.Sketch { return kll.NewWithSeed(1024, 73) }
+		cfg.MemoryBudget = 24 << 10
+		return cfg
+	}
+	sessions := func(workers int) Config {
+		cfg := sessionGoldenCfg(workers)
+		cfg.MemoryBudget = 1536
+		return cfg
+	}
+	for _, job := range []struct {
+		name string
+		cfg  func(workers int) Config
+	}{{"tumbling", tumbling}, {"sessions", sessions}} {
+		for _, workers := range []int{1, 2, 4} {
+			cfg := job.cfg(workers)
+			cfg.Metrics = obs.NewRegistry().Engine()
+			results, st := mustRunCollect(t, cfg)
+			checkShedIdentity(t, st)
+			sum := 0
+			for _, r := range results {
+				sum += r.Degradations
+			}
+			if got := cfg.Metrics.Degradations.Load(); int64(sum) != got || sum == 0 {
+				t.Errorf("%s w%d: windows report %d degradations, engine counted %d (want equal and > 0)",
+					job.name, workers, sum, got)
+			}
+		}
+	}
+}

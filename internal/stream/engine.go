@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -93,16 +92,17 @@ type Config struct {
 	// partitioning (a single sketch per window).
 	Partitions int
 	// Workers is the number of goroutines running the partition-local
-	// sketch inserts. 0 or 1 runs everything on the caller's goroutine;
-	// higher values consume fixed-size event batches over channels, with
-	// windows fired at deterministic barrier points, so results are
-	// bit-identical to the sequential path at any worker count. Workers
-	// above Partitions are clamped (each partition is owned by exactly
-	// one worker): the clamp increments Metrics.WorkersClamped and is
-	// reported once per process on stderr, since a silently reduced
-	// worker count is otherwise invisible to callers tuning parallelism.
-	// Builder must be safe to call from multiple goroutines when
-	// Workers > 1.
+	// sketch inserts. 0 or 1 runs everything on the caller's goroutine,
+	// whose store holds every partition's sketches; higher values give
+	// worker w the store of the partitions p with p % Workers == w, fed
+	// fixed-size event batches over a channel, with windows fired at
+	// deterministic barrier points, so results are bit-identical to the
+	// serial path at any worker count. Workers above Partitions are
+	// clamped (each partition is owned by exactly one worker): the clamp
+	// increments Metrics.WorkersClamped and is reported once per process
+	// on stderr, since a silently reduced worker count is otherwise
+	// invisible to callers tuning parallelism. Builder must be safe to
+	// call from multiple goroutines when Workers > 1.
 	Workers int
 	// Values supplies the event payloads in generation order. A run
 	// draws it on an engine-owned goroutine (the source stage, DESIGN.md
@@ -294,19 +294,16 @@ func (s Stats) LossRate() float64 {
 // partialSink owns the per-window, per-partition sketches of a run. The
 // engine drives it with the accepted-event stream in arrival order and
 // collects each window's partials at its fire barrier. Implementations:
-// seqSink (in-line inserts) and workerPool (batched inserts on worker
-// goroutines).
+// partStore driven inline (the serial path) and workerPool, whose
+// workers each drive a partStore of their partitions from a channel.
 type partialSink interface {
 	// insert routes one accepted event to partition part of window win.
 	insert(win, part int, v float64)
 	// partials returns window win's partition sketches, indexed by
 	// partition (nil entries for partitions that saw no events), with
 	// every insert for that window applied, plus the number of budget
-	// degradations the sink applied to them (workerPool counts its
-	// workers' in-sink degradations; seqSink reports 0 because the
-	// engine's governor attributes serial degradations to windowState
-	// directly). It is the fire barrier: the window's state is removed
-	// from the sink.
+	// degradations applied to them while the window was open. It is the
+	// fire barrier: the window's state is removed from the sink.
 	partials(win int) ([]sketch.Sketch, int)
 	// snapshot returns, for every open window, one sealed checkpoint
 	// envelope per partition holding that partition sketch's serialized
@@ -314,112 +311,15 @@ type partialSink interface {
 	// barrier: every insert issued before the call is reflected.
 	snapshot() (map[int][][]byte, error)
 	// restore seeds window win's partition sketches from a decoded
-	// snapshot. It must be called before any insert for that window.
+	// snapshot (nil entries are skipped). It must be called before any
+	// insert for that window.
 	restore(win int, parts []sketch.Sketch)
 	// err reports a failure captured inside the sink (a worker panic)
 	// since the run began; the engine checks it at every fire barrier.
 	err() error
-	// close releases worker resources; the sink is unusable afterwards.
+	// close releases worker resources and flushes the shared-sketch
+	// writers; the sink is unusable afterwards.
 	close()
-}
-
-// seqSink is the single-threaded partialSink: inserts run on the
-// engine's goroutine as the events are processed. With a budget
-// governor wired (gov non-nil) every partition sketch is tracked under
-// the id win·partitions+part from creation to its fire barrier, so the
-// engine's enforcement passes see the sink's full footprint.
-type seqSink struct {
-	builder    sketch.Builder
-	partitions int
-	open       map[int][]sketch.Sketch
-	gov        *budget.Governor // nil without Config.MemoryBudget
-}
-
-func newSeqSink(builder sketch.Builder, partitions int, gov *budget.Governor) *seqSink {
-	return &seqSink{builder: builder, partitions: partitions, open: make(map[int][]sketch.Sketch), gov: gov}
-}
-
-// govID is the governor tracking id of (win, part): deterministic, so
-// degradation order is reproducible run to run.
-func (s *seqSink) govID(win, part int) int64 {
-	return int64(win)*int64(s.partitions) + int64(part)
-}
-
-func (s *seqSink) insert(win, part int, v float64) {
-	ps := s.open[win]
-	if ps == nil {
-		ps = make([]sketch.Sketch, s.partitions)
-		s.open[win] = ps
-	}
-	if ps[part] == nil {
-		ps[part] = s.builder()
-		s.gov.Track(s.govID(win, part), ps[part])
-	}
-	ps[part].Insert(v)
-}
-
-func (s *seqSink) partials(win int) ([]sketch.Sketch, int) {
-	ps := s.open[win]
-	delete(s.open, win)
-	if s.gov != nil {
-		for part := range ps {
-			s.gov.Untrack(s.govID(win, part))
-		}
-	}
-	return ps, 0
-}
-
-func (s *seqSink) snapshot() (map[int][][]byte, error) {
-	// Seal windows in ascending index order: map-order iteration would
-	// make the encode call sequence — and which window's failure is
-	// reported when several seals error — depend on the iteration seed.
-	wins := make([]int, 0, len(s.open))
-	for win := range s.open {
-		wins = append(wins, win)
-	}
-	sort.Ints(wins)
-	out := make(map[int][][]byte, len(s.open))
-	for _, win := range wins {
-		ps := s.open[win]
-		blobs := make([][]byte, s.partitions)
-		for part, sk := range ps {
-			if sk == nil {
-				continue
-			}
-			sealed, err := sealPartial(sk)
-			if err != nil {
-				return nil, err
-			}
-			blobs[part] = sealed
-		}
-		out[win] = blobs
-	}
-	return out, nil
-}
-
-func (s *seqSink) restore(win int, parts []sketch.Sketch) {
-	s.open[win] = parts
-	if s.gov != nil {
-		for part, sk := range parts {
-			if sk != nil {
-				s.gov.Track(s.govID(win, part), sk)
-			}
-		}
-	}
-}
-
-func (s *seqSink) err() error { return nil }
-
-func (s *seqSink) close() {}
-
-// sealPartial serializes one partition sketch and wraps it in a named,
-// checksummed checkpoint envelope.
-func sealPartial(sk sketch.Sketch) ([]byte, error) {
-	blob, err := sk.MarshalBinary()
-	if err != nil {
-		return nil, fmt.Errorf("stream: snapshot partial: %w", err)
-	}
-	return checkpoint.Seal(sk.Name(), blob)
 }
 
 // windowState accumulates the engine-side counters of one open window;
@@ -427,7 +327,6 @@ func sealPartial(sk sketch.Sketch) ([]byte, error) {
 type windowState struct {
 	values   []float64
 	accepted int64
-	degrades int // budget degradations applied to this window's sketches
 	// Session mode: the session's span and the sink keys holding its
 	// partition sketches, oldest first (inserts go to keys[0]).
 	start, end time.Duration
@@ -544,12 +443,6 @@ func (e *Engine) run(emit func(WindowResult), snap *checkpoint.Snapshot) (Stats,
 		}
 	}
 	err = rs.loop()
-	if rs.sharedW != nil {
-		// Quiesce the serial path's shared writer so post-run snapshots
-		// are exact. (Parallel-path writers flush at worker shutdown in
-		// the deferred close.)
-		rs.sharedW.Flush()
-	}
 	return rs.stats, rs.lateOf, err
 }
 
@@ -601,14 +494,8 @@ type runState struct {
 
 	builderName string // cached Builder product name for envelopes
 
-	serialFaults  *faultinject.Plan // non-nil only on the serial insert path
-	serialInserts int64             // engine-goroutine ("worker 0") insert count
-	partInserts   []int64           // per-partition insert counts (fault hooks)
-
-	sharedW *concurrent.Writer // serial-path shared-sketch handle (writer 0)
-
 	// Memory-budget governor state (Config.MemoryBudget). gov tracks
-	// the serial sink's open sketches and the sealed pane sketches
+	// the serial store's open sketches and the sealed pane sketches
 	// (under negative ids); with Workers > 1 the workers govern their
 	// own sketches and gov, present only when windows span several
 	// panes, covers the sealed panes.
@@ -670,14 +557,7 @@ func (e *Engine) newRunState(emit func(WindowResult)) (*runState, error) {
 	} else {
 		rs.gov = budget.New(cfg.MemoryBudget)
 		rs.enforceAt = rs.gov.Interval()
-		rs.sink = newSeqSink(cfg.Builder, cfg.Partitions, rs.gov)
-		rs.serialFaults = cfg.Faults
-		if cfg.SharedSketch != nil {
-			rs.sharedW = cfg.SharedSketch.Writer(0)
-		}
-	}
-	if rs.serialFaults != nil {
-		rs.partInserts = make([]int64, cfg.Partitions)
+		rs.sink = newPartStore(cfg.Builder, cfg.Partitions, 0, rs.gov, cfg.Metrics, cfg.Faults, cfg.SharedSketch)
 	}
 	if cfg.CheckpointStore != nil {
 		rs.snapEvery = cfg.CheckpointEvery
@@ -695,7 +575,7 @@ func (rs *runState) fireSession() error {
 	rs.sessions[0] = nil
 	rs.sessions = rs.sessions[1:]
 	merged := rs.cfg.Builder()
-	degrades := w.degrades
+	degrades := 0
 	for _, key := range w.keys {
 		delete(rs.open, key)
 		parts, sinkDeg := rs.sink.partials(key)
@@ -790,16 +670,7 @@ func (rs *runState) process(ev Event) error {
 // insert adds one accepted event to open window w, whose partition
 // sketches the sink holds under key.
 func (rs *runState) insert(w *windowState, key int, ev Event) {
-	part := ev.Partition % rs.cfg.Partitions
-	if rs.serialFaults != nil {
-		rs.serialFaults.OnEvent(0, part, rs.serialInserts, rs.partInserts[part])
-		rs.serialInserts++
-		rs.partInserts[part]++
-	}
-	rs.sink.insert(key, part, ev.Value)
-	if rs.sharedW != nil {
-		rs.sharedW.Insert(ev.Value)
-	}
+	rs.sink.insert(key, ev.Partition%rs.cfg.Partitions, ev.Value)
 	w.accepted++
 	rs.stats.Accepted++
 	if rs.met != nil {
@@ -875,7 +746,6 @@ func (rs *runState) joinSessions(i, j int, t, end time.Duration, key int) *windo
 		w.keys = append(w.keys, o.keys...)
 		w.values = append(w.values, o.values...)
 		w.accepted += o.accepted
-		w.degrades += o.degrades
 	}
 	rs.sessions = slices.Delete(rs.sessions, i+1, j)
 	return w

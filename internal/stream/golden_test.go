@@ -95,20 +95,12 @@ func writeSketch(t *testing.T, h hash.Hash64, sk sketch.Sketch) {
 // serial ≡ parallel, Slide == WindowSize ≡ Slide 0, and resume ≡
 // uninterrupted.
 func TestTumblingGolden(t *testing.T) {
-	type run struct {
-		name string
-		cfg  Config
-		// recover runs the config through RunRecovering.
-		recover bool
-		// check asserts the config exercised what it is named for.
-		check func(results []WindowResult, st Stats) bool
-	}
-	var runs []run
+	var runs []goldenRun
 	for _, delay := range []bool{false, true} {
 		for _, partitions := range []int{1, 4} {
 			for _, workers := range []int{1, 4} {
 				name := fmt.Sprintf("w%d-p%d-delay=%v", workers, partitions, delay)
-				runs = append(runs, run{name: name, cfg: goldenCfg(workers, partitions, delay)})
+				runs = append(runs, goldenRun{name: name, cfg: goldenCfg(workers, partitions, delay)})
 			}
 		}
 	}
@@ -127,14 +119,6 @@ func TestTumblingGolden(t *testing.T) {
 		return &poisonSource{src: datagen.NewPareto(1, 1, 71), poison: map[int]float64{
 			10: math.NaN(), 4999: math.Inf(1), 5000: math.Inf(-1), 12000: math.NaN()}}
 	}
-	degraded := func(results []WindowResult, _ Stats) bool {
-		for _, r := range results {
-			if r.Degradations > 0 {
-				return true
-			}
-		}
-		return false
-	}
 	// Four ~16 KiB KLL partition sketches per window against 24 KiB
 	// serially, and 8 KiB per worker after the parallel path's 4-way
 	// split: both budgets bind.
@@ -148,33 +132,19 @@ func TestTumblingGolden(t *testing.T) {
 	shed := goldenCfg(1, 2, true)
 	shed.Builder = func() sketch.Sketch { return moments.New(10) }
 	shed.MemoryBudget = 64
-	recovering := func(workers, partitions int) Config {
-		cfg := goldenCfg(workers, partitions, true)
-		cfg.CheckpointStore = checkpoint.NewMemStore()
-		worker := 0
-		if workers > 1 {
-			worker = 1
-		}
-		cfg.Faults = faultinject.New().WithPanic(worker, 2500)
-		cfg.Metrics = obs.NewRegistry().Engine()
-		return cfg
-	}
-	recovered := func(cfg Config) func([]WindowResult, Stats) bool {
-		return func([]WindowResult, Stats) bool { return cfg.Metrics.RecoveredPanics.Load() > 0 }
-	}
-	recSerial, recPar := recovering(1, 4), recovering(4, 4)
+	recSerial, recPar := withPanic(goldenCfg(1, 4, true), 2500), withPanic(goldenCfg(4, 4, true), 2500)
 	runs = append(runs,
-		run{name: "slide=window", cfg: slideWindow},
-		run{name: "lateness", cfg: lateness},
-		run{name: "lateness-parallel", cfg: latenessPar},
-		run{name: "ingestion", cfg: ingestion},
-		run{name: "ingestion-parallel", cfg: ingestionPar},
-		run{name: "poison", cfg: poison, check: func(_ []WindowResult, st Stats) bool { return st.RejectedInput == 4 }},
-		run{name: "budget-serial", cfg: budgetSerial, check: degraded},
-		run{name: "budget-parallel", cfg: budgetPar, check: degraded},
-		run{name: "budget-shed", cfg: shed, check: func(_ []WindowResult, st Stats) bool { return st.ShedBudget > 0 }},
-		run{name: "recovering", cfg: recSerial, recover: true, check: recovered(recSerial)},
-		run{name: "recovering-parallel", cfg: recPar, recover: true, check: recovered(recPar)},
+		goldenRun{name: "slide=window", cfg: slideWindow},
+		goldenRun{name: "lateness", cfg: lateness},
+		goldenRun{name: "lateness-parallel", cfg: latenessPar},
+		goldenRun{name: "ingestion", cfg: ingestion},
+		goldenRun{name: "ingestion-parallel", cfg: ingestionPar},
+		goldenRun{name: "poison", cfg: poison, check: func(_ []WindowResult, st Stats) bool { return st.RejectedInput == 4 }},
+		goldenRun{name: "budget-serial", cfg: budgetSerial, check: degraded},
+		goldenRun{name: "budget-parallel", cfg: budgetPar, check: degraded},
+		goldenRun{name: "budget-shed", cfg: shed, check: func(_ []WindowResult, st Stats) bool { return st.ShedBudget > 0 }},
+		goldenRun{name: "recovering", cfg: recSerial, recover: true, check: recovered(recSerial)},
+		goldenRun{name: "recovering-parallel", cfg: recPar, recover: true, check: recovered(recPar)},
 	)
 	want := map[string]string{
 		"w1-p1-delay=false":   "291429f4f184975c",
@@ -197,6 +167,23 @@ func TestTumblingGolden(t *testing.T) {
 		"recovering":          "18855e7bb18d4bc1",
 		"recovering-parallel": "18855e7bb18d4bc1",
 	}
+	checkGoldens(t, runs, want)
+}
+
+// goldenRun is one configuration of a golden test.
+type goldenRun struct {
+	name string
+	cfg  Config
+	// recover runs the config through RunRecovering.
+	recover bool
+	// check asserts the config exercised what it is named for.
+	check func(results []WindowResult, st Stats) bool
+}
+
+// checkGoldens runs every configuration and compares its digestRun
+// digest with want[name].
+func checkGoldens(t *testing.T, runs []goldenRun, want map[string]string) {
+	t.Helper()
 	for _, r := range runs {
 		var results []WindowResult
 		var st Stats
@@ -210,7 +197,7 @@ func TestTumblingGolden(t *testing.T) {
 			results, st = mustRunCollect(t, r.cfg)
 		}
 		checkShedIdentity(t, st)
-		if len(results) != r.cfg.NumWindows {
+		if r.cfg.SessionGap == 0 && len(results) != r.cfg.NumWindows {
 			t.Fatalf("%s: %d windows, want %d", r.name, len(results), r.cfg.NumWindows)
 		}
 		if r.check != nil && !r.check(results, st) {
@@ -220,4 +207,150 @@ func TestTumblingGolden(t *testing.T) {
 			t.Errorf("%s: digest %s, want %s", r.name, got, want[r.name])
 		}
 	}
+}
+
+// degraded reports whether any window carries a budget degradation.
+func degraded(results []WindowResult, _ Stats) bool {
+	for _, r := range results {
+		if r.Degradations > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// withPanic arms cfg for RunRecovering: a checkpoint store, fresh
+// metrics, and one injected panic at insert number event of worker 1
+// (worker 0, the engine goroutine, on the serial path).
+func withPanic(cfg Config, event int64) Config {
+	cfg.CheckpointStore = checkpoint.NewMemStore()
+	worker := 0
+	if cfg.Workers > 1 {
+		worker = 1
+	}
+	cfg.Faults = faultinject.New().WithPanic(worker, event)
+	cfg.Metrics = obs.NewRegistry().Engine()
+	return cfg
+}
+
+// recovered reports whether cfg's run recovered from a panic.
+func recovered(cfg Config) func([]WindowResult, Stats) bool {
+	return func([]WindowResult, Stats) bool { return cfg.Metrics.RecoveredPanics.Load() > 0 }
+}
+
+// slidingGoldenCfg is goldenCfg over sliding windows: Slide = W/4 over
+// four partitions with exponential delay, eight windows, so the run
+// covers the clamped ramp-up windows and four full ones.
+func slidingGoldenCfg(workers int) Config {
+	cfg := goldenCfg(workers, 4, true)
+	cfg.Slide = cfg.WindowSize / 4
+	cfg.NumWindows = 8
+	return cfg
+}
+
+// TestSlidingGolden pins the sliding engine's complete output the way
+// TestTumblingGolden pins the tumbling one: serial and parallel runs,
+// time decay, a serial budget that climbs to rung 2 (coarsening), one
+// that sheds, a parallel budget, crash-recovered runs and duplicate
+// batch delivery. Runs the engine's contracts make equal share a
+// digest: serial ≡ parallel, resume ≡ uninterrupted, deduplicated ≡
+// clean.
+func TestSlidingGolden(t *testing.T) {
+	var runs []goldenRun
+	for _, workers := range []int{1, 4} {
+		runs = append(runs, goldenRun{name: fmt.Sprintf("w%d", workers), cfg: slidingGoldenCfg(workers)})
+	}
+	decayed := func(results []WindowResult, _ Stats) bool {
+		for _, r := range results {
+			if r.Sketch.Count() < uint64(r.Accepted) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, workers := range []int{1, 4} {
+		cfg := slidingGoldenCfg(workers)
+		cfg.DecayLambda = 0.5
+		runs = append(runs, goldenRun{name: fmt.Sprintf("decay-w%d", workers), cfg: cfg, check: decayed})
+	}
+	// KLL k=128 floors out under 1,900 bytes for four partitions and
+	// the resident sealed panes, so the ladder climbs past rung 1 and
+	// coarsens panes without shedding.
+	coarsen := slidingGoldenCfg(1)
+	coarsen.Rate = 20000
+	coarsen.MemoryBudget = 1900
+	coarsen.Metrics = obs.NewRegistry().Engine()
+	shed := slidingGoldenCfg(1)
+	shed.Builder = func() sketch.Sketch { return moments.New(10) }
+	shed.MemoryBudget = 64
+	budgetPar := slidingGoldenCfg(4)
+	budgetPar.Rate = 20000
+	budgetPar.Builder = func() sketch.Sketch { return kll.NewWithSeed(1024, 73) }
+	budgetPar.MemoryBudget = 32 << 10
+	recSerial, recPar := withPanic(slidingGoldenCfg(1), 1000), withPanic(slidingGoldenCfg(4), 1000)
+	dup := slidingGoldenCfg(4)
+	dup.Faults = faultinject.New().WithDuplicateBatch(5)
+	runs = append(runs,
+		goldenRun{name: "budget-coarsen", cfg: coarsen, check: func(results []WindowResult, st Stats) bool {
+			return coarsen.Metrics.BudgetEvictions.Load() > 0 && degraded(results, st)
+		}},
+		goldenRun{name: "budget-shed", cfg: shed, check: func(_ []WindowResult, st Stats) bool { return st.ShedBudget > 0 }},
+		goldenRun{name: "budget-parallel", cfg: budgetPar, check: degraded},
+		goldenRun{name: "recovering", cfg: recSerial, recover: true, check: recovered(recSerial)},
+		goldenRun{name: "recovering-parallel", cfg: recPar, recover: true, check: recovered(recPar)},
+		// DuplicateBatch reports false once the plan's one duplicate
+		// has been delivered.
+		goldenRun{name: "duplicate-batch", cfg: dup, check: func([]WindowResult, Stats) bool { return !dup.Faults.DuplicateBatch(5) }},
+	)
+	want := map[string]string{
+		"w1":                  "98678a0cb886f66b",
+		"w4":                  "98678a0cb886f66b",
+		"decay-w1":            "89846740f33044b6",
+		"decay-w4":            "89846740f33044b6",
+		"budget-coarsen":      "3bb50afdebfbad49",
+		"budget-shed":         "439c62b518b0d593",
+		"budget-parallel":     "ca9fde7b71aa6781",
+		"recovering":          "98678a0cb886f66b",
+		"recovering-parallel": "98678a0cb886f66b",
+		"duplicate-batch":     "98678a0cb886f66b",
+	}
+	checkGoldens(t, runs, want)
+}
+
+// sessionGoldenCfg is goldenCfg over session windows: a 500 µs gap
+// (2.5 event spacings) with 1 ms mean exponential delay and 2 ms of
+// allowed lateness splits the 20,000 events into about a hundred
+// sessions of up to ~1,000 events, a few of them dropped late.
+func sessionGoldenCfg(workers int) Config {
+	cfg := goldenCfg(workers, 4, true)
+	cfg.SessionGap = 500 * time.Microsecond
+	cfg.AllowedLateness = 2 * time.Millisecond
+	cfg.NewDelay = func() DelayModel { return NewExponentialDelay(time.Millisecond, 79) }
+	return cfg
+}
+
+// TestSessionGolden pins the session engine's complete output: serial
+// and parallel runs (one digest), a binding budget on both paths, and a
+// crash-recovered run (the unbudgeted digest).
+func TestSessionGolden(t *testing.T) {
+	sessions := func(results []WindowResult, _ Stats) bool { return len(results) >= 2 }
+	var runs []goldenRun
+	for _, workers := range []int{1, 4} {
+		runs = append(runs, goldenRun{name: fmt.Sprintf("w%d", workers), cfg: sessionGoldenCfg(workers), check: sessions})
+	}
+	for _, workers := range []int{1, 4} {
+		cfg := sessionGoldenCfg(workers)
+		cfg.MemoryBudget = 1536
+		runs = append(runs, goldenRun{name: fmt.Sprintf("budget-w%d", workers), cfg: cfg, check: degraded})
+	}
+	rec := withPanic(sessionGoldenCfg(1), 2500)
+	runs = append(runs, goldenRun{name: "recovering", cfg: rec, recover: true, check: recovered(rec)})
+	want := map[string]string{
+		"w1":         "885761be8b40e72c",
+		"w4":         "885761be8b40e72c",
+		"budget-w1":  "e8df152b49cd4430",
+		"budget-w4":  "df0e952de2d7e980",
+		"recovering": "885761be8b40e72c",
+	}
+	checkGoldens(t, runs, want)
 }

@@ -244,7 +244,6 @@ func (rs *runState) sealPane(j int) error {
 	if w != nil {
 		sp.values = w.values
 		sp.accepted = w.accepted
-		sp.degrades += w.degrades
 	}
 	rs.sealed[j] = sp
 	// Sealed panes stay resident until evicted, so the governor tracks

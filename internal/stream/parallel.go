@@ -37,34 +37,26 @@ func (b *eventBatch) reset() {
 	b.vals = b.vals[:0]
 }
 
-// workerSnap is a worker's reply to a snapshot barrier: one sealed
-// envelope per (window, owned-partition) sketch it holds, or the error
-// that prevented serialization.
+// workerSnap is a worker's reply to a snapshot barrier: its store's
+// sealed envelopes per open window (nil entries for partitions it does
+// not own), or the error that prevented serialization.
 type workerSnap struct {
-	entries []snapEntry
-	err     error
+	blobs map[int][][]byte
+	err   error
 }
 
-// snapEntry is one partition sketch's sealed state. local is the
-// worker-local partition index; the coordinator maps it back to the
-// global partition w + local·workers.
-type snapEntry struct {
-	win   int32
-	local int32
-	blob  []byte
-}
-
-// restoreMsg seeds one partition sketch into a worker's open-window
-// state during checkpoint resume.
+// restoreMsg seeds one partition sketch into a worker's store during
+// checkpoint resume.
 type restoreMsg struct {
-	win   int32
-	local int32
-	sk    sketch.Sketch
+	win  int32
+	part int32
+	sk   sketch.Sketch
 }
 
 // fireReply is a worker's answer to a fire barrier: the window's
-// partition sketches it owned, plus the budget degradations it applied
-// to them while the window was open.
+// partition sketches from its store (nil entries for partitions it does
+// not own), plus the budget degradations applied to them while the
+// window was open.
 type fireReply struct {
 	sks      []sketch.Sketch
 	degrades int
@@ -83,11 +75,12 @@ type workerMsg struct {
 
 // workerPool is the parallel partialSink: partition p is owned by
 // worker p % workers, each worker consumes event batches from its own
-// channel and maintains the partition-local sketches of its open
-// windows. Because every partition's events flow through exactly one
-// worker in arrival order, and the engine collects partials at fire
-// barriers and merges them in partition order, the results are
-// bit-identical to the sequential sink at any worker count.
+// channel and keeps the partition-local sketches of its open windows in
+// its own partStore — the serial sink's type. Because every partition's
+// events flow through exactly one worker in arrival order, and the
+// engine collects partials at fire barriers and merges them in
+// partition order, the results are bit-identical to the serial sink at
+// any worker count.
 //
 // Workers run under a recover guard: a panic (injected fault or real
 // bug) poisons the worker — it stops inserting but keeps draining its
@@ -95,7 +88,6 @@ type workerMsg struct {
 // deadlocks; the captured *PanicError surfaces through err() at the
 // next fire barrier.
 type workerPool struct {
-	builder    sketch.Builder
 	partitions int
 	workers    int
 
@@ -108,19 +100,16 @@ type workerPool struct {
 	pool    sync.Pool // *eventBatch recycling (coordinator ⇄ workers)
 	wg      sync.WaitGroup
 	met     *obs.EngineMetrics // nil disables queue-depth recording
-	faults  *faultinject.Plan  // nil disables fault hooks
-	shared  concurrent.Shared  // nil disables live shared-sketch feeds
-	// workerBudget is each worker's byte share of Config.MemoryBudget
-	// (already divided); 0 disables per-worker governors. Workers run
-	// only rung 1 of the ladder (in-place degradation) — shedding on a
-	// worker would make the event stream depend on worker count.
-	workerBudget int
-	failure      atomic.Pointer[PanicError]
+	faults  *faultinject.Plan  // nil disables the duplicate-batch fault
+	failure atomic.Pointer[PanicError]
 }
 
+// newWorkerPool starts one worker per store; each worker's governor
+// gets an equal share of memBudget (0 disables them). Workers run only
+// rung 1 of the ladder (in-place degradation) — shedding on a worker
+// would make the event stream depend on worker count.
 func newWorkerPool(builder sketch.Builder, partitions, workers int, met *obs.EngineMetrics, faults *faultinject.Plan, shared concurrent.Shared, memBudget int) *workerPool {
 	p := &workerPool{
-		builder:    builder,
 		partitions: partitions,
 		workers:    workers,
 		pending:    make([]*eventBatch, partitions),
@@ -130,10 +119,6 @@ func newWorkerPool(builder sketch.Builder, partitions, workers int, met *obs.Eng
 		snaps:      make([]chan workerSnap, workers),
 		met:        met,
 		faults:     faults,
-		shared:     shared,
-	}
-	if memBudget > 0 {
-		p.workerBudget = memBudget / workers
 	}
 	p.pool.New = func() any {
 		return &eventBatch{
@@ -149,7 +134,7 @@ func newWorkerPool(builder sketch.Builder, partitions, workers int, met *obs.Eng
 		p.replies[w] = make(chan fireReply, 1)
 		p.snaps[w] = make(chan workerSnap, 1)
 		p.wg.Add(1)
-		go p.runWorker(w)
+		go p.runWorker(newPartStore(builder, partitions, w, budget.New(memBudget/workers), met, faults, shared))
 	}
 	return p
 }
@@ -224,8 +209,10 @@ func (p *workerPool) partials(win int) ([]sketch.Sketch, int) {
 	for w := 0; w < p.workers; w++ {
 		r := <-p.replies[w]
 		degrades += r.degrades
-		for k, sk := range r.sks {
-			out[w+k*p.workers] = sk
+		for part, sk := range r.sks {
+			if sk != nil {
+				out[part] = sk
+			}
 		}
 	}
 	return out, degrades
@@ -250,14 +237,17 @@ func (p *workerPool) snapshot() (map[int][][]byte, error) {
 			}
 			continue
 		}
-		for _, e := range res.entries {
-			win := int(e.win)
-			blobs := out[win]
-			if blobs == nil {
-				blobs = make([][]byte, p.partitions)
+		for win, blobs := range res.blobs {
+			dst := out[win]
+			if dst == nil {
 				out[win] = blobs
+				continue
 			}
-			blobs[w+int(e.local)*p.workers] = e.blob
+			for part, blob := range blobs {
+				if blob != nil {
+					dst[part] = blob
+				}
+			}
 		}
 	}
 	if firstErr != nil {
@@ -274,11 +264,7 @@ func (p *workerPool) restore(win int, parts []sketch.Sketch) {
 		if sk == nil {
 			continue
 		}
-		p.chans[part%p.workers] <- workerMsg{restore: &restoreMsg{
-			win:   int32(win),
-			local: int32(part / p.workers),
-			sk:    sk,
-		}}
+		p.chans[part%p.workers] <- workerMsg{restore: &restoreMsg{win: int32(win), part: int32(part), sk: sk}}
 	}
 }
 
@@ -302,23 +288,17 @@ func (p *workerPool) close() {
 	p.wg.Wait()
 }
 
-// ownedPartitions returns how many partitions worker w owns (the
-// partitions congruent to w modulo the worker count).
-func (p *workerPool) ownedPartitions(w int) int {
-	return (p.partitions-1-w)/p.workers + 1
-}
-
-// runWorker runs worker w's message loop under the recover guard. If
-// the loop panics, the worker turns into a drain: it consumes the rest
-// of its channel, replying empty to fire barriers and the captured
-// error to snapshot barriers, so the coordinator's sends never block on
-// a dead worker. The failure itself surfaces via err().
-func (p *workerPool) runWorker(w int) {
+// runWorker runs the message loop of st's worker under the recover
+// guard. If the loop panics, the worker turns into a drain: it consumes
+// the rest of its channel, replying empty to fire barriers and the
+// captured error to snapshot barriers, so the coordinator's sends never
+// block on a dead worker. The failure itself surfaces via err().
+func (p *workerPool) runWorker(st *partStore) {
 	defer p.wg.Done()
-	if p.workerLoop(w) {
+	if p.workerLoop(st) {
 		return
 	}
-	for msg := range p.chans[w] {
+	for msg := range p.chans[st.worker] {
 		switch {
 		case msg.reply != nil:
 			msg.reply <- fireReply{}
@@ -331,170 +311,61 @@ func (p *workerPool) runWorker(w int) {
 	}
 }
 
-// workerLoop consumes worker w's channel: batches are split into
-// per-window runs and bulk-inserted into the owning partition's sketch;
-// fire barriers hand the window's local partials back to the
-// coordinator; snapshot barriers seal them; restore seeds adopt decoded
-// sketches. Returns true when the channel closed cleanly, false when a
-// panic was recovered (recorded in p.failure).
-func (p *workerPool) workerLoop(w int) (clean bool) {
+// workerLoop consumes the channel of st's worker into st: batches
+// past the sequence-number dedupe are inserted, fire barriers hand the
+// window's partials back to the coordinator, snapshot barriers seal the
+// store, and restore seeds adopt decoded sketches. The store's governor
+// runs rung 1 only, enforced at batch boundaries. Returns true when the
+// channel closed cleanly, false when a panic was recovered (recorded in
+// p.failure).
+func (p *workerPool) workerLoop(st *partStore) (clean bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			pe := asPanicError(r)
 			if pe.Worker < 0 {
-				pe.Worker = w
+				pe.Worker = st.worker
 			}
 			p.failure.CompareAndSwap(nil, pe)
 		}
 	}()
-	nOwned := p.ownedPartitions(w)
-	var sharedW *concurrent.Writer // this worker's shared-sketch handle
-	if p.shared != nil {
-		sharedW = p.shared.Writer(w)
-	}
-	open := make(map[int32][]sketch.Sketch)
-	seen := make([]uint64, nOwned)      // per-partition last-seen batch seq
-	var inserted int64                  // worker-local insert count (fault hooks)
-	partEvents := make([]int64, nOwned) // partition-local insert counts
-	// Per-worker budget governor (rung 1 only): tracks this worker's
-	// partition sketches under the same win·P+part ids as seqSink, so
-	// degradation order within a worker is deterministic for a fixed
-	// worker count. Enforcement runs at batch boundaries — the same
-	// few-hundred-event cadence as the serial path.
-	gov := budget.New(p.workerBudget)
-	sinceEnforce := 0                // events since the last governor pass
-	enforceAt := gov.Interval()      // cached cadence, refreshed per pass
-	degradeOf := make(map[int32]int) // win → degradations (fire replies)
-	govID := func(win int32, local int) int64 {
-		return int64(win)*int64(p.partitions) + int64(w+local*p.workers)
-	}
-	onDegrade := func(id int64) {
-		if p.met != nil {
-			p.met.Degradations.Inc()
-		}
-		degradeOf[int32(id/int64(p.partitions))]++
-	}
-	for msg := range p.chans[w] {
+	seen := make([]uint64, p.partitions) // per-partition last-seen batch seq
+	sinceEnforce := 0                    // events since the last governor pass
+	enforceAt := st.gov.Interval()       // cached cadence, refreshed per pass
+	for msg := range p.chans[st.worker] {
 		switch {
 		case msg.restore != nil:
-			rm := msg.restore
-			sks := open[rm.win]
-			if sks == nil {
-				sks = make([]sketch.Sketch, nOwned)
-				open[rm.win] = sks
-			}
-			sks[rm.local] = rm.sk
-			gov.Track(govID(rm.win, int(rm.local)), rm.sk)
+			st.adopt(int(msg.restore.win), int(msg.restore.part), msg.restore.sk)
 		case msg.snap != nil:
-			// sealOpen recovers its own panics, so the reply always
-			// arrives and the coordinator cannot deadlock on a snapshot
-			// barrier.
-			msg.snap <- p.sealOpen(open)
+			blobs, err := st.snapshot()
+			msg.snap <- workerSnap{blobs: blobs, err: err}
 		case msg.reply != nil:
-			// Fire barrier: relinquish the window's partials along with
-			// the degradations applied to them while the window was open.
-			local := open[msg.fireWin]
-			delete(open, msg.fireWin)
-			for k := range local {
-				gov.Untrack(govID(msg.fireWin, k))
-			}
-			deg := degradeOf[msg.fireWin]
-			delete(degradeOf, msg.fireWin)
-			msg.reply <- fireReply{sks: local, degrades: deg}
+			sks, deg := st.partials(int(msg.fireWin))
+			msg.reply <- fireReply{sks: sks, degrades: deg}
 		default:
 			b := msg.batch
-			local := int(b.part) / p.workers
-			if b.seq <= seen[local] {
-				// Duplicate delivery: already applied, drop it.
-				b.reset()
-				p.pool.Put(b)
-				continue
+			if b.seq > seen[b.part] {
+				// Not a duplicate delivery, so the shared sketch is fed
+				// once per batch.
+				seen[b.part] = b.seq
+				st.insertBatch(int(b.part), b.wins, b.vals)
+				sinceEnforce += len(b.vals)
 			}
-			seen[local] = b.seq
-			if sharedW != nil {
-				// Past the dedupe check, so duplicate deliveries cannot
-				// double-count into the shared sketch.
-				sharedW.InsertBatch(b.vals)
-			}
-			for i := 0; i < len(b.wins); {
-				win := b.wins[i]
-				j := i + 1
-				for j < len(b.wins) && b.wins[j] == win {
-					j++
-				}
-				sks := open[win]
-				if sks == nil {
-					sks = make([]sketch.Sketch, nOwned)
-					open[win] = sks
-				}
-				if sks[local] == nil {
-					sks[local] = p.builder()
-					gov.Track(govID(win, local), sks[local])
-				}
-				if p.faults == nil {
-					sketch.InsertAll(sks[local], b.vals[i:j])
-				} else {
-					// Per-value loop so the fault hooks see exact
-					// worker-local and partition-local event indices.
-					part := int(b.part)
-					sk := sks[local]
-					for _, v := range b.vals[i:j] {
-						p.faults.OnEvent(w, part, inserted, partEvents[local])
-						inserted++
-						partEvents[local]++
-						sk.Insert(v)
-					}
-				}
-				i = j
-			}
-			nvals := len(b.vals)
 			b.reset()
 			p.pool.Put(b)
-			if gov != nil {
+			if sinceEnforce >= enforceAt {
 				// Batch-boundary enforcement at the governor's adaptive
 				// cadence — the parallel analogue of the serial path
 				// (batches are ≤256 events, so a binding budget enforces
 				// roughly per batch).
-				sinceEnforce += nvals
-				if sinceEnforce >= enforceAt {
-					sinceEnforce = 0
-					out := gov.Enforce(onDegrade)
-					enforceAt = gov.Interval()
-					if p.met != nil {
-						p.met.BudgetBytes.Max(int64(out.Usage))
-					}
+				sinceEnforce = 0
+				out := st.gov.Enforce(st.degraded)
+				enforceAt = st.gov.Interval()
+				if p.met != nil {
+					p.met.BudgetBytes.Max(int64(out.Usage))
 				}
 			}
 		}
 	}
-	if sharedW != nil {
-		// Clean shutdown: quiesce this worker's buffer so post-run
-		// snapshots of the shared sketch are exact.
-		sharedW.Flush()
-	}
+	st.close()
 	return true
-}
-
-// sealOpen serializes every open partition sketch into snapshot
-// entries, converting any panic into an error reply.
-func (p *workerPool) sealOpen(open map[int32][]sketch.Sketch) (ws workerSnap) {
-	defer func() {
-		if r := recover(); r != nil {
-			ws = workerSnap{err: asPanicError(r)}
-		}
-	}()
-	var entries []snapEntry
-	for win, sks := range open {
-		for local, sk := range sks {
-			if sk == nil {
-				continue
-			}
-			blob, err := sealPartial(sk)
-			if err != nil {
-				return workerSnap{err: err}
-			}
-			entries = append(entries, snapEntry{win: win, local: int32(local), blob: blob})
-		}
-	}
-	return workerSnap{entries: entries}
 }

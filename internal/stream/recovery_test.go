@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -584,5 +585,60 @@ func TestCrashRecoveryPastQueueHorizon(t *testing.T) {
 			t.Errorf("%s: resumed stats %+v, want %+v", tc.name, stats, baseStats)
 		}
 		assertResumedTail(t, tc.name, resumed, baseline, snap.NextFire)
+	}
+}
+
+// sealFailSketch refuses to serialize, naming the first value it was
+// given, so a snapshot's error tells which partition sketch was sealed
+// first.
+type sealFailSketch struct {
+	sketch.Sketch
+	first float64
+	n     int
+}
+
+func (s *sealFailSketch) Insert(v float64) {
+	if s.n == 0 {
+		s.first = v
+	}
+	s.n++
+	s.Sketch.Insert(v)
+}
+
+func (s *sealFailSketch) Merge(o sketch.Sketch) error {
+	return s.Sketch.Merge(o.(*sealFailSketch).Sketch)
+}
+
+func (s *sealFailSketch) MarshalBinary() ([]byte, error) {
+	return nil, fmt.Errorf("refusing to seal the sketch whose first value is %v", s.first)
+}
+
+// TestSnapshotSealErrorDeterministic: with several panes open and every
+// seal failing, which failure a snapshot reports is a function of the
+// configuration. Each worker seals its open sketches in ascending
+// (window, partition) order and the pool reports the lowest-numbered
+// worker's error, so twenty runs return one error text.
+func TestSnapshotSealErrorDeterministic(t *testing.T) {
+	errs := map[string]int{}
+	for range 20 {
+		cfg := recoveryCfg(2, 4)
+		cfg.Slide = cfg.WindowSize / 4
+		// Panes stay open 600 ms past their end: when the first
+		// snapshot is taken, three panes hold partition sketches.
+		cfg.AllowedLateness = 600 * time.Millisecond
+		cfg.Builder = func() sketch.Sketch { return &sealFailSketch{Sketch: kll.NewWithSeed(128, 99)} }
+		cfg.CheckpointStore = checkpoint.NewMemStore()
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = eng.RunCollect()
+		if err == nil {
+			t.Fatal("run with unsealable sketches succeeded")
+		}
+		errs[err.Error()]++
+	}
+	if len(errs) != 1 {
+		t.Errorf("20 runs returned %d distinct snapshot errors: %v", len(errs), errs)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/concurrent"
 	"repro/internal/datagen"
+	"repro/internal/faultinject"
 	"repro/internal/kll"
 	"repro/internal/obs"
 )
@@ -211,5 +212,27 @@ func TestWorkersClampedCounter(t *testing.T) {
 	}
 	if got := met.WorkersClamped.Load(); got != 1 {
 		t.Fatalf("WorkersClamped = %d after an unclamped construction, want 1", got)
+	}
+}
+
+// TestSharedSketchDuplicateBatch: a duplicated batch is dropped by the
+// worker's sequence-number dedupe before it reaches the shared-sketch
+// writer, so the shared sketch still counts every accepted event
+// exactly once.
+func TestSharedSketchDuplicateBatch(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		sh, err := concurrent.NewDDSketch(0.01, workers, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := sharedRunConfig(workers, sh)
+		cfg.Faults = faultinject.New().WithDuplicateBatch(3)
+		_, st := mustRunCollect(t, cfg)
+		if cfg.Faults.DuplicateBatch(3) {
+			t.Fatalf("workers=%d: the duplicate batch was never delivered", workers)
+		}
+		if got := sh.Count(); got != uint64(st.Accepted) {
+			t.Errorf("workers=%d: shared count %d, accepted %d", workers, got, st.Accepted)
+		}
 	}
 }

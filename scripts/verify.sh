@@ -112,9 +112,11 @@ gate race go test -race ./internal/stream ./internal/harness
 # The source stage's block handoff on a single P under the race
 # detector: with one processor the producer and the coordinator share
 # it, so a handoff that relied on the two running side by side would
-# deadlock or starve here.
+# deadlock or starve here. The golden digests run here too: their
+# serial and parallel configurations share digests, so serial ≡
+# parallel is checked on one P as well.
 gate gomaxprocs1 env GOMAXPROCS=1 go test -race \
-	-run 'Source|Producer|Parallel|Resume|Recovery|Pane' ./internal/stream
+	-run 'Source|Producer|Parallel|Resume|Recovery|Pane|Golden' ./internal/stream
 # Crash-recovery / corruption matrix under the race detector: injected
 # worker panics at every worker×partition shape, corrupt and truncated
 # checkpoints, duplicate batch delivery, stalls, sliding- and
@@ -135,9 +137,9 @@ gate concurrent go test -race -run 'Concurrent|Relaxation|Shared|Epoch|Snapshot|
 # fused MergeScaled must match the clone-and-scale reference. Tumbling
 # windows are one-pane windows of the same path, so their golden
 # digests, [start, end) boundaries, lateness and late-drop accounting
-# run here too.
+# run here too, beside the sliding and session golden digests.
 gate pane go test -race \
-	-run 'Pane|Sliding|Decay|ScaleCount|MergeScaled|WeightedQuantiles|TumblingSlide|TumblingGolden|WindowBoundary|Lateness|DroppedLate' \
+	-run 'Pane|Sliding|Decay|ScaleCount|MergeScaled|WeightedQuantiles|TumblingSlide|Golden|WindowBoundary|Lateness|DroppedLate' \
 	./internal/stream ./internal/sketch ./internal/stats ./internal/harness
 # Memory-budget governor and fault-hardened checkpoint I/O under the
 # race detector: the budget-never-exceeded property, graceful
