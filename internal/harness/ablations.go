@@ -397,6 +397,7 @@ func runUDDStoreAblation(opts Options) ([]Table, error) {
 		for i := 0; i < minInt(n, 100_000); i++ {
 			part.Insert(buf[i%len(buf)])
 		}
+		sketch.Trim(part) // merged 64 times below
 		acc := v.mk()
 		const merges = 64
 		var mErr error

@@ -201,6 +201,8 @@ func runFig5c(opts Options) ([]Table, error) {
 					for j := 0; j < fillSize; j++ {
 						sk.Insert(src.Next())
 					}
+					// Filled, and merged count/pool times below.
+					sketch.Trim(sk)
 					sketches[i] = sk
 				}
 				acc := builders[alg]()

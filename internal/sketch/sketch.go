@@ -271,6 +271,29 @@ type Degrader interface {
 	Degrade() (freedBytes int, err error)
 }
 
+// Trimmer is implemented by sketches whose stores keep spare capacity
+// for growth — UDDSketch's maps keep their fullest size through its
+// in-place collapses — and can give it back. Ranging over that
+// capacity slows every later read, so a sketch that has stopped
+// growing and will be merged many times is worth trimming first, as
+// the fig5c and ablation-uddstore merge loops do with their filled
+// sources.
+//
+// Contract: Trim changes no observable state — count, answers and
+// serialized bytes stay identical — and is a pure function of the
+// prior state.
+type Trimmer interface {
+	// Trim releases the sketch's spare capacity.
+	Trim()
+}
+
+// Trim trims s when it is a Trimmer and does nothing otherwise.
+func Trim(s Sketch) {
+	if t, ok := s.(Trimmer); ok {
+		t.Trim()
+	}
+}
+
 // AccuracyBounder is implemented by sketches that can report their
 // current error guarantee as a single dimensionless number: relative
 // value error α for the histogram sketches, an empirical normalized

@@ -485,6 +485,10 @@ type runState struct {
 	numPanes    int                 // panes covering the run: paneEnd(NumWindows-1)
 	nextSeal    int                 // first pane index not yet sealed
 	sealed      map[int]*sealedPane // sealed, still-referenced panes
+	// paneValues is the last sealed pane's collected-value count: with
+	// CollectValues a new pane's values slice starts at that capacity,
+	// so panes of a steady stream fill without regrowing.
+	paneValues int
 
 	drawn     int64  // source draws consumed so far (event n was draw n, zero-based)
 	part      int    // partition of the next event: drawn mod Partitions

@@ -206,6 +206,9 @@ func (rs *runState) routePaned(ev Event, t time.Duration) {
 		w := rs.open[pi]
 		if w == nil {
 			w = &windowState{}
+			if rs.cfg.CollectValues {
+				w.values = make([]float64, 0, rs.paneValues)
+			}
 			rs.open[pi] = w
 			if rs.met != nil {
 				rs.met.PanesOpen.Set(int64(len(rs.open) + len(rs.sealed)))
@@ -244,6 +247,7 @@ func (rs *runState) sealPane(j int) error {
 	if w != nil {
 		sp.values = w.values
 		sp.accepted = w.accepted
+		rs.paneValues = len(w.values)
 	}
 	rs.sealed[j] = sp
 	// Sealed panes stay resident until evicted, so the governor tracks
@@ -259,6 +263,17 @@ func (rs *runState) mergePanes(r *WindowResult, startPane, endPane int) error {
 	merged := rs.cfg.Builder()
 	r.Sketch = merged
 	r.PaneCounts = make([]int, 0, endPane-startPane)
+	if rs.cfg.CollectValues {
+		n := 0
+		for j := startPane; j < endPane; j++ {
+			if sp := rs.sealed[j]; sp != nil {
+				n += len(sp.values)
+			}
+		}
+		if n > 0 {
+			r.Values = make([]float64, 0, n)
+		}
+	}
 	for j := startPane; j < endPane; j++ {
 		sp := rs.sealed[j]
 		if sp == nil {

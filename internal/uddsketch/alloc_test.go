@@ -23,3 +23,48 @@ func TestInsertBatchAllocs(t *testing.T) {
 		t.Errorf("InsertBatch allocates %.2f times per 1024-value batch, want ~0 (boxing would be ~1024)", avg)
 	}
 }
+
+// TestCollapseAllocs pins the in-place uniform collapse: on a warm
+// sketch — its maps already sized by an earlier collapse, the scratch
+// pool primed — the insert that exceeds the bucket budget collapses
+// without allocating. Each run takes a sketch prepared one new bucket
+// short of a collapse and inserts that bucket's value.
+func TestCollapseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled buffers at random")
+	}
+	const runs = 50
+	type primed struct {
+		s       *Sketch
+		trigger float64
+	}
+	prep := func() primed {
+		s := New(0.01, 64)
+		for x := 1.0; ; x *= 1.003 {
+			if s.Collapses() > 0 && s.NonEmptyBuckets() == s.MaxBuckets() {
+				if _, ok := s.positive[s.index(x)]; !ok {
+					return primed{s, x}
+				}
+				continue
+			}
+			s.Insert(x)
+		}
+	}
+	ps := make([]primed, runs+1) // AllocsPerRun adds one warm-up call
+	for i := range ps {
+		ps[i] = prep()
+	}
+	next := 0
+	avg := testing.AllocsPerRun(runs, func() {
+		p := ps[next]
+		next++
+		before := p.s.Collapses()
+		p.s.Insert(p.trigger)
+		if p.s.Collapses() != before+1 {
+			t.Fatalf("trigger insert ran %d collapses, want 1", p.s.Collapses()-before)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("an insert-triggered collapse allocates %.2f times, want 0", avg)
+	}
+}

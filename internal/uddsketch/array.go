@@ -195,8 +195,8 @@ func (s *ArraySketch) uniformCollapse() {
 	}
 	lo := s.offset
 	hi := s.offset + len(s.counts) - 1
-	newLo := ceilDiv2(lo)
-	newHi := ceilDiv2(hi)
+	newLo := ceilShift(lo, 1)
+	newHi := ceilShift(hi, 1)
 	span := newHi - newLo + 1
 	n := (span + 63) / 64 * 64
 	grown := make([]int64, n)
@@ -206,7 +206,7 @@ func (s *ArraySketch) uniformCollapse() {
 		if c == 0 {
 			continue
 		}
-		np := ceilDiv2(lo+pos) - newOffset
+		np := ceilShift(lo+pos, 1) - newOffset
 		if grown[np] == 0 {
 			nonZero++
 		}
@@ -283,8 +283,10 @@ func (s *ArraySketch) Rank(x float64) (float64, error) {
 	return float64(le) / float64(s.count), nil
 }
 
-// Merge implements sketch.Sketch: align collapse counts (the less
-// collapsed side collapses up), then add counts linearly.
+// Merge implements sketch.Sketch under Sketch.Merge's fusion rule: the
+// receiver collapses up to o's level, then o's buckets are folded
+// straight to the receiver's level (⌈i/2^d⌉ for a gap of d collapses)
+// as they are added, without touching o.
 func (s *ArraySketch) Merge(other sketch.Sketch) error {
 	o, ok := other.(*ArraySketch)
 	if !ok {
@@ -296,42 +298,31 @@ func (s *ArraySketch) Merge(other sketch.Sketch) error {
 	if o.indexer != s.indexer {
 		return fmt.Errorf("%w: indexer mismatch %d vs %d", sketch.ErrIncompatible, s.indexer, o.indexer)
 	}
-	src := o
-	if o.collapses != s.collapses {
-		if o.collapses < s.collapses {
-			src = o.clone()
-			for src.collapses < s.collapses {
-				src.uniformCollapse()
-			}
-		} else {
-			for s.collapses < o.collapses {
-				s.uniformCollapse()
-			}
+	for s.collapses < o.collapses {
+		s.uniformCollapse()
+	}
+	shift := s.collapses - o.collapses
+	for pos, c := range o.counts {
+		switch {
+		case c == 0:
+		case shift == 0: // the common merge: no index moves
+			s.add(o.offset+pos, c)
+		default:
+			s.add(ceilShift(o.offset+pos, shift), c)
 		}
 	}
-	for pos, c := range src.counts {
-		if c != 0 {
-			s.add(src.offset+pos, c)
-		}
+	s.zeroCnt += o.zeroCnt
+	s.count += o.count
+	if o.min < s.min {
+		s.min = o.min
 	}
-	s.zeroCnt += src.zeroCnt
-	s.count += src.count
-	if src.min < s.min {
-		s.min = src.min
-	}
-	if src.max > s.max {
-		s.max = src.max
+	if o.max > s.max {
+		s.max = o.max
 	}
 	for s.nonZero > s.maxBuckets {
 		s.uniformCollapse()
 	}
 	return nil
-}
-
-func (s *ArraySketch) clone() *ArraySketch {
-	c := *s
-	c.counts = append([]int64(nil), s.counts...)
-	return &c
 }
 
 // NonEmptyBuckets reports the live bucket count.

@@ -47,11 +47,7 @@ func (s *Sketch) ScaleCount(g float64) {
 // MergeScaled implements sketch.CountScaler in one pass over o's
 // buckets, adding round(c·g) of each (buckets rounding to 0 skipped) —
 // exactly the counts a ScaleCount(g) clone of o would bring into Merge.
-// The fusion rule is unchanged: the receiver collapses up to o's level
-// first, and o's buckets are re-indexed up to the receiver's level as
-// they are added, which sums the same counts into the same buckets as
-// collapsing a copy would. If every count rounds away the clone would
-// have reset, so nothing happens — not even the collapse alignment.
+// It is Merge's fusion path (fuse) at weight g.
 func (s *Sketch) MergeScaled(other sketch.Sketch, g float64) error {
 	if math.IsNaN(g) || g >= 1 {
 		return s.Merge(other)
@@ -60,31 +56,7 @@ func (s *Sketch) MergeScaled(other sketch.Sketch, g float64) error {
 	if err != nil || g <= 0 {
 		return err
 	}
-	zero := int64(math.Round(float64(o.zeroCnt) * g))
-	if zero == 0 && !anySurvives(o.positive, g) && !anySurvives(o.negative, g) {
-		return nil
-	}
-	before := s.count
-	for s.collapses < o.collapses {
-		s.uniformCollapse()
-	}
-	shift := s.collapses - o.collapses
-	added := addScaled(s.positive, o.positive, g, shift) + addScaled(s.negative, o.negative, g, shift) + zero
-	s.zeroCnt += zero
-	s.count += added
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	for len(s.positive)+len(s.negative) > s.maxBuckets {
-		s.uniformCollapse()
-	}
-	if metrics != nil {
-		metrics.PeakBytes.Max(int64(s.MemoryBytes()))
-	}
-	s.assertCount("merge", before+added)
+	s.fuse(o, g)
 	return nil
 }
 
@@ -99,21 +71,29 @@ func anySurvives(m map[int]int64, g float64) bool {
 	return false
 }
 
-// addScaled adds round(c·g) of every bucket of src into dst, skipping
-// those that round to 0, with each index collapsed shift levels up
-// (⌈i/2⌉ per level). It returns the total added.
+// addScaled adds round(c·g) of every bucket of src into dst — c itself
+// at g = 1 — skipping those that round to 0, with each index collapsed
+// shift levels up (⌈i/2^shift⌉). It returns the total added. A plain
+// merge of sketches at one collapse level takes the first loop, which
+// neither scales nor moves an index.
 func addScaled(dst, src map[int]int64, g float64, shift int) int64 {
 	var total int64
+	if g == 1 && shift == 0 {
+		for i, c := range src {
+			dst[i] += c
+			total += c
+		}
+		return total
+	}
 	for i, c := range src {
-		sc := int64(math.Round(float64(c) * g))
-		if sc <= 0 {
-			continue
+		if g != 1 {
+			c = int64(math.Round(float64(c) * g))
+			if c <= 0 {
+				continue
+			}
 		}
-		for range shift {
-			i = ceilDiv2(i)
-		}
-		dst[i] += sc
-		total += sc
+		dst[ceilShift(i, shift)] += c
+		total += c
 	}
 	return total
 }

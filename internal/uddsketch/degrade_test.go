@@ -1,8 +1,11 @@
 package uddsketch
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"repro/internal/sketch"
@@ -69,4 +72,82 @@ func TestDegradeRefusesWhenTiny(t *testing.T) {
 	if s.Collapses() != 0 {
 		t.Errorf("refused Degrade must not collapse (got %d)", s.Collapses())
 	}
+}
+
+// TestDegradeReleasesHeap pins Degrade's rebuild: unlike the budget
+// collapse, which keeps each map's capacity for the refill, Degrade
+// exists to hand memory back, so degrading many full sketches must
+// lower the live heap after a GC. A Degrade that collapsed in place
+// would keep every map at its full size and fail here.
+func TestDegradeReleasesHeap(t *testing.T) {
+	const sketches = 256
+	base := liveHeap()
+	ss := make([]*Sketch, sketches)
+	rng := rand.New(rand.NewPCG(3, 4))
+	for i := range ss {
+		s := New(0.01, 1024)
+		for s.NonEmptyBuckets() < s.MaxBuckets() {
+			s.Insert(math.Exp(rng.Float64() * 40))
+		}
+		ss[i] = s
+	}
+	full := liveHeap() - base
+	for _, s := range ss {
+		if _, err := s.Degrade(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	degraded := liveHeap() - base
+	runtime.KeepAlive(ss)
+	t.Logf("live heap over %d sketches: %d B full, %d B degraded", sketches, full, degraded)
+	if degraded > full*3/4 {
+		t.Errorf("live heap %d B after Degrade, %d B before: want at most 3/4", degraded, full)
+	}
+}
+
+// TestTrimReleasesHeap pins Trim: sketches left at about half their
+// bucket budget by an in-place collapse still hold maps sized for the
+// full budget, and trimming them must lower the live heap after a GC
+// while leaving every serialized byte as it was.
+func TestTrimReleasesHeap(t *testing.T) {
+	const sketches = 256
+	base := liveHeap()
+	ss := make([]*Sketch, sketches)
+	rng := rand.New(rand.NewPCG(7, 8))
+	for i := range ss {
+		s := New(0.01, 1024)
+		for s.Collapses() == 0 {
+			s.Insert(math.Exp(rng.Float64() * 40))
+		}
+		ss[i] = s
+	}
+	want, err := ss[0].MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	roomy := liveHeap() - base
+	for _, s := range ss {
+		s.Trim()
+	}
+	trimmed := liveHeap() - base
+	runtime.KeepAlive(ss)
+	t.Logf("live heap over %d sketches of ~%d buckets: %d B untrimmed, %d B trimmed", sketches, ss[0].NonEmptyBuckets(), roomy, trimmed)
+	if trimmed > roomy*3/4 {
+		t.Errorf("live heap %d B after Trim, %d B before: want at most 3/4", trimmed, roomy)
+	}
+	got, err := ss[0].MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("Trim changed the serialized sketch")
+	}
+}
+
+// liveHeap reports the bytes of live heap objects after a full GC.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }

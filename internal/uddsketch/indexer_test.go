@@ -9,7 +9,7 @@ import (
 
 // The cubic indexer's collapse exactness: because the multiplier is
 // halved exactly in floating point at every uniform collapse,
-// index_k(x) = ceilDiv2^k(index_0(x)) holds bit-exactly, so a sketch
+// index_k(x) = ⌈index_0(x)/2^k⌉ holds bit-exactly, so a sketch
 // that collapsed organically mid-stream must end in *bit-identical*
 // state to one that ingested everything at full resolution and
 // collapsed afterwards. This is the metamorphic pin for the bit-trick

