@@ -192,11 +192,16 @@ func streamAccuracyPartitioned(opts Options, dataset string, delayMean time.Dura
 			if len(r.Values) == 0 {
 				return windowEval{err: fmt.Errorf("harness: empty window %d on %s", r.Index, dataset)}
 			}
-			var exact core.QuantileOracle = stats.NewExactQuantiles(r.Values)
+			var exact core.QuantileOracle
 			if effLambda > 0 {
 				// Decayed windows are judged against the weighted exact
 				// distribution the engine's pane down-weighting targets.
 				exact = decayedOracle(r, effLambda)
+			} else {
+				// The callback owns r.Values, so the oracle sorts it in
+				// place instead of sorting a copy.
+				stats.SortFloat64(r.Values)
+				exact = stats.FromSorted(r.Values)
 			}
 			multi := r.Sketch.(*multiSketch)
 			perWin := make(map[string]core.WindowAccuracy, 5)

@@ -193,7 +193,7 @@ func (s *Sketch) compactLevel(h int) {
 		s.levels = append(s.levels, make([]float32, 0, s.capacity(h)+1))
 	}
 	if h == 0 || s.sorted&(1<<h) == 0 {
-		sortFloat32(buf)
+		sketch.SortFloat32(buf)
 	}
 	// Keep one leftover on odd sizes: compact items buf[start:start+2m].
 	m := len(buf) / 2
@@ -205,7 +205,7 @@ func (s *Sketch) compactLevel(h int) {
 	run := buf[start+offset:] // the promoted items are run[0], run[2], …
 	next := s.levels[h+1]
 	if len(next) == 0 || s.sorted&(1<<(h+1)) != 0 {
-		s.levels[h+1] = mergeRun(next, run, m)
+		s.levels[h+1] = sketch.MergeRun(next, run, m)
 		s.sorted |= 1 << (h + 1)
 	} else {
 		for i := 0; i < m; i++ {
@@ -221,31 +221,6 @@ func (s *Sketch) compactLevel(h int) {
 	if h > 0 {
 		s.sorted |= 1 << h // at most one item is left
 	}
-}
-
-// mergeRun merges the m ascending items run[0], run[2], …, run[2(m−1)]
-// into the ascending dst and returns the result. dst grows exactly as m
-// single appends would grow it, so the allocated capacity (which
-// Footprint reports) is what appending the run would leave. The merge
-// runs backward in place, largest items first; run must not share
-// dst's array.
-func mergeRun(dst, run []float32, m int) []float32 {
-	n := len(dst)
-	for cap(dst) < n+m {
-		dst = append(dst[:cap(dst)], 0)
-	}
-	dst = dst[:n+m]
-	i, j := n-1, m-1
-	for k := n + m - 1; j >= 0; k-- {
-		if i >= 0 && dst[i] > run[2*j] {
-			dst[k] = dst[i]
-			i--
-		} else {
-			dst[k] = run[2*j]
-			j--
-		}
-	}
-	return dst
 }
 
 // markSorted re-derives bit h of the sorted mask from levels[h], for a
@@ -265,7 +240,11 @@ func (s *Sketch) Count() uint64 { return s.count }
 func (s *Sketch) buildView() {
 	if s.view.Begin() {
 		for h, lv := range s.levels {
-			s.view.AddLevel(h, lv)
+			sorted := 0
+			if s.sorted&(1<<h) != 0 {
+				sorted = len(lv)
+			}
+			s.view.AddLevel(h, lv, sorted)
 		}
 		s.view.Sort()
 	}

@@ -2,12 +2,18 @@ package kll
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
+
+	"repro/internal/sketch"
 )
+
+// radixMin and radixMax bound the radix class of sketch.SortFloat32,
+// the class that puts every −0 ahead of every +0 (DESIGN.md §13,
+// "Level-0 sort"). TestCompactionAllocs aims its window at that class.
+const radixMin, radixMax = 40, 512
 
 // sortValueSets are the inputs TestSortFloat32MatchesSlicesSort sorts at
 // every length: each draws the i-th value of a level from rng.
@@ -43,10 +49,10 @@ var sortValueSets = []struct {
 	}},
 }
 
-// checkSorted asserts that got is a correct sortFloat32 result for in:
-// bit-equal to slices.Sort when in holds no −0, and otherwise ascending,
-// the same multiset of bit patterns, and — in the radix class — with
-// every −0 ahead of every +0.
+// checkSorted asserts that got is a correct sketch.SortFloat32 result
+// for in: bit-equal to slices.Sort when in holds no −0, and otherwise
+// ascending, the same multiset of bit patterns, and — in the radix
+// class — with every −0 ahead of every +0.
 func checkSorted(t *testing.T, in, got []float32) {
 	t.Helper()
 	want := slices.Clone(in)
@@ -85,11 +91,11 @@ func checkSorted(t *testing.T, in, got []float32) {
 }
 
 // TestSortFloat32MatchesSlicesSort is the differential test of the
-// size-classed sort kernel against slices.Sort at every length from 0
-// to 64 past the radix bound, so every class and both class edges are
-// covered, over duplicates, equal levels, infinities, subnormals,
-// ±MaxFloat32, values sharing one exponent (radix passes skipped), and
-// signed zeros.
+// size-classed sort kernel, sketch.SortFloat32, which sorts KLL's level
+// 0, against slices.Sort at every length from 0 to 64 past the radix
+// bound, so every class and both class edges are covered, over
+// duplicates, equal levels, infinities, subnormals, ±MaxFloat32, values
+// sharing one exponent (radix passes skipped), and signed zeros.
 func TestSortFloat32MatchesSlicesSort(t *testing.T) {
 	for _, vs := range sortValueSets {
 		t.Run(vs.name, func(t *testing.T) {
@@ -101,7 +107,7 @@ func TestSortFloat32MatchesSlicesSort(t *testing.T) {
 						in[i] = vs.draw(rng, i)
 					}
 					got := slices.Clone(in)
-					sortFloat32(got)
+					sketch.SortFloat32(got)
 					checkSorted(t, in, got)
 				}
 			}
@@ -109,8 +115,9 @@ func TestSortFloat32MatchesSlicesSort(t *testing.T) {
 	}
 }
 
-// FuzzSortFloat32 checks sortFloat32 on arbitrary float32 bit patterns,
-// NaNs dropped (levels never hold them), at every length the bytes give.
+// FuzzSortFloat32 checks sketch.SortFloat32 on arbitrary float32 bit
+// patterns, NaNs dropped (levels never hold them), at every length the
+// bytes give.
 func FuzzSortFloat32(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0x80, 0, 0, 0, 0})
@@ -128,52 +135,7 @@ func FuzzSortFloat32(f *testing.F) {
 			}
 		}
 		got := slices.Clone(in)
-		sortFloat32(got)
+		sketch.SortFloat32(got)
 		checkSorted(t, in, got)
 	})
-}
-
-type sortImpl struct {
-	name string
-	sort func([]float32)
-}
-
-// BenchmarkSortFloat32 times the kernel, slices.Sort, and the insertion
-// and radix classes on their own, at the level-0 capacities k =
-// DefaultK passes through (2 up to 350) and one size above the radix
-// bound; the class thresholds in sort.go come from it.
-// The values are continuous and uniform, like the live-query workload's
-// source. Each iteration copies in the next of 64 distinct unsorted
-// levels, on both sides: with one level repeated, the branch predictor
-// learns the comparison sort's branches and flatters it 2–3×.
-func BenchmarkSortFloat32(b *testing.B) {
-	sizes := []int{2, 3, 5, 7, 10, 14, 21, 31, 47, 70, 104, 156, 234, 350, radixMax + 88}
-	rng := rand.New(rand.NewPCG(1, 2))
-	for _, n := range sizes {
-		var levels [64][]float32
-		for j := range levels {
-			levels[j] = make([]float32, n)
-			for i := range levels[j] {
-				levels[j][i] = float32(100 + rng.Float64()*900)
-			}
-		}
-		buf := make([]float32, n)
-		// The single classes run where a threshold could move to.
-		impls := []sortImpl{{"kernel", sortFloat32}, {"slices", slices.Sort[[]float32]}}
-		if n <= 47 {
-			impls = append(impls, sortImpl{"insertion", insertionSortFloat32})
-		}
-		if n >= 14 && n <= radixMax {
-			impls = append(impls, sortImpl{"radix", radixSortFloat32})
-		}
-		for _, impl := range impls {
-			b.Run(fmt.Sprintf("n=%d/%s", n, impl.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					copy(buf, levels[i%len(levels)])
-					impl.sort(buf)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/item")
-			})
-		}
-	}
 }

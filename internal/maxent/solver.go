@@ -161,20 +161,6 @@ func (s *Solver) newton(d, lambda []float64) (*Density, error) {
 	step := make([]float64, k)
 	trial := make([]float64, k)
 
-	evalDensity := func(l []float64, out []float64) {
-		for g := 0; g < gs; g++ {
-			var e float64
-			for j := 0; j < k; j++ {
-				e += l[j] * s.cheb[j][g]
-			}
-			if e > maxExpArg {
-				e = maxExpArg
-			} else if e < -maxExpArg {
-				e = -maxExpArg
-			}
-			out[g] = math.Exp(e)
-		}
-	}
 	potential := func(l []float64, fv []float64) float64 {
 		var z float64
 		for g := 0; g < gs; g++ {
@@ -188,21 +174,13 @@ func (s *Solver) newton(d, lambda []float64) (*Density, error) {
 		return z - lin
 	}
 
-	evalDensity(lambda, f)
+	s.density(lambda, f)
 	p := potential(lambda, f)
 	for iter := 0; iter < maxNewtonIters; iter++ {
 		if metrics != nil {
 			metrics.NewtonIterations.Inc()
 		}
-		// Moments of the current density up to order 2k−2.
-		for i := range m {
-			var acc float64
-			row := s.cheb[i]
-			for g := 0; g < gs; g++ {
-				acc += row[g] * f[g]
-			}
-			m[i] = acc * s.dt
-		}
+		s.moments(f, m)
 		maxG := 0.0
 		for j := 0; j < k; j++ {
 			grad[j] = m[j] - d[j]
@@ -236,7 +214,7 @@ func (s *Solver) newton(d, lambda []float64) (*Density, error) {
 			for j := 0; j < k; j++ {
 				trial[j] = lambda[j] + alpha*step[j]
 			}
-			evalDensity(trial, f)
+			s.density(trial, f)
 			pt := potential(trial, f)
 			if pt <= p+1e-4*alpha*descent || pt < p {
 				copy(lambda, trial)
@@ -269,6 +247,75 @@ func (s *Solver) newton(d, lambda []float64) (*Density, error) {
 		}
 	}
 	return s.tabulate(f), nil
+}
+
+// density tabulates exp(Σ_j l[j]·T_j) on the grid into out, with the
+// exponent clamped to ±maxExpArg. It runs four grid points at a time:
+// one load of l[j] feeds four independent sums, where a single sum is
+// a chain of dependent adds. Each point's sum still adds its terms in
+// ascending j, so every value is bit-identical to a one-point loop.
+func (s *Solver) density(l, out []float64) {
+	k, gs := len(l), len(out)
+	g := 0
+	for ; g+4 <= gs; g += 4 {
+		var e0, e1, e2, e3 float64
+		for j := 0; j < k; j++ {
+			lj, row := l[j], s.cheb[j][g:g+4:g+4]
+			e0 += lj * row[0]
+			e1 += lj * row[1]
+			e2 += lj * row[2]
+			e3 += lj * row[3]
+		}
+		out[g] = clampExp(e0)
+		out[g+1] = clampExp(e1)
+		out[g+2] = clampExp(e2)
+		out[g+3] = clampExp(e3)
+	}
+	for ; g < gs; g++ {
+		var e float64
+		for j := 0; j < k; j++ {
+			e += l[j] * s.cheb[j][g]
+		}
+		out[g] = clampExp(e)
+	}
+}
+
+// clampExp is exp(e) with e clamped to ±maxExpArg.
+func clampExp(e float64) float64 {
+	if e > maxExpArg {
+		e = maxExpArg
+	} else if e < -maxExpArg {
+		e = -maxExpArg
+	}
+	return math.Exp(e)
+}
+
+// moments sets m[i] to the i-th Chebyshev moment of the tabulated
+// density f, Σ_g T_i(grid[g])·f[g]·dt, for every i < len(m). It runs
+// four rows at a time, so one load of f[g] feeds four independent
+// sums; each row still sums in ascending g, so every moment is
+// bit-identical to a one-row loop.
+func (s *Solver) moments(f, m []float64) {
+	i := 0
+	for ; i+4 <= len(m); i += 4 {
+		r0, r1, r2, r3 := s.cheb[i][:len(f)], s.cheb[i+1][:len(f)], s.cheb[i+2][:len(f)], s.cheb[i+3][:len(f)]
+		var a0, a1, a2, a3 float64
+		for g, fg := range f {
+			a0 += r0[g] * fg
+			a1 += r1[g] * fg
+			a2 += r2[g] * fg
+			a3 += r3[g] * fg
+		}
+		m[i], m[i+1], m[i+2], m[i+3] = a0*s.dt, a1*s.dt, a2*s.dt, a3*s.dt
+	}
+	for ; i < len(m); i++ {
+		var acc float64
+		row := s.cheb[i][:len(f)]
+		for g, fg := range f {
+			acc += row[g] * fg
+		}
+		m[i] = acc * s.dt
+	}
 }
 
 // tabulate normalizes f into a Density with its CDF.

@@ -16,7 +16,7 @@ var _ sketch.CountScaler = (*Sketch)(nil)
 // the height-h compactor is re-placed into the compactor at every set
 // bit of round(g·2^h). Each compactor keeps its section configuration
 // and compaction-schedule state; only its buffer contents are rebuilt
-// (unsorted, sortedLen reset). Coin flips happen only in the final
+// (and sortedLen re-derived). Coin flips happen only in the final
 // compress, from the sketch's own PCG stream. If everything rounds away
 // the sketch resets. min/max are kept as conservative bounds.
 func (s *Sketch) ScaleCount(g float64) {
@@ -34,7 +34,7 @@ func (s *Sketch) ScaleCount(g float64) {
 	}
 	for h, c := range s.compactors {
 		c.buf = append(c.buf[:0], newBufs[h]...)
-		c.sortedLen = 0
+		c.markSorted(0)
 	}
 	s.count = count
 	s.view.Invalidate()

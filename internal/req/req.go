@@ -31,6 +31,14 @@ const (
 	minSectionSize  = 4
 	initNumSections = 3
 	sqrt2           = 1.4142135623730951
+
+	// maxMergeRatio bounds the merge of a promoted run into an
+	// ascending compactor. Merging m items into n moves about n+m, so
+	// once n exceeds 8m, appending them and sorting the tail at the next
+	// compaction is cheaper: on long streams the section size shrinks
+	// to a few items while compactors hold hundreds, and merging every
+	// run made BenchmarkInsert/req 1.25× slower.
+	maxMergeRatio = 8
 )
 
 // compactor is one relative compactor at height h; items in it carry
@@ -42,8 +50,12 @@ type compactor struct {
 	numSections  int
 	state        uint64 // number of compactions performed
 	buf          []float32
-	sortedLen    int // buf[:sortedLen] is sorted; appends land after it
-	scratch      []float32
+	// sortedLen is the length of buf's longest ascending prefix, a pure
+	// function of buf: every mutator either keeps it exact (Insert,
+	// compaction) or re-derives it (markSorted), so a decoded compactor
+	// holds exactly the original's and promotes into the same places.
+	sortedLen int
+	scratch   []float32
 }
 
 func newCompactor(h, sectionSize int) *compactor {
@@ -60,16 +72,29 @@ func newCompactor(h, sectionSize int) *compactor {
 // half of which is the protected region.
 func (c *compactor) capacity() int { return 2 * c.sectionSize * c.numSections }
 
-// sort restores full sortedness. The buffer is always a sorted prefix
-// (survivors of the last compaction) plus an unsorted tail of new
-// arrivals, so sorting the tail and merging the two runs is much cheaper
-// than re-sorting the whole buffer every compaction.
+// ascending reports whether the whole buffer is sorted.
+func (c *compactor) ascending() bool { return c.sortedLen == len(c.buf) }
+
+// markSorted re-derives sortedLen after a mutation that changed only
+// buf[from:]: buf[:min(from, sortedLen)] is still ascending, so the
+// scan resumes there.
+func (c *compactor) markSorted(from int) {
+	n := min(from, c.sortedLen)
+	for n < len(c.buf) && (n == 0 || c.buf[n] >= c.buf[n-1]) {
+		n++
+	}
+	c.sortedLen = n
+}
+
+// sort restores full sortedness. The buffer is a sorted prefix plus an
+// unsorted tail of new arrivals, so only the tail is sorted (with the
+// shared kernel) and then merged with the prefix.
 func (c *compactor) sort() {
-	if c.sortedLen == len(c.buf) {
+	if c.ascending() {
 		return
 	}
 	tail := c.buf[c.sortedLen:]
-	slices.Sort(tail)
+	sketch.SortFloat32(tail)
 	if c.sortedLen > 0 {
 		c.scratch = append(c.scratch[:0], tail...)
 		// Merge backward: largest elements settle at the end first.
@@ -105,9 +130,10 @@ type Sketch struct {
 	seed       uint64
 
 	// view is the sorted query view, built lazily at query time and
-	// invalidated by mutation. Unlike KLL's, the rebuild must re-sort
-	// higher compactors too, which is why ReqSketch query time grows
-	// with data size (Sec 4.4.2).
+	// invalidated by mutation. Unlike KLL's, the rebuild must sort the
+	// unsorted tail of every compactor, not only of the bottom one,
+	// which is why ReqSketch query time grows with data size
+	// (Sec 4.4.2).
 	view sketch.LevelView
 }
 
@@ -157,7 +183,11 @@ func (s *Sketch) Insert(x float64) {
 		metrics.Inserts.Inc()
 	}
 	c0 := s.compactors[0]
-	c0.buf = append(c0.buf, float32(x))
+	xf := float32(x)
+	if c0.ascending() && (len(c0.buf) == 0 || xf >= c0.buf[len(c0.buf)-1]) {
+		c0.sortedLen++
+	}
+	c0.buf = append(c0.buf, xf)
 	s.count++
 	s.view.Invalidate()
 	if x < s.min {
@@ -233,8 +263,20 @@ func (s *Sketch) compactLevel(h int) {
 	if s.rng.Uint64()&1 == 1 {
 		offset = 1
 	}
-	for i := offset; i < len(compactRegion); i += 2 {
-		next.buf = append(next.buf, compactRegion[i])
+	// The promoted items, every other item of a sorted region, form an
+	// ascending run. Merged into an ascending compactor h+1 it keeps
+	// h+1 ascending, so h+1 needs no sort at its own compaction or in
+	// the query view. Otherwise (h+1 has a descent, or is too long for
+	// a merge to pay) it is appended.
+	if next.ascending() && len(next.buf) <= maxMergeRatio*(L/2) {
+		next.buf = sketch.MergeRun(next.buf, compactRegion[offset:], L/2)
+		next.sortedLen = len(next.buf)
+	} else {
+		n := len(next.buf)
+		for i := offset; i < len(compactRegion); i += 2 {
+			next.buf = append(next.buf, compactRegion[i])
+		}
+		next.markSorted(n)
 	}
 	if s.hra {
 		c.buf = append(c.buf[:0], c.buf[L:]...)
@@ -264,7 +306,7 @@ func (s *Sketch) Count() uint64 { return s.count }
 func (s *Sketch) buildView() {
 	if s.view.Begin() {
 		for _, c := range s.compactors {
-			s.view.AddLevel(c.h, c.buf)
+			s.view.AddLevel(c.h, c.buf, c.sortedLen)
 		}
 		s.view.Sort()
 	}
@@ -320,9 +362,11 @@ func (s *Sketch) Merge(other sketch.Sketch) error {
 	}
 	for h, oc := range o.compactors {
 		c := s.compactors[h]
-		// Appended foreign items form the unsorted tail; the receiver's
-		// sorted prefix remains valid.
+		// Appended foreign items extend the receiver's sorted prefix
+		// only when it covered the whole buffer.
+		n := len(c.buf)
 		c.buf = append(c.buf, oc.buf...)
+		c.markSorted(n)
 		c.state |= oc.state
 		// Adopt the finer (further advanced) section configuration; at
 		// equal advancement, the smaller (degraded) section size wins so
@@ -504,7 +548,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		for i := range c.buf {
 			c.buf[i] = math.Float32frombits(r.U32())
 		}
-		c.sortedLen = 0
+		c.markSorted(0)
 		ns.compactors[h] = c
 	}
 	if r.Err() != nil {

@@ -15,25 +15,31 @@ import (
 // so a warm rebuild allocates nothing. The zero value is an empty,
 // invalid view.
 //
-// A rebuild is closure-free:
+// The samplers keep most of their items in sorted runs (KLL's levels
+// above 0, the sorted prefix of each REQ compactor), so a rebuild takes
+// each level as an ascending prefix plus an unsorted tail, sorts only
+// the tails (into one scratch array, with SortFloat32) and merges all
+// the runs. A rebuild is closure-free:
 //
 //	if v.Begin() {
 //		for h, items := range levels {
-//			v.AddLevel(h, items)
+//			v.AddLevel(h, items, sortedLen[h])
 //		}
 //		v.Sort()
 //	}
 type LevelView struct {
 	valid   bool
-	vals    []float32 // item values, ascending
-	cum     []uint64  // cum[i] is the total weight of vals[:i+1]
-	scratch []levelItem
+	vals    []float32  // item values, ascending
+	cum     []uint64   // cum[i] is the total weight of vals[:i+1]
+	runs    []levelRun // the ascending runs being merged
+	tails   []levelRun // the unsorted tails, sorted into scratch by Sort
+	scratch []float32
 }
 
-// levelItem is one retained item with its level weight.
-type levelItem struct {
-	v float32
-	w uint64
+// levelRun is a run of items that all weigh w.
+type levelRun struct {
+	items []float32
+	w     uint64
 }
 
 // Invalidate marks the view stale; the next Begin starts a rebuild.
@@ -46,43 +52,104 @@ func (v *LevelView) Begin() bool {
 	if v.valid {
 		return false
 	}
-	v.scratch = v.scratch[:0]
+	v.runs, v.tails = v.runs[:0], v.tails[:0]
 	return true
 }
 
 // AddLevel adds the items of level h, each weighing 2^h, to the view
-// being rebuilt.
-func (v *LevelView) AddLevel(h int, items []float32) {
+// being rebuilt. items[:sorted] must be ascending; the rest may be in
+// any order. The view reads items until Sort returns, so the level must
+// not change before then.
+func (v *LevelView) AddLevel(h int, items []float32, sorted int) {
 	w := uint64(1) << uint(h)
-	for _, x := range items {
-		v.scratch = append(v.scratch, levelItem{x, w})
+	if sorted > 0 {
+		v.runs = append(v.runs, levelRun{items[:sorted], w})
+	}
+	if sorted < len(items) {
+		v.tails = append(v.tails, levelRun{items[sorted:], w})
 	}
 }
 
-// Sort finishes a rebuild: the added items are sorted by value and
-// their weights accumulated. Equal values may land in any order (the
-// sort is unstable), which cannot be observed: Quantile and Rank only
-// consult cumulative weight at value boundaries.
+// Sort finishes a rebuild: the tails are sorted, every run is merged by
+// value and the weights are accumulated. Equal values from different
+// runs may land in any order, which cannot be observed: Quantile and
+// Rank only consult cumulative weight at value boundaries.
 func (v *LevelView) Sort() {
-	slices.SortFunc(v.scratch, func(a, b levelItem) int {
-		switch {
-		case a.v < b.v:
-			return -1
-		case a.v > b.v:
-			return 1
-		default:
-			return 0
-		}
-	})
-	vals, cums := v.vals[:0], v.cum[:0]
-	var cum uint64
-	for _, e := range v.scratch {
-		cum += e.w
-		vals = append(vals, e.v)
-		cums = append(cums, cum)
+	n, tn := 0, 0
+	for _, r := range v.runs {
+		n += len(r.items)
 	}
+	for _, r := range v.tails {
+		tn += len(r.items)
+	}
+	scratch := slices.Grow(v.scratch[:0], tn)[:tn]
+	v.scratch = scratch
+	for _, r := range v.tails {
+		t := scratch[:len(r.items)]
+		scratch = scratch[len(r.items):]
+		copy(t, r.items)
+		SortFloat32(t)
+		v.runs = append(v.runs, levelRun{t, r.w})
+	}
+	n += tn
+	vals := slices.Grow(v.vals[:0], n)[:n]
+	cums := slices.Grow(v.cum[:0], n)[:n]
+	mergeRuns(vals, cums, v.runs)
 	v.vals, v.cum = vals, cums
+	// Drop the references to the levels, which may be replaced before
+	// the next rebuild.
+	clear(v.runs)
+	clear(v.tails)
 	v.valid = true
+}
+
+// mergeRuns writes the items of the ascending runs into vals in value
+// order, and into cum their cumulative weight, by repeatedly taking the
+// smallest head of a binary min-heap of the runs. vals and cum must
+// hold exactly the runs' items. The runs are consumed.
+func mergeRuns(vals []float32, cum []uint64, runs []levelRun) {
+	for i := len(runs)/2 - 1; i >= 0; i-- {
+		siftRun(runs, i)
+	}
+	var c uint64
+	for i := 0; len(runs) > 1; i++ {
+		r := &runs[0]
+		c += r.w
+		vals[i], cum[i] = r.items[0], c
+		if r.items = r.items[1:]; len(r.items) == 0 {
+			runs[0] = runs[len(runs)-1]
+			runs = runs[:len(runs)-1]
+		}
+		siftRun(runs, 0)
+	}
+	if len(runs) == 1 {
+		r := runs[0]
+		off := len(vals) - len(r.items)
+		copy(vals[off:], r.items)
+		for i := off; i < len(vals); i++ {
+			c += r.w
+			cum[i] = c
+		}
+	}
+}
+
+// siftRun restores the min-heap order of runs, keyed by each run's
+// first item, below position i.
+func siftRun(runs []levelRun, i int) {
+	for {
+		m := i
+		if l := 2*i + 1; l < len(runs) && runs[l].items[0] < runs[m].items[0] {
+			m = l
+		}
+		if r := 2*i + 2; r < len(runs) && runs[r].items[0] < runs[m].items[0] {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		runs[i], runs[m] = runs[m], runs[i]
+		i = m
+	}
 }
 
 // Quantile returns the item whose cumulative weight first reaches
@@ -135,7 +202,7 @@ func (v *LevelView) Weight() uint64 {
 
 // Bytes reports the capacity the view holds, for Footprint accounting.
 func (v *LevelView) Bytes() int {
-	return 4*cap(v.vals) + 8*cap(v.cum) + 16*cap(v.scratch)
+	return 4*cap(v.vals) + 8*cap(v.cum) + 4*cap(v.scratch) + 32*(cap(v.runs)+cap(v.tails))
 }
 
 // ScaleLevels rescales the weight of level-based samples by g in (0, 1)

@@ -1,11 +1,11 @@
-package kll
+package sketch
 
 import (
 	"math"
 	"slices"
 )
 
-// Size classes of sortFloat32, set from BenchmarkSortFloat32 (the
+// Size classes of SortFloat32, set from BenchmarkSortFloat32 (the
 // numbers are in DESIGN.md §13, "Level-0 sort"). Up to insertionMax
 // items an inlined insertion sort runs; from radixMin to radixMax an
 // LSD radix sort on the float bits; between and above them slices.Sort
@@ -18,14 +18,15 @@ const (
 	radixMax     = 512
 )
 
-// sortFloat32 sorts b ascending. b must hold no NaN, which a level
-// never does: Insert drops NaNs and sketch.ValidLevels rejects them on
-// decode. On such input every class gives the same order as
-// slices.Sort, except that −0 and +0, which compare equal, may come
-// out in either order (the radix class puts −0 first).
+// SortFloat32 is the sort kernel of the level-based samplers (KLL,
+// ReqSketch) and of LevelView: it sorts b ascending. b must hold no
+// NaN, which a level never does: the samplers' Insert drops NaNs and
+// ValidLevels rejects them on decode. On such input every class gives
+// the same order as slices.Sort, except that −0 and +0, which compare
+// equal, may come out in either order (the radix class puts −0 first).
 //
 //sketch:hotpath
-func sortFloat32(b []float32) {
+func SortFloat32(b []float32) {
 	switch n := len(b); {
 	case n <= insertionMax:
 		insertionSortFloat32(b)
@@ -134,4 +135,30 @@ func radixPass(src []uint32, dst *[radixMax]uint32, counts *[256]uint64, p uint)
 		dst[counts[d]>>lane&(radixMax-1)] = k
 		counts[d] += 1 << lane
 	}
+}
+
+// MergeRun merges the m ascending items run[0], run[2], …, run[2(m−1)]
+// into the ascending dst and returns the result: a compaction promotes
+// every other item of a sorted region, so its output is such a run.
+// dst grows exactly as m single appends would grow it, so the allocated
+// capacity (which Footprint reports) is what appending the run would
+// leave. The merge runs backward in place, largest items first; run
+// must not share dst's array.
+func MergeRun(dst, run []float32, m int) []float32 {
+	n := len(dst)
+	for cap(dst) < n+m {
+		dst = append(dst[:cap(dst)], 0)
+	}
+	dst = dst[:n+m]
+	i, j := n-1, m-1
+	for k := n + m - 1; j >= 0; k-- {
+		if i >= 0 && dst[i] > run[2*j] {
+			dst[k] = dst[i]
+			i--
+		} else {
+			dst[k] = run[2*j]
+			j--
+		}
+	}
+	return dst
 }

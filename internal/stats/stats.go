@@ -22,14 +22,16 @@ type ExactQuantiles struct {
 }
 
 // NewExactQuantiles copies and sorts data. It panics on empty input since
-// the harness always materializes non-empty windows.
+// the harness always materializes non-empty windows. A caller that owns
+// data and no longer needs its order can skip the copy: SortFloat64 it
+// and wrap it with FromSorted.
 func NewExactQuantiles(data []float64) *ExactQuantiles {
 	if len(data) == 0 {
 		panic("stats: NewExactQuantiles on empty data")
 	}
 	s := make([]float64, len(data))
 	copy(s, data)
-	sort.Float64s(s)
+	SortFloat64(s)
 	return &ExactQuantiles{sorted: s}
 }
 
@@ -59,8 +61,16 @@ func (e *ExactQuantiles) Quantile(q float64) float64 {
 	return e.sorted[idx-1]
 }
 
-// Rank returns the number of elements less than or equal to x.
+// Rank returns the number of elements less than or equal to x: all of
+// them for x ≥ Max, +Inf included, and 0 for NaN, as sketch.Rank
+// defines it.
 func (e *ExactQuantiles) Rank(x float64) int {
+	if math.IsNaN(x) {
+		return 0
+	}
+	if x >= e.Max() {
+		return len(e.sorted)
+	}
 	return sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
 }
 

@@ -341,3 +341,26 @@ func TestWeightedQuantilesDecayShift(t *testing.T) {
 		}
 	}
 }
+
+// TestExactRankInfNaN pins ExactQuantiles.Rank to sketch.Rank's
+// contract at the edges: x ≥ the maximum counts every element, +Inf
+// elements included, and NaN counts none.
+func TestExactRankInfNaN(t *testing.T) {
+	e := NewExactQuantiles([]float64{1, 2, math.Inf(1), 3})
+	if got := e.Rank(math.Inf(1)); got != 4 {
+		t.Errorf("Rank(+Inf) over {1, 2, +Inf, 3} = %d, want 4", got)
+	}
+	if got := e.Rank(math.MaxFloat64); got != 3 {
+		t.Errorf("Rank(MaxFloat64) over {1, 2, +Inf, 3} = %d, want 3", got)
+	}
+	e = NewExactQuantiles([]float64{1, 2, 3})
+	if got := e.Rank(math.NaN()); got != 0 {
+		t.Errorf("Rank(NaN) over {1, 2, 3} = %d, want 0", got)
+	}
+	if got := e.Rank(math.Inf(-1)); got != 0 {
+		t.Errorf("Rank(-Inf) over {1, 2, 3} = %d, want 0", got)
+	}
+	if got := RankError(e, 0.9, math.NaN()); got != 0.9 {
+		t.Errorf("RankError(0.9, NaN) = %v, want 0.9 (NaN ranks 0)", got)
+	}
+}

@@ -206,7 +206,9 @@ type WindowResult struct {
 	// Sketch summarizes every accepted event (partition sketches merged).
 	Sketch sketch.Sketch
 	// Values holds the accepted events' payloads when
-	// Config.CollectValues is set; nil otherwise.
+	// Config.CollectValues is set; nil otherwise. The receiver owns the
+	// slice: the engine never reads or writes it after the emit, so a
+	// callback may reorder or overwrite it in place.
 	Values []float64
 	// Accepted is the number of events included in the window.
 	Accepted int64

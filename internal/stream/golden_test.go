@@ -6,6 +6,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -353,4 +354,43 @@ func TestSessionGolden(t *testing.T) {
 		"recovering": "885761be8b40e72c",
 	}
 	checkGoldens(t, runs, want)
+}
+
+// TestCallbackOwnsValues pins the WindowResult.Values contract: the
+// receiver owns the slice, so a callback that scrambles it in place —
+// as the accuracy harness sorts it — changes nothing the engine emits
+// afterwards. A tumbling window hands over its pane's own slice and a
+// sliding one a fresh concatenation of several panes; both runs must
+// digest exactly as the same run with an untouched callback.
+func TestCallbackOwnsValues(t *testing.T) {
+	run := func(cfg Config, scramble bool) string {
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var results []WindowResult
+		st, err := eng.Run(func(r WindowResult) {
+			kept := r
+			kept.Values = slices.Clone(r.Values)
+			results = append(results, kept)
+			if scramble {
+				slices.Reverse(r.Values)
+				for i := range r.Values {
+					r.Values[i] = -r.Values[i] - 1
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return digestRun(t, results, st)
+	}
+	for name, cfg := range map[string]Config{
+		"tumbling":         goldenCfg(1, 4, true),
+		"sliding-parallel": slidingGoldenCfg(4),
+	} {
+		if got, want := run(cfg, true), run(cfg, false); got != want {
+			t.Errorf("%s: a scrambling callback changed the run's digest: %s, untouched %s", name, got, want)
+		}
+	}
 }

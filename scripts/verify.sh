@@ -89,25 +89,32 @@ gate tests go test ./...
 gate hotpath-allocs go test -run 'Allocs' ./internal/kll ./internal/req \
 	./internal/ddsketch ./internal/uddsketch ./internal/moments \
 	./internal/fastlog ./internal/stream ./internal/concurrent \
-	./internal/sketch ./internal/checkpoint
+	./internal/sketch ./internal/checkpoint ./internal/stats
 gate invariant-tests go test -tags invariants ./internal/...
-# KLL keeps its levels above 0 sorted and merges into them instead of
-# re-sorting at every compaction, and sorts level 0 with a size-classed
-# kernel (insertion, pdqsort, radix). The differential tests against the
-# sort-every-compaction reference and against slices.Sort and the
-# short-suffix resume test run by name, plain and invariant-armed (which
-# also checks the sorted mask against the levels after every mutation),
-# then the kernel's fuzzer runs for 10 s, so a broken sortedness
-# contract or sort is reported as this gate. Minimizing a new
-# interesting input is capped at 1 s: at the default 60 s it would take
-# the whole 10 s from fuzzing.
-kll_compaction() {
-	local tests='TestSortedCompactionDifferential|TestSortedResumeShortSuffix|TestSortFloat32MatchesSlicesSort'
-	go test -count=1 -run "$tests" ./internal/kll &&
-		go test -count=1 -tags invariants -run "$tests" ./internal/kll &&
-		go test -run '^$' -fuzz FuzzSortFloat32 -fuzztime 10s -fuzzminimizetime 1s ./internal/kll
+# The samplers keep their items in sorted runs and share one float32
+# sort kernel (internal/sketch): KLL keeps its levels above 0 sorted,
+# REQ sorts only each compactor's unsorted tail and merges promoted runs
+# into ascending compactors, and the query view merges the runs instead
+# of sorting every item. The exact oracle sorts with an in-place float64
+# radix sort and the moments solver runs blocked Newton passes. The
+# differential tests of each against its reference — sort-every-
+# compaction KLL and REQ, short-suffix resume, slices.Sort,
+# sort.Float64s, the pair-sorted view, the plain Newton loops — run by
+# name, plain and invariant-armed (which also checks KLL's sorted mask
+# against the levels after every mutation), then both sort kernels'
+# fuzzers run for 10 s each, so a broken sortedness contract, sort or
+# kernel is reported as this gate. Minimizing a new interesting input is
+# capped at 1 s: at the default 60 s it would take the whole 10 s from
+# fuzzing.
+sort_kernel() {
+	local tests='TestSortedCompactionDifferential|TestSortedResumeShortSuffix|TestSortFloat32MatchesSlicesSort|TestReqSortedCompactionDifferential|TestReqSortedResumeShortSuffix|TestLevelViewMergeMatchesPairSort|TestNewtonKernelMatchesPlainLoops|TestSortFloat64MatchesSortFloat64s'
+	local pkgs='./internal/kll ./internal/req ./internal/sketch ./internal/maxent ./internal/stats'
+	go test -count=1 -run "$tests" $pkgs &&
+		go test -count=1 -tags invariants -run "$tests" $pkgs &&
+		go test -run '^$' -fuzz FuzzSortFloat32 -fuzztime 10s -fuzzminimizetime 1s ./internal/kll &&
+		go test -run '^$' -fuzz FuzzSortFloat64 -fuzztime 10s -fuzzminimizetime 1s ./internal/stats
 }
-gate kll-compaction kll_compaction
+gate sort-kernel sort_kernel
 gate race go test -race ./internal/stream ./internal/harness
 # The source stage's block handoff on a single P under the race
 # detector: with one processor the producer and the coordinator share
