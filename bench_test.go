@@ -233,26 +233,10 @@ func BenchmarkStoreAblation(b *testing.B) { runExperiment(b, "ablation-store", 0
 // BenchmarkHRAAblation regenerates the ReqSketch HRA/LRA ablation.
 func BenchmarkHRAAblation(b *testing.B) { runExperiment(b, "ablation-hra", 0, 4, "") }
 
-// BenchmarkBulkInsert measures the O(1) weighted-insert path against the
-// loop fallback for a heavy point mass.
-func BenchmarkBulkInsert(b *testing.B) {
-	builders := benchBuilders(b)
-	for _, alg := range []string{"ddsketch", "uddsketch", "moments"} {
-		builder := builders[alg]
-		b.Run(alg, func(b *testing.B) {
-			sk := builder()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sketch.InsertRepeated(sk, 42.5, 1000)
-			}
-		})
-	}
-}
-
 // BenchmarkInsertBatch compares per-element Insert against
 // sketch.InsertAll on the same Pareto stream, in ns/event. The batch
-// path feeds 256-value chunks, the granularity the stream engine's
-// worker pool ships. DDSketch, UDDSketch and moments have a native
+// path feeds 256-value chunks, the granularity of the stream engine's
+// partition batches. DDSketch, UDDSketch and moments have a native
 // kernel (sketch.BatchInserter); KLL and REQ do not, so their batch
 // rows measure InsertAll's per-value fallback loop.
 func BenchmarkInsertBatch(b *testing.B) {

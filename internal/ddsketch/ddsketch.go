@@ -156,7 +156,7 @@ func (s *Sketch) Gamma() float64 { return s.mapping.Gamma() }
 // Insert implements sketch.Sketch. NaN values are ignored.
 func (s *Sketch) Insert(x float64) { s.InsertN(x, 1) }
 
-// InsertN implements sketch.BulkInserter: n occurrences of x in O(1).
+// InsertN adds n occurrences of x in O(1).
 func (s *Sketch) InsertN(x float64, n uint64) {
 	if math.IsNaN(x) || n == 0 {
 		return

@@ -82,7 +82,11 @@ type Plan struct {
 func New() *Plan { return &Plan{} }
 
 // WithPanic arms a panic on worker's event-th insert (worker-local,
-// zero-based). The panic value is a Fault. It panics if event is
+// zero-based). The stream engine numbers a worker's inserts in batch
+// order, as its partition batches reach the worker's store (worker 0
+// is the engine goroutine on the serial path), so with several
+// partitions the event-th insert is generally not the event-th
+// accepted event. The panic value is a Fault. It panics if event is
 // negative — the fault point must exist.
 func (p *Plan) WithPanic(worker int, event int64) *Plan {
 	if event < 0 {

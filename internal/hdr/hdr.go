@@ -144,14 +144,6 @@ func (h *Histogram) RecordValues(v int64, n uint64) {
 	}
 }
 
-// InsertN implements sketch.BulkInserter.
-func (h *Histogram) InsertN(x float64, n uint64) {
-	if math.IsNaN(x) {
-		return
-	}
-	h.RecordValues(int64(math.Round(x)), n)
-}
-
 // Insert implements sketch.Sketch: float values are rounded to integers
 // (record at an appropriate unit scale for sub-unit resolution). NaNs
 // and non-positive values are clamped to the lowest discernible value.

@@ -61,6 +61,11 @@ func TestQuantileAllocs(t *testing.T) {
 	}
 }
 
+// radixMin and radixMax copy the bounds of sketch.SortFloat32's radix
+// class (internal/sketch/sort.go), the class whose scratch lives on the
+// stack; TestCompactionAllocs aims its window at that class.
+const radixMin, radixMax = 40, 512
+
 // TestCompactionAllocs pins the //sketch:hotpath contract on the
 // level-0 sort: once warm, scalar Insert at DefaultK, while level 0's
 // capacity puts its sorts in the radix class, allocates nothing — the

@@ -57,7 +57,7 @@ func (s *FullSketch) K() int { return s.k }
 // ignored (the log basis cannot represent them).
 func (s *FullSketch) Insert(x float64) { s.InsertN(x, 1) }
 
-// InsertN implements sketch.BulkInserter.
+// InsertN adds n occurrences of x in O(k).
 func (s *FullSketch) InsertN(x float64, n uint64) {
 	if math.IsNaN(x) || x <= 0 || n == 0 {
 		return

@@ -5,8 +5,6 @@ import (
 	"math/rand/v2"
 	"sort"
 	"testing"
-
-	"repro/internal/sketch"
 )
 
 func TestFullParetoWithoutTransform(t *testing.T) {
@@ -195,5 +193,3 @@ func TestFullBeatsStandardOnHeavyTail(t *testing.T) {
 		t.Errorf("joint log basis (%v) should beat standard-only (%v) on heavy tails", fullErr/3, stdErr/3)
 	}
 }
-
-var _ sketch.BulkInserter = (*FullSketch)(nil)

@@ -173,7 +173,7 @@ func (s *Sketch) PowerSums() []float64 {
 // values under TransformLog (they cannot be represented).
 func (s *Sketch) Insert(x float64) { s.InsertN(x, 1) }
 
-// InsertN implements sketch.BulkInserter: n occurrences of x in O(k).
+// InsertN adds n occurrences of x in O(k).
 func (s *Sketch) InsertN(x float64, n uint64) {
 	if math.IsNaN(x) || n == 0 {
 		return

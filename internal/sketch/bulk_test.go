@@ -5,35 +5,34 @@ import (
 	"testing"
 
 	"repro/internal/ddsketch"
-	"repro/internal/hdr"
-	"repro/internal/kll"
 	"repro/internal/moments"
 	"repro/internal/sketch"
-	"repro/internal/tdigest"
 	"repro/internal/uddsketch"
 )
 
-// bulkSketches lists every BulkInserter implementation.
-func bulkSketches(t *testing.T) map[string]func() sketch.Sketch {
+// bulkSketch is a sketch whose Insert delegates to its O(1) weighted
+// InsertN, with that method reached through the concrete type.
+type bulkSketch struct {
+	name    string
+	mk      func() sketch.Sketch
+	insertN func(sk sketch.Sketch, x float64, n uint64)
+}
+
+// bulkSketches lists the sketches with an InsertN.
+func bulkSketches(t *testing.T) []bulkSketch {
 	t.Helper()
-	return map[string]func() sketch.Sketch{
-		"ddsketch": func() sketch.Sketch { return ddsketch.New(0.01) },
-		"uddsketch": func() sketch.Sketch {
+	return []bulkSketch{
+		{"ddsketch", func() sketch.Sketch { return ddsketch.New(0.01) },
+			func(sk sketch.Sketch, x float64, n uint64) { sk.(*ddsketch.Sketch).InsertN(x, n) }},
+		{"uddsketch", func() sketch.Sketch {
 			s, err := uddsketch.NewChecked(0.01, 1024)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return s
-		},
-		"moments": func() sketch.Sketch { return moments.New(10) },
-		"hdr": func() sketch.Sketch {
-			h, err := hdr.New(1, 1_000_000, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return h
-		},
-		"tdigest": func() sketch.Sketch { return tdigest.New(100) },
+		}, func(sk sketch.Sketch, x float64, n uint64) { sk.(*uddsketch.Sketch).InsertN(x, n) }},
+		{"moments", func() sketch.Sketch { return moments.New(10) },
+			func(sk sketch.Sketch, x float64, n uint64) { sk.(*moments.Sketch).InsertN(x, n) }},
 	}
 }
 
@@ -43,16 +42,12 @@ func TestBulkInsertEquivalence(t *testing.T) {
 		x float64
 		n uint64
 	}{{10, 1000}, {42.5, 500}, {999, 2500}, {3.3, 1}, {77, 7}}
-	for name, mk := range bulkSketches(t) {
-		t.Run(name, func(t *testing.T) {
-			bulk, loop := mk(), mk()
-			bi, ok := bulk.(sketch.BulkInserter)
-			if !ok {
-				t.Fatalf("%s does not implement BulkInserter", name)
-			}
+	for _, bs := range bulkSketches(t) {
+		t.Run(bs.name, func(t *testing.T) {
+			bulk, loop := bs.mk(), bs.mk()
 			var total uint64
 			for _, v := range values {
-				bi.InsertN(v.x, v.n)
+				bs.insertN(bulk, v.x, v.n)
 				for i := uint64(0); i < v.n; i++ {
 					loop.Insert(v.x)
 				}
@@ -61,7 +56,7 @@ func TestBulkInsertEquivalence(t *testing.T) {
 			if bulk.Count() != total || loop.Count() != total {
 				t.Fatalf("counts: bulk %d loop %d want %d", bulk.Count(), loop.Count(), total)
 			}
-			switch name {
+			switch bs.name {
 			case "moments":
 				// Five point masses are infeasible for the max-entropy
 				// solver (the paper's minimum-cardinality caveat), so
@@ -72,26 +67,6 @@ func TestBulkInsertEquivalence(t *testing.T) {
 				for i := range ps1 {
 					if math.Abs(ps1[i]-ps2[i]) > 1e-9*(1+math.Abs(ps2[i])) {
 						t.Errorf("power sum %d: bulk %v vs loop %v", i, ps1[i], ps2[i])
-					}
-				}
-			case "tdigest":
-				// t-digest clusters weighted points differently from
-				// interleaved singleton inserts (it has no per-quantile
-				// guarantee to preserve); assert the structural
-				// invariants instead: count, range, monotonicity.
-				prevB, prevL := math.Inf(-1), math.Inf(-1)
-				for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-					a, err1 := bulk.Quantile(q)
-					b, err2 := loop.Quantile(q)
-					if err1 != nil || err2 != nil {
-						t.Fatalf("q=%v: %v / %v", q, err1, err2)
-					}
-					if a < prevB || b < prevL {
-						t.Errorf("q=%v: non-monotone estimates", q)
-					}
-					prevB, prevL = a, b
-					if a < 3.3 || a > 999 {
-						t.Errorf("q=%v: bulk estimate %v outside data range", q, a)
 					}
 				}
 			default:
@@ -112,32 +87,12 @@ func TestBulkInsertEquivalence(t *testing.T) {
 
 // InsertN with n=0 or NaN must be a no-op.
 func TestBulkInsertNoOps(t *testing.T) {
-	for name, mk := range bulkSketches(t) {
-		sk := mk()
-		bi := sk.(sketch.BulkInserter)
-		bi.InsertN(5, 0)
-		bi.InsertN(math.NaN(), 10)
+	for _, bs := range bulkSketches(t) {
+		sk := bs.mk()
+		bs.insertN(sk, 5, 0)
+		bs.insertN(sk, math.NaN(), 10)
 		if sk.Count() != 0 {
-			t.Errorf("%s: count %d after no-op inserts", name, sk.Count())
+			t.Errorf("%s: count %d after no-op inserts", bs.name, sk.Count())
 		}
-	}
-}
-
-// InsertRepeated falls back to a loop for sampling sketches.
-func TestInsertRepeatedFallback(t *testing.T) {
-	s := kll.New(64)
-	sketch.InsertRepeated(s, 7, 1000)
-	if s.Count() != 1000 {
-		t.Fatalf("count = %d", s.Count())
-	}
-	v, err := s.Quantile(0.5)
-	if err != nil || v != 7 {
-		t.Errorf("median = %v, %v", v, err)
-	}
-	// And uses the fast path for bulk sketches.
-	d := ddsketch.New(0.01)
-	sketch.InsertRepeated(d, 7, 1000)
-	if d.Count() != 1000 {
-		t.Fatalf("dd count = %d", d.Count())
 	}
 }

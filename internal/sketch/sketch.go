@@ -188,10 +188,10 @@ func InsertAll(s Sketch, xs []float64) {
 // compaction/collapse trigger points, the same floating-point
 // accumulation order, and the same treatment of NaN and unrepresentable
 // values. Only invisible scratch state (e.g. a backing array's spare
-// capacity) may differ. The stream engine's parallel path relies on
-// this equivalence to stay bit-deterministic at any worker count
-// (internal/stream), and TestInsertBatchEquivalence enforces it for
-// every implementation.
+// capacity) may differ. The stream engine inserts in batches on every
+// path and relies on this equivalence for its answers to match
+// per-event insertion (internal/stream), and TestInsertBatchEquivalence
+// enforces it for every implementation.
 type BatchInserter interface {
 	// InsertBatch adds every value of xs, equivalent to inserting them
 	// one at a time in order.
@@ -304,25 +304,4 @@ func Trim(s Sketch) {
 type AccuracyBounder interface {
 	// AccuracyBound reports the sketch's current error bound.
 	AccuracyBound() float64
-}
-
-// BulkInserter is implemented by sketches that can absorb n identical
-// observations in O(1) — the histogram and moment sketches. Sampling
-// sketches (KLL, REQ) cannot, since their guarantees depend on seeing
-// items individually; use a loop there.
-type BulkInserter interface {
-	// InsertN adds n occurrences of x.
-	InsertN(x float64, n uint64)
-}
-
-// InsertRepeated adds n occurrences of x to any sketch, using the O(1)
-// path when the sketch supports it.
-func InsertRepeated(s Sketch, x float64, n uint64) {
-	if b, ok := s.(BulkInserter); ok {
-		b.InsertN(x, n)
-		return
-	}
-	for i := uint64(0); i < n; i++ {
-		s.Insert(x)
-	}
 }

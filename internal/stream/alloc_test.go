@@ -3,6 +3,10 @@ package stream
 import (
 	"testing"
 	"time"
+
+	"repro/internal/datagen"
+	"repro/internal/ddsketch"
+	"repro/internal/sketch"
 )
 
 // TestMinHeapAllocs pins the //sketch:hotpath contract on the generic
@@ -80,5 +84,54 @@ func TestArrivalQueueAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(20, cycle)
 	if avg > 0 {
 		t.Errorf("arrivalQueue Push/PopUntil cycle allocates %.1f times per %d events, want 0", avg, len(delays))
+	}
+}
+
+// TestCoordinatorInsertAllocs pins the //sketch:hotpath contract on the
+// coordinator's per-event batch append, serial path: once every
+// partition's sketch holds the values' buckets, appending an event to
+// its partition's pending batch, and inserting each full batch inline,
+// allocates nothing.
+func TestCoordinatorInsertAllocs(t *testing.T) {
+	const parts = 4
+	eng, err := NewEngine(Config{
+		WindowSize: time.Second,
+		Rate:       1000,
+		NumWindows: 1,
+		Partitions: parts,
+		Values:     datagen.NewUniform(1, 2, 1),
+		Builder:    func() sketch.Sketch { return ddsketch.New(0.01) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := eng.newRunState(func(WindowResult) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.sink.close()
+	events := make([]Event, 4*parts*batchSize)
+	for i := range events {
+		events[i] = Event{Value: float64(1 + i%97), Partition: i % parts}
+	}
+	w := &windowState{}
+	cycle := func() {
+		for _, ev := range events {
+			rs.insert(w, 0, ev)
+		}
+	}
+	cycle() // warm: builds the partition sketches and their buckets
+	avg := testing.AllocsPerRun(20, cycle)
+	if avg > 0 {
+		t.Errorf("coordinator insert allocates %.1f times per %d events, want 0", avg, len(events))
+	}
+	rs.flush()
+	sks, _ := rs.sink.partials(0)
+	var n uint64
+	for _, sk := range sks {
+		n += sk.Count()
+	}
+	if n != uint64(rs.stats.Accepted) {
+		t.Fatalf("partition sketches hold %d events, want all %d accepted", n, rs.stats.Accepted)
 	}
 }

@@ -35,6 +35,13 @@ func (rs *runState) onDegrade(id int64) {
 // degradation alone cannot fit the budget, and finally toggle shedding
 // (rung 3). Shedding clears itself on the first pass that fits again.
 func (rs *runState) enforceBudget() {
+	if _, serial := rs.sink.(*partStore); serial {
+		// Only the serial governor tracks the store's sketches, so only
+		// it needs them to hold every pending event. The parallel
+		// coordinator's governor sees sealed panes alone, and a flush
+		// there would split the batches the workers enforce at.
+		rs.flush()
+	}
 	rs.sinceEnforce = 0
 	out := rs.gov.Enforce(rs.onDegrade)
 	for out.Exhausted && rs.coarsenOldestPane() {

@@ -57,6 +57,9 @@ func (rs *runState) maybeSnapshot() error {
 		// resume could usefully replay.
 		return nil
 	}
+	// Flushed here, not in snapshot: inserting is no part of the encode
+	// path, which must stay a pure function of state.
+	rs.flush()
 	return rs.snapshot()
 }
 

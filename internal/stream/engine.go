@@ -92,10 +92,12 @@ type Config struct {
 	// partitioning (a single sketch per window).
 	Partitions int
 	// Workers is the number of goroutines running the partition-local
-	// sketch inserts. 0 or 1 runs everything on the caller's goroutine,
-	// whose store holds every partition's sketches; higher values give
-	// worker w the store of the partitions p with p % Workers == w, fed
-	// fixed-size event batches over a channel, with windows fired at
+	// sketch inserts. On every path the engine collects each
+	// partition's accepted events into batches of up to 256. 0 or 1
+	// runs everything on the caller's goroutine, whose store holds every
+	// partition's sketches and inserts each batch inline; higher values
+	// give worker w the store of the partitions p with p % Workers == w,
+	// fed the batches over a channel, with windows fired at
 	// deterministic barrier points, so results are bit-identical to the
 	// serial path at any worker count. Workers above Partitions are
 	// clamped (each partition is owned by exactly one worker): the clamp
@@ -152,8 +154,12 @@ type Config struct {
 	CheckpointEvery int
 	// Faults, when non-nil, injects the configured deterministic faults
 	// (worker panics, partition stalls, duplicate batch deliveries) into
-	// the run — see internal/faultinject. Nil costs one predictable
-	// branch per event on the insert path.
+	// the run — see internal/faultinject. Insert indices count in batch
+	// order on every path: a store's inserts are numbered as its
+	// partition batches reach it, so on the serial path with several
+	// partitions the n-th insert is generally not the n-th accepted
+	// event. Nil costs one predictable branch per batch run on the
+	// insert path.
 	Faults *faultinject.Plan
 	// MemoryBudget, when positive, caps the engine's live sketch
 	// footprint (sketch.FootprintOf over every open partition sketch
@@ -181,14 +187,18 @@ type Config struct {
 	// event into the given concurrent shared sketch, so live quantile
 	// queries can be answered mid-window (and mid-run) through
 	// SharedSketch.Snapshot() while the engine keeps inserting — the
-	// windowed results above are unaffected. The serial path inserts
-	// through writer handle 0 on the engine goroutine; with Workers > 1
-	// each worker w inserts through handle w, so SharedSketch must have
-	// NumWriters() >= the (clamped) worker count. Writer buffers are
-	// flushed when the run completes (workers flush at shutdown), after
-	// which the shared sketch reflects every accepted event of the run
-	// exactly; snapshots taken mid-run may trail by at most
-	// SharedSketch.MaxRelaxation() buffered events. The shared sketch
+	// windowed results above are unaffected. Values reach it a
+	// partition batch at a time, so with several partitions the
+	// writers see them batch by batch rather than in arrival order. The
+	// serial path inserts through writer handle 0 on the engine
+	// goroutine; with Workers > 1 each worker w inserts through handle
+	// w, so SharedSketch must have NumWriters() >= the (clamped) worker
+	// count. Writer buffers are flushed when the run completes (workers
+	// flush at shutdown), after which the shared sketch reflects every
+	// accepted event of the run exactly; snapshots taken mid-run may
+	// trail by SharedSketch.MaxRelaxation() buffered events plus up to
+	// 256·Partitions events still in the engine's pending batches
+	// (every batch is handed over at each window fire). The shared sketch
 	// accumulates across all windows of the run and is NOT part of
 	// checkpoints: a resumed run replays events into it, so pass a
 	// fresh shared sketch per resumed run if its count must stay exact.
@@ -293,14 +303,53 @@ func (s Stats) LossRate() float64 {
 	return float64(s.DroppedLate) / float64(s.Generated)
 }
 
+// batchSize is the number of accepted events a partition's pending
+// batch holds before the coordinator hands it to the sink. Large enough
+// to amortize a worker's channel hand-off and let the sketches' batch
+// kernels (sketch.BatchInserter) work on long runs, small enough that
+// the flush before a barrier stays cheap.
+const batchSize = 256
+
+// eventBatch carries a run of accepted events of one partition, in
+// arrival order: vals[i] belongs to the window the sink holds under key
+// wins[i]. seq is the partition-local ship sequence number (1-based) on
+// the parallel path: workers drop any batch whose seq they have already
+// seen, so duplicate delivery (the faultinject dup fault, or a retry
+// layer above the pool) is idempotent.
+type eventBatch struct {
+	part int32
+	seq  uint64
+	wins []int32
+	vals []float64
+}
+
+func newEventBatch(part int) *eventBatch {
+	return &eventBatch{
+		part: int32(part),
+		wins: make([]int32, 0, batchSize),
+		vals: make([]float64, 0, batchSize),
+	}
+}
+
+func (b *eventBatch) reset() {
+	b.wins = b.wins[:0]
+	b.vals = b.vals[:0]
+}
+
 // partialSink owns the per-window, per-partition sketches of a run. The
-// engine drives it with the accepted-event stream in arrival order and
-// collects each window's partials at its fire barrier. Implementations:
-// partStore driven inline (the serial path) and workerPool, whose
-// workers each drive a partStore of their partitions from a channel.
+// engine hands it the accepted events in arrival order, one partition
+// batch at a time, and collects each window's partials at its fire
+// barrier; before any barrier the engine flushes its pending batches,
+// so the barrier observes every insert issued before it.
+// Implementations: partStore driven inline (the serial path) and
+// workerPool, whose workers each drive a partStore of their partitions
+// from a channel.
 type partialSink interface {
-	// insert routes one accepted event to partition part of window win.
-	insert(win, part int, v float64)
+	// insertBatch hands b to the sink, which owns it from then on, and
+	// returns an empty batch of the same partition for the caller's next
+	// events: b itself when the sink inserts inline, a recycled batch
+	// when b is shipped to a worker.
+	insertBatch(b *eventBatch) *eventBatch
 	// partials returns window win's partition sketches, indexed by
 	// partition (nil entries for partitions that saw no events), with
 	// every insert for that window applied, plus the number of budget
@@ -314,13 +363,15 @@ type partialSink interface {
 	snapshot() (map[int][][]byte, error)
 	// restore seeds window win's partition sketches from a decoded
 	// snapshot (nil entries are skipped). It must be called before any
-	// insert for that window.
+	// batch holding that window.
 	restore(win int, parts []sketch.Sketch)
 	// err reports a failure captured inside the sink (a worker panic)
 	// since the run began; the engine checks it at every fire barrier.
 	err() error
 	// close releases worker resources and flushes the shared-sketch
-	// writers; the sink is unusable afterwards.
+	// writers; the sink is unusable afterwards. Batches the engine has
+	// not handed over are dropped: it fires every tracked window before
+	// closing, so they can only be left over by a failed run.
 	close()
 }
 
@@ -457,6 +508,10 @@ type runState struct {
 	emit func(WindowResult)
 	met  *obs.EngineMetrics
 	sink partialSink
+	// pending holds each partition's accepted events not yet handed to
+	// the sink (nil before the partition's first event); flush hands
+	// them over before every barrier.
+	pending []*eventBatch
 
 	vals  datagen.Source
 	delay DelayModel
@@ -565,11 +620,23 @@ func (e *Engine) newRunState(emit func(WindowResult)) (*runState, error) {
 		rs.enforceAt = rs.gov.Interval()
 		rs.sink = newPartStore(cfg.Builder, cfg.Partitions, 0, rs.gov, cfg.Metrics, cfg.Faults, cfg.SharedSketch)
 	}
+	rs.pending = make([]*eventBatch, cfg.Partitions)
 	if cfg.CheckpointStore != nil {
 		rs.snapEvery = cfg.CheckpointEvery
 		rs.builderName = cfg.Builder().Name()
 	}
 	return rs, nil
+}
+
+// flush hands every partition's pending events to the sink, in
+// partition order: the prelude to any point that observes partition
+// sketches.
+func (rs *runState) flush() {
+	for part, b := range rs.pending {
+		if b != nil && len(b.vals) > 0 {
+			rs.pending[part] = rs.sink.insertBatch(b)
+		}
+	}
 }
 
 // fireSession fires the oldest open session as window nextFire: it
@@ -582,6 +649,7 @@ func (rs *runState) fireSession() error {
 	rs.sessions = rs.sessions[1:]
 	merged := rs.cfg.Builder()
 	degrades := 0
+	rs.flush()
 	for _, key := range w.keys {
 		delete(rs.open, key)
 		parts, sinkDeg := rs.sink.partials(key)
@@ -674,9 +742,24 @@ func (rs *runState) process(ev Event) error {
 }
 
 // insert adds one accepted event to open window w, whose partition
-// sketches the sink holds under key.
+// sketches the sink holds under key: it appends the event to its
+// partition's pending batch and hands the batch to the sink when full.
+//
+//sketch:hotpath
 func (rs *runState) insert(w *windowState, key int, ev Event) {
-	rs.sink.insert(key, ev.Partition%rs.cfg.Partitions, ev.Value)
+	part := ev.Partition % rs.cfg.Partitions
+	b := rs.pending[part]
+	if b == nil {
+		// Made on first use, so a run reaches its first event without
+		// paying for every partition's batch.
+		b = newEventBatch(part)
+		rs.pending[part] = b
+	}
+	b.wins = append(b.wins, int32(key))
+	b.vals = append(b.vals, ev.Value)
+	if len(b.vals) == batchSize {
+		rs.pending[part] = rs.sink.insertBatch(b)
+	}
 	w.accepted++
 	rs.stats.Accepted++
 	if rs.met != nil {

@@ -224,6 +224,7 @@ func (rs *runState) routePaned(ev Event, t time.Duration) {
 func (rs *runState) sealPane(j int) error {
 	w := rs.open[j]
 	delete(rs.open, j)
+	rs.flush()
 	parts, sinkDeg := rs.sink.partials(j)
 	if err := rs.sink.err(); err != nil {
 		return err

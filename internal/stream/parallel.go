@@ -11,32 +11,6 @@ import (
 	"repro/internal/sketch"
 )
 
-// batchSize is the number of events a per-partition batch holds before
-// it is shipped to its worker. Large enough to amortize the channel
-// hand-off and let the sketches' batch kernels (sketch.BatchInserter)
-// work on long runs, small enough that a window's tail flush stays
-// cheap.
-const batchSize = 256
-
-// eventBatch carries a run of accepted events for one partition. wins
-// and vals are parallel slices; wins is non-decreasing (events arrive
-// in watermark order), so workers can split it into per-window runs and
-// feed each run to the sketch's batched insert path in one call. seq is
-// the partition-local ship sequence number (1-based): workers drop any
-// batch whose seq they have already seen, so duplicate delivery (the
-// faultinject dup fault, or a retry layer above the pool) is idempotent.
-type eventBatch struct {
-	part int32
-	seq  uint64
-	wins []int32
-	vals []float64
-}
-
-func (b *eventBatch) reset() {
-	b.wins = b.wins[:0]
-	b.vals = b.vals[:0]
-}
-
 // workerSnap is a worker's reply to a snapshot barrier: its store's
 // sealed envelopes per open window (nil entries for partitions it does
 // not own), or the error that prevented serialization.
@@ -91,9 +65,8 @@ type workerPool struct {
 	partitions int
 	workers    int
 
-	pending []*eventBatch // one per partition, nil when empty
-	seqs    []uint64      // per-partition ship sequence numbers
-	shipped int64         // total batches shipped (faultinject dup basis)
+	seqs    []uint64 // per-partition ship sequence numbers
+	shipped int64    // total batches shipped (faultinject dup basis)
 	chans   []chan workerMsg
 	replies []chan fireReply
 	snaps   []chan workerSnap
@@ -112,7 +85,6 @@ func newWorkerPool(builder sketch.Builder, partitions, workers int, met *obs.Eng
 	p := &workerPool{
 		partitions: partitions,
 		workers:    workers,
-		pending:    make([]*eventBatch, partitions),
 		seqs:       make([]uint64, partitions),
 		chans:      make([]chan workerMsg, workers),
 		replies:    make([]chan fireReply, workers),
@@ -120,12 +92,7 @@ func newWorkerPool(builder sketch.Builder, partitions, workers int, met *obs.Eng
 		met:        met,
 		faults:     faults,
 	}
-	p.pool.New = func() any {
-		return &eventBatch{
-			wins: make([]int32, 0, batchSize),
-			vals: make([]float64, 0, batchSize),
-		}
-	}
+	p.pool.New = func() any { return newEventBatch(0) }
 	for w := 0; w < workers; w++ {
 		// Deep buffers decouple the coordinator (event generation,
 		// arrival queue, watermarks) from insert hiccups like sketch
@@ -139,10 +106,13 @@ func newWorkerPool(builder sketch.Builder, partitions, workers int, met *obs.Eng
 	return p
 }
 
-// ship stamps b with its partition's next sequence number and sends it
-// to the owning worker — duplicated when the fault plan says so (the
-// duplicate carries the same seq, so the worker's dedupe drops it).
-func (p *workerPool) ship(part int, b *eventBatch) {
+// insertBatch implements partialSink: stamp b with its partition's next
+// sequence number and send it to the owning worker — duplicated when
+// the fault plan says so (the duplicate carries the same seq, so the
+// worker's dedupe drops it) — then hand back a recycled batch for the
+// partition's next events.
+func (p *workerPool) insertBatch(b *eventBatch) *eventBatch {
+	part := int(b.part)
 	p.seqs[part]++
 	b.seq = p.seqs[part]
 	var dup *eventBatch
@@ -165,42 +135,16 @@ func (p *workerPool) ship(part int, b *eventBatch) {
 		// backed up (insert hiccups, compaction stalls).
 		p.met.MaxBatchQueueDepth.Max(int64(len(ch)))
 	}
+	next := p.pool.Get().(*eventBatch)
+	next.part = b.part
+	return next
 }
 
-// insert implements partialSink: append to the partition's pending
-// batch, shipping it to the owning worker when full.
-func (p *workerPool) insert(win, part int, v float64) {
-	b := p.pending[part]
-	if b == nil {
-		b = p.pool.Get().(*eventBatch)
-		b.part = int32(part)
-		p.pending[part] = b
-	}
-	b.wins = append(b.wins, int32(win))
-	b.vals = append(b.vals, v)
-	if len(b.vals) == batchSize {
-		p.pending[part] = nil
-		p.ship(part, b)
-	}
-}
-
-// flushPending ships every partially filled batch — the prelude to any
-// barrier, so the barrier observes all inserts issued before it.
-func (p *workerPool) flushPending() {
-	for part, b := range p.pending {
-		if b != nil {
-			p.pending[part] = nil
-			p.ship(part, b)
-		}
-	}
-}
-
-// partials implements partialSink: flush every pending batch, then send
-// each worker a fire barrier and reassemble the window's partition
-// sketches in partition order. The channel send/receive pair gives the
-// coordinator a happens-before edge on all of the window's inserts.
+// partials implements partialSink: send each worker a fire barrier and
+// reassemble the window's partition sketches in partition order. The
+// channel send/receive pair gives the coordinator a happens-before edge
+// on all of the window's inserts.
 func (p *workerPool) partials(win int) ([]sketch.Sketch, int) {
-	p.flushPending()
 	for w := 0; w < p.workers; w++ {
 		p.chans[w] <- workerMsg{fireWin: int32(win), reply: p.replies[w]}
 	}
@@ -218,12 +162,11 @@ func (p *workerPool) partials(win int) ([]sketch.Sketch, int) {
 	return out, degrades
 }
 
-// snapshot implements partialSink: flush pending batches, then barrier
-// every worker and reassemble the sealed per-partition blobs per open
-// window. Every worker is always drained even when one reports an
-// error, keeping the channels balanced.
+// snapshot implements partialSink: barrier every worker and reassemble
+// the sealed per-partition blobs per open window. Every worker is
+// always drained even when one reports an error, keeping the channels
+// balanced.
 func (p *workerPool) snapshot() (map[int][][]byte, error) {
-	p.flushPending()
 	for w := 0; w < p.workers; w++ {
 		p.chans[w] <- workerMsg{snap: p.snaps[w]}
 	}
@@ -278,9 +221,7 @@ func (p *workerPool) err() error {
 }
 
 // close implements partialSink: stop the workers and wait for them to
-// drain. Any still-pending batches are dropped — the engine fires every
-// tracked window before closing, so by then they can only hold events
-// of untracked (grace-period) windows, which are never inserted anyway.
+// drain.
 func (p *workerPool) close() {
 	for _, ch := range p.chans {
 		close(ch)
@@ -347,8 +288,8 @@ func (p *workerPool) workerLoop(st *partStore) (clean bool) {
 				// Not a duplicate delivery, so the shared sketch is fed
 				// once per batch.
 				seen[b.part] = b.seq
-				st.insertBatch(int(b.part), b.wins, b.vals)
 				sinceEnforce += len(b.vals)
+				st.insertBatch(b)
 			}
 			b.reset()
 			p.pool.Put(b)

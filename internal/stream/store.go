@@ -97,43 +97,31 @@ func (s *partStore) onEvent(part int) {
 	s.partEvents[part]++
 }
 
-// insert implements partialSink: one value into (win, part), and into
-// the shared sketch.
-func (s *partStore) insert(win, part int, v float64) {
-	if s.faults != nil {
-		s.onEvent(part)
-	}
-	s.sketchFor(win, part).Insert(v)
+// insertBatch implements partialSink: it adds one partition's batch.
+// Each run of consecutive events of one window key goes to its sketch
+// in one sketch.InsertAll call, after the fault hooks have counted its
+// values; the batch is fed to the shared sketch whole. The emptied
+// batch is returned for reuse.
+func (s *partStore) insertBatch(b *eventBatch) *eventBatch {
+	part := int(b.part)
 	if s.shared != nil {
-		s.shared.Insert(v)
+		s.shared.InsertBatch(b.vals)
 	}
-}
-
-// insertBatch adds one partition's batch: vals[i] belongs to window
-// wins[i], and wins is non-decreasing, so each run of equal keys goes to
-// its sketch in one sketch.InsertAll call — or value by value when the
-// fault hooks need exact insert indices. The batch is fed to the shared
-// sketch whole.
-func (s *partStore) insertBatch(part int, wins []int32, vals []float64) {
-	if s.shared != nil {
-		s.shared.InsertBatch(vals)
-	}
-	for i := 0; i < len(wins); {
+	for i := 0; i < len(b.wins); {
 		j := i + 1
-		for j < len(wins) && wins[j] == wins[i] {
+		for j < len(b.wins) && b.wins[j] == b.wins[i] {
 			j++
 		}
-		sk := s.sketchFor(int(wins[i]), part)
-		if s.faults == nil {
-			sketch.InsertAll(sk, vals[i:j])
-		} else {
-			for _, v := range vals[i:j] {
+		if s.faults != nil {
+			for range b.vals[i:j] {
 				s.onEvent(part)
-				sk.Insert(v)
 			}
 		}
+		sketch.InsertAll(s.sketchFor(int(b.wins[i]), part), b.vals[i:j])
 		i = j
 	}
+	b.reset()
+	return b
 }
 
 // degraded is the governor's onDegrade callback for the store's

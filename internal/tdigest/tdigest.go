@@ -78,25 +78,6 @@ func (s *Sketch) Insert(x float64) {
 	}
 }
 
-// InsertN implements sketch.BulkInserter: n occurrences of x are added
-// as one weighted centroid in O(1) amortized.
-func (s *Sketch) InsertN(x float64, n uint64) {
-	if math.IsNaN(x) || n == 0 {
-		return
-	}
-	s.flush()
-	s.centroids = append(s.centroids, centroid{mean: x, count: int64(n)})
-	sort.Slice(s.centroids, func(i, j int) bool { return s.centroids[i].mean < s.centroids[j].mean })
-	s.count += int64(n)
-	if x < s.min {
-		s.min = x
-	}
-	if x > s.max {
-		s.max = x
-	}
-	s.flushCentroids()
-}
-
 // kScale is the tail-sensitive scale function k1.
 func (s *Sketch) kScale(q float64) float64 {
 	return s.compression / (2 * math.Pi) * math.Asin(2*q-1)

@@ -161,7 +161,7 @@ func (s *ArraySketch) grow(idx int) {
 // and sub-normal positives count exactly in the zero bucket.
 func (s *ArraySketch) Insert(x float64) { s.InsertN(x, 1) }
 
-// InsertN implements sketch.BulkInserter.
+// InsertN adds n occurrences of x in O(1).
 func (s *ArraySketch) InsertN(x float64, n uint64) {
 	if math.IsNaN(x) || n == 0 {
 		return

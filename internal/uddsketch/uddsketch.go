@@ -210,7 +210,7 @@ func (s *Sketch) value(i int) float64 {
 // small to index are counted exactly.
 func (s *Sketch) Insert(x float64) { s.InsertN(x, 1) }
 
-// InsertN implements sketch.BulkInserter: n occurrences of x in O(1).
+// InsertN adds n occurrences of x in O(1).
 func (s *Sketch) InsertN(x float64, n uint64) {
 	if math.IsNaN(x) || n == 0 {
 		return

@@ -197,11 +197,6 @@ func NewGK(eps float64) *gk.Sketch { return gk.New(eps) }
 // count (inserts + deletes), and its footprint is twice plain KLL's.
 func NewKLLPlusMinus(k int) *kllpm.Sketch { return kllpm.New(k) }
 
-// InsertRepeated adds n occurrences of x to sk, using the O(1) weighted
-// path for sketches that support it (DDSketch, UDDSketch, Moments, HDR,
-// t-digest) and a loop otherwise.
-func InsertRepeated(sk Sketch, x float64, n uint64) { sketch.InsertRepeated(sk, x, n) }
-
 // NewMomentsFull returns the full Moments Sketch variant that maintains
 // standard AND log power sums and solves them jointly — the original
 // design, handling heavy-tailed positive data without a manual

@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
-# Same-run benchmark ratios for the root package: one `go test -bench`
-# run, and every ratio divides two benchmarks of that run, so both
+# Same-run benchmark ratios for the root package: five runs of one test
+# binary, and every ratio divides two benchmarks of those runs, so both
 # sides share the host, the build and the moment. Comparing one commit
 # against another is perfbench's job (`perfbench compare`).
 #
 # Each table row names a baseline and a contender (the "Benchmark"
 # prefix omitted) and prints baseline ns/op ÷ contender ns/op, each
 # side the median of its 5 repeats: one lucky or unlucky repeat moves
-# no ratio. A row whose benchmark is
+# no ratio. Each run makes one repeat of every benchmark, so the two
+# sides of a pair run back to back in every repeat and a load shift
+# lands on both; with `go test -count=5` all five repeats of one side
+# run before the other's. A row whose benchmark is
 # missing from the run fails the script, so a renamed benchmark cannot
 # drop a pair silently, and so does a row below its floor. Two rows
 # have one:
@@ -22,15 +25,22 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-out="$(mktemp -t bench.XXXXXX)"
-trap 'rm -f "$out"' EXIT
+tmp="$(mktemp -d -t bench.XXXXXX)"
+trap 'rm -rf "$tmp"' EXIT
+out="$tmp/out"
 
-if ! go test -run '^$' -benchmem -count=5 -benchtime "${BENCHTIME:-1s}" \
-	-bench '^Benchmark(InsertBatch|StreamThroughput|QuantileAll|AccuracyEval|InsertMapping|InsertIndexer|InsertStore|ConcurrentInsert|SlidingThroughput|BudgetOverhead)$' \
-	. | tee "$out"; then
-	echo "bench.sh: FAILED: go test -bench" >&2
+if ! go test -c -o "$tmp/bench.test" .; then
+	echo "bench.sh: FAILED: go test -c" >&2
 	exit 1
 fi
+for rep in 1 2 3 4 5; do
+	if ! "$tmp/bench.test" -test.run '^$' -test.benchmem -test.count=1 -test.benchtime "${BENCHTIME:-1s}" \
+		-test.bench '^Benchmark(InsertBatch|StreamThroughput|QuantileAll|AccuracyEval|InsertMapping|InsertIndexer|InsertStore|ConcurrentInsert|SlidingThroughput|BudgetOverhead)$' |
+		tee -a "$out"; then
+		echo "bench.sh: FAILED: benchmark run $rep" >&2
+		exit 1
+	fi
+done
 
 # pair BASE CONTENDER [FLOOR] prints median(BASE)/median(CONTENDER) in
 # ns/op over the run; it fails, naming the pair, when either benchmark

@@ -111,7 +111,7 @@ sort_kernel() {
 	local pkgs='./internal/kll ./internal/req ./internal/sketch ./internal/maxent ./internal/stats'
 	go test -count=1 -run "$tests" $pkgs &&
 		go test -count=1 -tags invariants -run "$tests" $pkgs &&
-		go test -run '^$' -fuzz FuzzSortFloat32 -fuzztime 10s -fuzzminimizetime 1s ./internal/kll &&
+		go test -run '^$' -fuzz FuzzSortFloat32 -fuzztime 10s -fuzzminimizetime 1s ./internal/sketch &&
 		go test -run '^$' -fuzz FuzzSortFloat64 -fuzztime 10s -fuzzminimizetime 1s ./internal/stats
 }
 gate sort-kernel sort_kernel
