@@ -56,10 +56,43 @@ func NewPareto(alpha, xm float64, seed uint64) *Pareto {
 }
 
 // Next implements Source.
+//
+//sketch:hotpath
 func (p *Pareto) Next() float64 {
 	// Inverse-CDF sampling; 1-U avoids a zero argument.
 	u := 1 - p.rng.Float64()
-	return p.Xm / math.Pow(u, 1/p.Alpha)
+	return p.Xm / unitPow(u, 1/p.Alpha)
+}
+
+// unitPow returns math.Pow(u, y), bit for bit, for u in [2⁻⁵³, 1]: the
+// values 1 - rand.Float64() takes. On y in (0.5, 1.5], which holds
+// every shape the drifting workload draws (α ~ N(1, 0.05)), it performs
+// exactly the operations math.Pow's general path does and skips the
+// rest; elsewhere it calls math.Pow.
+//
+// Why it is bit-identical on that domain. For such u and y, Pow passes
+// every special case (u is finite and positive, y is neither 0 nor
+// ±0.5, and y = 1 or u = 1 is caught below) and splits y with Modf
+// into yi + yf. For y in (0.5, 1) that is 0 + y, and yf > 0.5 turns it
+// into 1 + (y-1); for y in [1, 1.5] it is 1 + (y-1) directly. Either
+// way yi = 1 and yf = y-1, and y-1 is exact by Sterbenz's lemma (y/2 ≤
+// 1 ≤ 2y), so Pow's fraction factor is a = Exp((y-1)·Log(u)), the very
+// expression below. With yi = 1 its squaring loop runs once: Frexp
+// splits u = m·2ᵉ (m in [0.5, 1)), a becomes a·m, and Pow returns
+// Ldexp(a·m, e). Now |y-1| ≤ 0.5 and u ≥ 2⁻⁵³ keep a within
+// [2⁻²⁷, 2²⁷], so both a·m and a·u are normal and scaling by 2ᵉ is
+// exact: Ldexp(a·m, e) rounds exactly as a·u does. When y = 1, Pow
+// returns u, and here Log(u) ≤ 0 makes the argument -0 (or +0 at
+// u = 1), Exp returns exactly 1 and the product is u; when u = 1, Pow
+// returns 1, and here Log(1) = 0 gives Exp(±0)·1 = 1. Both paths call
+// the same math.Exp and math.Log, and no multiply here feeds an add,
+// so no fused multiply-add can round differently. TestParetoPow and
+// FuzzParetoPow check the identity against math.Pow.
+func unitPow(u, y float64) float64 {
+	if y > 0.5 && y <= 1.5 {
+		return math.Exp((y-1)*math.Log(u)) * u
+	}
+	return math.Pow(u, y)
 }
 
 // Normal samples N(Mu, Sigma²).

@@ -3,6 +3,7 @@ package stream
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/datagen"
 	"repro/internal/ddsketch"
@@ -133,5 +134,14 @@ func TestCoordinatorInsertAllocs(t *testing.T) {
 	}
 	if n != uint64(rs.stats.Accepted) {
 		t.Fatalf("partition sketches hold %d events, want all %d accepted", n, rs.stats.Accepted)
+	}
+}
+
+// TestRunStateSizeClass pins runState under the 704-byte heap slot its
+// doc comment explains: one word more and every run's set-up allocates
+// from a colder size class.
+func TestRunStateSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(runState{}); size > 696 {
+		t.Errorf("runState is %d bytes, want at most 696", size)
 	}
 }

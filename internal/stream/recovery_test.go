@@ -50,6 +50,36 @@ func mustRunCollect(t *testing.T, cfg Config) ([]WindowResult, Stats) {
 	return results, stats
 }
 
+// assertCrashesMidRun runs cfg once, without recovery, and fails
+// unless its injected panic stops the run after at least one fired
+// window and one snapshot whose in-flight list is non-empty: the state
+// RunRecovering's first attempt resumes from, so recovery restores a
+// real mid-run queue.
+func assertCrashesMidRun(t *testing.T, label string, cfg Config) {
+	t.Helper()
+	store := checkpoint.NewMemStore()
+	cfg.CheckpointStore = store
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired := 0
+	_, err = eng.Run(func(WindowResult) { fired++ })
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("%s: run without recovery: got %v, want an injected panic", label, err)
+	}
+	inFlight := 0
+	if snap, _, _, err := checkpoint.LatestValid(store); err == nil {
+		inFlight = len(snap.InFlight)
+	} else if !errors.Is(err, checkpoint.ErrNoSnapshot) {
+		t.Fatal(err)
+	}
+	if fired == 0 || inFlight == 0 {
+		t.Fatalf("%s: crashed after %d fired windows with %d events in the last snapshot's queue, want both > 0", label, fired, inFlight)
+	}
+}
+
 // assertSameRun asserts two runs produced bit-identical windows and
 // equal stats, and that the accounting identity held.
 func assertSameRun(t *testing.T, label string, got []WindowResult, gotStats Stats, want []WindowResult, wantStats Stats) {
@@ -96,24 +126,29 @@ func TestCrashRecoveryDeterminism(t *testing.T) {
 			baseline, baseStats := mustRunCollect(t, recoveryCfg(workers, partitions))
 
 			cfg := recoveryCfg(workers, partitions)
-			cfg.CheckpointStore = checkpoint.NewMemStore()
 			// Crash a worker that exists after clamping (workers >
 			// partitions collapse to the serial path's worker 0) midway
-			// through the run, after checkpoints exist.
-			worker := 0
+			// through the run, after checkpoints exist: the serial
+			// store inserts all ~20,000 accepted events, worker 1 its
+			// one partition's ~5,000.
+			worker, event := 0, int64(10_000)
 			if workers > 1 && partitions > 1 {
-				worker = 1
+				worker, event = 1, 2_500
 			}
-			cfg.Faults = faultinject.New().WithPanic(worker, 2500)
+			label := fmt.Sprintf("workers=%d partitions=%d", workers, partitions)
+			cfg.Faults = faultinject.New().WithPanic(worker, event)
+			assertCrashesMidRun(t, label, cfg)
 
+			cfg.CheckpointStore = checkpoint.NewMemStore()
+			cfg.Faults = faultinject.New().WithPanic(worker, event)
+			recovered := cfg.Metrics.RecoveredPanics.Load()
 			results, stats, err := RunRecovering(cfg)
 			if err != nil {
-				t.Fatalf("workers=%d partitions=%d: %v", workers, partitions, err)
+				t.Fatalf("%s: %v", label, err)
 			}
-			label := "recovered"
-			assertSameRun(t, label, results, stats, baseline, baseStats)
-			if got := cfg.Metrics.RecoveredPanics.Load(); got == 0 {
-				t.Errorf("workers=%d partitions=%d: fault did not fire (RecoveredPanics=0)", workers, partitions)
+			assertSameRun(t, "recovered", results, stats, baseline, baseStats)
+			if cfg.Metrics.RecoveredPanics.Load() == recovered {
+				t.Errorf("%s: fault did not fire (RecoveredPanics unchanged)", label)
 			}
 		}
 	}
@@ -143,21 +178,28 @@ func TestPaneCrashRecoveryDeterminism(t *testing.T) {
 				baseline, baseStats := mustRunCollect(t, paneRecoveryCfg(workers, partitions, lambda))
 
 				cfg := paneRecoveryCfg(workers, partitions, lambda)
-				cfg.CheckpointStore = checkpoint.NewMemStore()
-				worker := 0
+				// Midway through the run, after checkpoints exist: the
+				// four windows span 2.5 s, so the serial store inserts
+				// ~10,000 accepted events and worker 1 ~2,500.
+				worker, event := 0, int64(5_000)
 				if workers > 1 && partitions > 1 {
-					worker = 1
+					worker, event = 1, 1_250
 				}
-				cfg.Faults = faultinject.New().WithPanic(worker, 2500)
+				label := fmt.Sprintf("lambda=%v workers=%d partitions=%d", lambda, workers, partitions)
+				cfg.Faults = faultinject.New().WithPanic(worker, event)
+				assertCrashesMidRun(t, label, cfg)
 
+				cfg.CheckpointStore = checkpoint.NewMemStore()
+				cfg.Faults = faultinject.New().WithPanic(worker, event)
+				recovered := cfg.Metrics.RecoveredPanics.Load()
 				results, stats, err := RunRecovering(cfg)
 				if err != nil {
-					t.Fatalf("lambda=%v workers=%d partitions=%d: %v", lambda, workers, partitions, err)
+					t.Fatalf("%s: %v", label, err)
 				}
 				assertSameRun(t, "pane-recovered", results, stats, baseline, baseStats)
 				assertSameWindows(t, "pane-recovered", results, baseline)
-				if cfg.Metrics.RecoveredPanics.Load() == 0 {
-					t.Errorf("lambda=%v workers=%d partitions=%d: fault did not fire", lambda, workers, partitions)
+				if cfg.Metrics.RecoveredPanics.Load() == recovered {
+					t.Errorf("%s: fault did not fire (RecoveredPanics unchanged)", label)
 				}
 			}
 		}

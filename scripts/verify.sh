@@ -115,6 +115,24 @@ sort_kernel() {
 		go test -run '^$' -fuzz FuzzSortFloat64 -fuzztime 10s -fuzzminimizetime 1s ./internal/stats
 }
 gate sort-kernel sort_kernel
+# The arrival queue links each push at its bucket's head and sorts a
+# bucket once, into a staged run, when the cursor reaches it; the
+# drifting Pareto source draws through a kernel that performs exactly
+# math.Pow's operations on its domain. Their differential tests — the
+# queue against a sorted-slice reference (mid-bucket snapshots, spills
+# and below-cursor pushes included), the crash-recovery tests that
+# restore a non-empty queue, and the kernel against math.Pow — run by
+# name, plain and invariant-armed, then both fuzzers run for 10 s each
+# (minimizing capped at 1 s, as in sort-kernel).
+arrival_queue() {
+	local tests='ArrivalQueue|CrashRecoveryDeterminism|ParetoPow'
+	local pkgs='./internal/stream ./internal/datagen'
+	go test -count=1 -run "$tests" $pkgs &&
+		go test -count=1 -tags invariants -run "$tests" $pkgs &&
+		go test -run '^$' -fuzz FuzzArrivalQueue -fuzztime 10s -fuzzminimizetime 1s ./internal/stream &&
+		go test -run '^$' -fuzz FuzzParetoPow -fuzztime 10s -fuzzminimizetime 1s ./internal/datagen
+}
+gate arrival-queue arrival_queue
 gate race go test -race ./internal/stream ./internal/harness
 # The source stage's block handoff on a single P under the race
 # detector: with one processor the producer and the coordinator share
