@@ -13,12 +13,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/concurrent"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/gk"
 	"repro/internal/harness"
 	"repro/internal/hdr"
+	"repro/internal/kll"
 	"repro/internal/mrl"
+	"repro/internal/obs"
 	"repro/internal/sketch"
 	"repro/internal/stream"
 	"repro/internal/tdigest"
@@ -237,8 +240,9 @@ func BenchmarkHRAAblation(b *testing.B) { runExperiment(b, "ablation-hra", 0, 4,
 // sketch.InsertAll on the same Pareto stream, in ns/event. The batch
 // path feeds 256-value chunks, the granularity of the stream engine's
 // partition batches. DDSketch, UDDSketch and moments have a native
-// kernel (sketch.BatchInserter); KLL and REQ do not, so their batch
-// rows measure InsertAll's per-value fallback loop.
+// kernel (sketch.BatchInserter); KLL's and REQ's kernels run their
+// scalar insert body per value, so with metrics off (as here) their
+// rows measure what the batch call itself saves.
 func BenchmarkInsertBatch(b *testing.B) {
 	const chunk = 256
 	vals := paretoValues(1<<20, 11)
@@ -550,6 +554,60 @@ func BenchmarkBudgetOverhead(b *testing.B) {
 				Values:       src,
 				Builder:      builders["ddsketch"],
 				MemoryBudget: bc.budget,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			if _, err := eng.Run(func(stream.WindowResult) {}); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkMetricsOverhead measures what the enabled metrics layer
+// costs a live-query-shaped run (perfbench's live-query without its
+// reader): KLL window sketches on one partition, a shared KLL fed every
+// accepted event, 50k events/s in 200 ms windows. "off" wires no
+// metrics; "on" wires a registry into the sketches, the shared layer
+// (core.EnableMetrics) and the engine (Config.Metrics). bench.sh prints
+// off/on without a floor.
+func BenchmarkMetricsOverhead(b *testing.B) {
+	vals := datagen.Take(datagen.NewUniform(0, 1, 29), 1<<18)
+	builders, err := core.BuildersForDataset(datagen.DatasetUniform, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, on := range []bool{false, true} {
+		name := "off"
+		if on {
+			name = "on"
+		}
+		b.Run(name, func(b *testing.B) {
+			var met *obs.EngineMetrics
+			if on {
+				reg := obs.NewRegistry()
+				core.EnableMetrics(reg)
+				defer core.EnableMetrics(nil)
+				met = reg.Engine()
+			}
+			i := 0
+			src := datagen.SourceFunc(func() float64 {
+				v := vals[i&(1<<18-1)]
+				i++
+				return v
+			})
+			eng, err := stream.NewEngine(stream.Config{
+				WindowSize:   200 * time.Millisecond,
+				Rate:         50_000,
+				NumWindows:   b.N/10_000 + 1,
+				Partitions:   1,
+				Workers:      1,
+				Values:       src,
+				Builder:      builders[core.AlgKLL],
+				Metrics:      met,
+				SharedSketch: concurrent.NewKLL(kll.DefaultK, 1, 0),
 			})
 			if err != nil {
 				b.Fatal(err)

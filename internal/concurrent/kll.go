@@ -19,10 +19,11 @@ type kllState struct {
 
 // SharedKLL is a concurrent KLL sketch: per-writer buffers propagated
 // by copy-on-write CAS publication. A handoff clones the current shared
-// sketch, inserts the writer's buffer into the clone (the serial Insert
-// path, so the published sketch is always a state some serial KLL could
-// have reached), and compare-and-swaps the new version in; losing the
-// race re-clones from the winner and retries.
+// sketch, inserts the writer's buffer into the clone in one InsertBatch
+// (bit-identical to serial Insert per value, so the published sketch is
+// always a state some serial KLL could have reached), and
+// compare-and-swaps the new version in; losing the race re-clones from
+// the winner and retries.
 // Readers never block writers and vice versa.
 type SharedKLL struct {
 	state   atomic.Pointer[kllState]
@@ -72,9 +73,7 @@ func (s *SharedKLL) flushBuffer(vals []float64) {
 	for {
 		cur := s.state.Load()
 		next := cur.sk.Clone()
-		for _, v := range vals {
-			next.Insert(v)
-		}
+		next.InsertBatch(vals)
 		if s.state.CompareAndSwap(cur, &kllState{epoch: cur.epoch + 1, sk: next}) {
 			break
 		}

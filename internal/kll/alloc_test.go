@@ -1,6 +1,10 @@
 package kll
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/obs"
+)
 
 // TestInsertAllocs pins the //sketch:hotpath contract on Insert: once
 // the compactor levels have grown to the working size, a 1024-value
@@ -100,5 +104,43 @@ func TestCompactionAllocs(t *testing.T) {
 	}
 	if s.NumLevels() != 5 {
 		t.Fatalf("the measured window grew the sketch to %d levels; move it", s.NumLevels())
+	}
+}
+
+// TestInsertBatchAllocs pins the //sketch:hotpath contract on
+// InsertBatch: on a warm sketch whose measured window grows no level, a
+// batch — compactions and the level-0 radix sorts included — allocates
+// nothing, with metrics off and on.
+func TestInsertBatchAllocs(t *testing.T) {
+	defer SetMetrics(nil)
+	for _, m := range []*obs.SketchMetrics{nil, {}} {
+		SetMetrics(m)
+		s := New(DefaultK)
+		state := uint64(0x9e3779b97f4a7c15)
+		xs := make([]float64, 64)
+		fill := func() {
+			for i := range xs {
+				state = state*6364136223846793005 + 1442695040888963407
+				xs[i] = 1 + float64(state>>11)/float64(1<<53)*999
+			}
+		}
+		for s.NumLevels() < 5 {
+			fill()
+			s.InsertBatch(xs)
+		}
+		for i := 0; i < 8; i++ {
+			fill()
+			s.InsertBatch(xs) // warm: grow level 0 and the levels above to their working size
+		}
+		batch := func() {
+			fill()
+			s.InsertBatch(xs)
+		}
+		if avg := testing.AllocsPerRun(10, batch); avg != 0 {
+			t.Errorf("metrics %v: a %d-value InsertBatch allocates %.2f times, want 0", m != nil, len(xs), avg)
+		}
+		if s.NumLevels() != 5 {
+			t.Fatalf("the measured window grew the sketch to %d levels; move it", s.NumLevels())
+		}
 	}
 }

@@ -133,12 +133,44 @@ func (s *Sketch) Insert(x float64) {
 	if math.IsNaN(x) {
 		return
 	}
+	s.view.Invalidate()
+	c := s.insert(x)
 	if metrics != nil {
 		metrics.Inserts.Inc()
+		recordCompactions(c)
 	}
+}
+
+// InsertBatch implements sketch.BatchInserter: the scalar insert body
+// per value, so the state is bit-identical to Insert called per value,
+// with the metrics counted in locals and published as one delta each.
+//
+//sketch:hotpath
+func (s *Sketch) InsertBatch(xs []float64) {
+	n, c := 0, 0
+	for _, x := range xs {
+		if math.IsNaN(x) {
+			continue
+		}
+		n++
+		c += s.insert(x)
+	}
+	if n == 0 {
+		return
+	}
+	s.view.Invalidate()
+	if metrics != nil {
+		metrics.Inserts.Add(int64(n))
+		recordCompactions(c)
+	}
+}
+
+// insert is the insert body Insert and InsertBatch share: it adds x,
+// which is not NaN, and compresses once level 0 is full, returning the
+// compactions run. The caller invalidates the query view.
+func (s *Sketch) insert(x float64) int {
 	s.levels[0] = append(s.levels[0], float32(x))
 	s.count++
-	s.view.Invalidate()
 	if x < s.min {
 		s.min = x
 	}
@@ -146,19 +178,19 @@ func (s *Sketch) Insert(x float64) {
 		s.max = x
 	}
 	if len(s.levels[0]) >= s.capacity(0) {
-		s.compress()
+		return s.compress()
 	}
+	return 0
 }
 
 // compress cascades compactions from the lowest over-full level upward
-// until every level fits its capacity.
-func (s *Sketch) compress() {
+// until every level fits its capacity, and returns how many it ran.
+func (s *Sketch) compress() int {
+	n := 0
 	for h := 0; h < len(s.levels); h++ {
 		if len(s.levels[h]) >= s.capacity(h) {
 			s.compactLevel(h)
-			if metrics != nil {
-				metrics.Compactions.Inc()
-			}
+			n++
 		}
 	}
 	if metrics != nil && s.peakStale {
@@ -166,6 +198,7 @@ func (s *Sketch) compress() {
 		metrics.PeakBytes.Max(int64(s.MemoryBytes()))
 	}
 	s.assertInvariants("compress")
+	return n
 }
 
 // compactLevel sorts level h, promotes a uniformly chosen half (odd- or
@@ -310,7 +343,7 @@ func (s *Sketch) Merge(other sketch.Sketch) error {
 	if o.max > s.max {
 		s.max = o.max
 	}
-	s.compress()
+	recordCompactions(s.compress())
 	s.assertCount("merge", mergedCount)
 	return nil
 }
@@ -390,7 +423,7 @@ func (s *Sketch) Degrade() (int, error) {
 	}
 	s.k = nk
 	s.caps = nil
-	s.compress()
+	recordCompactions(s.compress())
 	for h := range s.levels {
 		s.levels[h] = slices.Clip(s.levels[h])
 	}
@@ -421,9 +454,7 @@ func (s *Sketch) Reset() {
 // they are query-time scratch the copy rebuilds on demand. Clone only
 // reads the receiver, so any number of goroutines may Clone the same
 // immutable sketch concurrently; the concurrent layer's CAS handoff and
-// snapshot reads are built on exactly that property. It panics if the
-// compaction RNG state fails to round-trip, which cannot happen for a
-// state the RNG itself produced.
+// snapshot reads are built on exactly that property.
 func (s *Sketch) Clone() *Sketch {
 	c := &Sketch{
 		k:      s.k,
@@ -440,16 +471,9 @@ func (s *Sketch) Clone() *Sketch {
 	for h, lv := range s.levels {
 		c.levels[h] = slices.Clone(lv)
 	}
-	state, err := s.pcg.MarshalBinary()
-	if err != nil {
-		panic(fmt.Sprintf("kll: clone: marshal rng state: %v", err))
-	}
-	pcg := rand.NewPCG(s.seed, s.seed^0x9e3779b97f4a7c15)
-	if err := pcg.UnmarshalBinary(state); err != nil {
-		panic(fmt.Sprintf("kll: clone: restore rng state: %v", err))
-	}
-	c.pcg = pcg
-	c.rng = rand.New(pcg)
+	pcg := *s.pcg
+	c.pcg = &pcg
+	c.rng = rand.New(c.pcg)
 	return c
 }
 

@@ -1,6 +1,7 @@
 package kll
 
 import (
+	"bytes"
 	"math"
 	"math/rand/v2"
 	"sort"
@@ -332,5 +333,39 @@ func TestQuickWeightConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCloneContinuesIdentically pins Clone's contract: a clone and its
+// original, fed the same suffix, serialize to the same bytes — the
+// compaction coin state is copied, not shared, so feeding the original
+// first does not advance the clone's coins.
+func TestCloneContinuesIdentically(t *testing.T) {
+	src := rand.New(rand.NewPCG(5, 6))
+	s := NewWithSeed(64, 9)
+	for range 10_000 {
+		s.Insert(src.ExpFloat64())
+	}
+	c := s.Clone()
+	suffix := make([]float64, 10_000)
+	for i := range suffix {
+		suffix[i] = src.ExpFloat64()
+	}
+	for _, x := range suffix {
+		s.Insert(x)
+	}
+	for _, x := range suffix {
+		c.Insert(x)
+	}
+	a, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("clone and original serialize differently after the same suffix")
 	}
 }

@@ -13,3 +13,10 @@ var metrics *obs.SketchMetrics
 // by this package is in use — typically at process start; after that,
 // recording is safe from any number of goroutines.
 func SetMetrics(m *obs.SketchMetrics) { metrics = m }
+
+// recordCompactions adds n compactions to the counters.
+func recordCompactions(n int) {
+	if metrics != nil && n > 0 {
+		metrics.Compactions.Add(int64(n))
+	}
+}

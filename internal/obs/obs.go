@@ -8,8 +8,11 @@
 // The layer is disabled by default. Every instrumented package holds a
 // nil *SketchMetrics (or a nil Config.Metrics in the stream engine), and
 // every recording method nil-checks its receiver, so the disabled cost
-// is a single predictable branch per recording site — none of which sit
-// inside per-element scalar loops tighter than an insert. Production
+// is a single predictable branch per recording site. No recording site
+// sits inside a per-element loop: a scalar Insert records its own
+// insert, every batch kernel counts in locals and records one delta per
+// batch, and the stream engine counts its per-event totals in its Stats
+// and publishes them at batch hand-offs and barriers. Production
 // systems built on these sketches (Rinberg et al.'s concurrent sketches,
 // UDDSketch deployments where the collapse count is the accuracy
 // diagnostic) treat these counters as first-class; here they also make

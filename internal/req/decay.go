@@ -38,7 +38,7 @@ func (s *Sketch) ScaleCount(g float64) {
 	}
 	s.count = count
 	s.view.Invalidate()
-	s.compress()
+	recordCompactions(s.compress())
 }
 
 // MergeScaled implements sketch.CountScaler the reference way: scale a

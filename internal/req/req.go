@@ -179,9 +179,42 @@ func (s *Sketch) Insert(x float64) {
 	if math.IsNaN(x) {
 		return
 	}
+	s.view.Invalidate()
+	c := s.insert(x)
 	if metrics != nil {
 		metrics.Inserts.Inc()
+		recordCompactions(c)
 	}
+}
+
+// InsertBatch implements sketch.BatchInserter: the scalar insert body
+// per value, so the state is bit-identical to Insert called per value,
+// with the metrics counted in locals and published as one delta each.
+//
+//sketch:hotpath
+func (s *Sketch) InsertBatch(xs []float64) {
+	n, c := 0, 0
+	for _, x := range xs {
+		if math.IsNaN(x) {
+			continue
+		}
+		n++
+		c += s.insert(x)
+	}
+	if n == 0 {
+		return
+	}
+	s.view.Invalidate()
+	if metrics != nil {
+		metrics.Inserts.Add(int64(n))
+		recordCompactions(c)
+	}
+}
+
+// insert is the insert body Insert and InsertBatch share: it adds x,
+// which is not NaN, and compresses once the bottom compactor is full,
+// returning the compactions run. The caller invalidates the query view.
+func (s *Sketch) insert(x float64) int {
 	c0 := s.compactors[0]
 	xf := float32(x)
 	if c0.ascending() && (len(c0.buf) == 0 || xf >= c0.buf[len(c0.buf)-1]) {
@@ -189,7 +222,6 @@ func (s *Sketch) Insert(x float64) {
 	}
 	c0.buf = append(c0.buf, xf)
 	s.count++
-	s.view.Invalidate()
 	if x < s.min {
 		s.min = x
 	}
@@ -197,24 +229,26 @@ func (s *Sketch) Insert(x float64) {
 		s.max = x
 	}
 	if len(c0.buf) >= c0.capacity() {
-		s.compress()
+		return s.compress()
 	}
+	return 0
 }
 
-// compress compacts every over-full compactor from the bottom up.
-func (s *Sketch) compress() {
+// compress compacts every over-full compactor from the bottom up and
+// returns how many compactions it ran.
+func (s *Sketch) compress() int {
+	n := 0
 	for h := 0; h < len(s.compactors); h++ {
 		c := s.compactors[h]
 		if len(c.buf) >= c.capacity() {
 			s.compactLevel(h)
-			if metrics != nil {
-				metrics.Compactions.Inc()
-			}
+			n++
 		}
 	}
 	if metrics != nil {
 		metrics.PeakBytes.Max(int64(s.MemoryBytes()))
 	}
+	return n
 }
 
 // compactLevel runs one compaction of compactor h, promoting survivors to
@@ -386,7 +420,7 @@ func (s *Sketch) Merge(other sketch.Sketch) error {
 	if o.max > s.max {
 		s.max = o.max
 	}
-	s.compress()
+	recordCompactions(s.compress())
 	return nil
 }
 
@@ -441,7 +475,7 @@ func (s *Sketch) Degrade() (int, error) {
 	if nk := nearestEven(float64(s.k) / 2); nk >= minSectionSize {
 		s.k = nk
 	}
-	s.compress()
+	recordCompactions(s.compress())
 	for _, c := range s.compactors {
 		c.buf = slices.Clip(c.buf)
 		c.scratch = nil

@@ -14,6 +14,7 @@ import (
 	"repro/internal/ddsketch"
 	"repro/internal/kll"
 	"repro/internal/moments"
+	"repro/internal/obs"
 	"repro/internal/req"
 	"repro/internal/sketch"
 	"repro/internal/uddsketch"
@@ -68,11 +69,13 @@ func batchTestValues(n int) []float64 {
 }
 
 // insertKernels names the batchBuilders configurations with a native
-// InsertBatch. KLL and REQ insert through scalar Insert only, since
-// their kernels did not pay (DESIGN.md §8).
+// InsertBatch. KLL's and REQ's run their scalar insert body per value
+// and differ from Insert only in publishing their metrics once per
+// batch (DESIGN.md §13).
 var insertKernels = map[string]bool{
 	"ddsketch": true, "ddsketch-collapse": true, "uddsketch": true,
 	"moments": true, "moments-log": true, "moments-arcsinh": true,
+	"kll": true, "req": true,
 }
 
 // TestInsertBatchEquivalence feeds the same stream through Insert and
@@ -151,3 +154,43 @@ type recordingBatcher struct {
 
 func (r *recordingBatcher) Insert(float64)           { r.inserts++ }
 func (r *recordingBatcher) InsertBatch(xs []float64) { r.batches++ }
+
+// TestInsertBatchMetrics pins the counters of the KLL and REQ kernels,
+// which publish one delta per batch: over the same stream, InsertBatch
+// records exactly the inserts (NaNs skipped) and compactions scalar
+// Insert does, at every chunk size.
+func TestInsertBatchMetrics(t *testing.T) {
+	const n = 20_000
+	vals := batchTestValues(n)
+	builders := batchBuilders(t)
+	for name, setMetrics := range map[string]func(*obs.SketchMetrics){
+		"kll": kll.SetMetrics,
+		"req": req.SetMetrics,
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer setMetrics(nil)
+			ref := &obs.SketchMetrics{}
+			setMetrics(ref)
+			sk := builders[name]()
+			for _, x := range vals {
+				sk.Insert(x)
+			}
+			if ref.Inserts.Load() != int64(sk.Count()) || ref.Compactions.Load() == 0 {
+				t.Fatalf("scalar inserts recorded %d inserts and %d compactions, count %d",
+					ref.Inserts.Load(), ref.Compactions.Load(), sk.Count())
+			}
+			for _, chunk := range []int{1, 3, 256, n} {
+				got := &obs.SketchMetrics{}
+				setMetrics(got)
+				bi := builders[name]().(sketch.BatchInserter)
+				for i := 0; i < n; i += chunk {
+					bi.InsertBatch(vals[i:min(i+chunk, n)])
+				}
+				if got.Inserts.Load() != ref.Inserts.Load() || got.Compactions.Load() != ref.Compactions.Load() {
+					t.Errorf("chunk=%d: %d inserts and %d compactions, scalar %d and %d", chunk,
+						got.Inserts.Load(), got.Compactions.Load(), ref.Inserts.Load(), ref.Compactions.Load())
+				}
+			}
+		})
+	}
+}

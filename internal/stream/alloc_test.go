@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/ddsketch"
+	"repro/internal/obs"
 	"repro/internal/sketch"
 )
 
@@ -92,48 +93,63 @@ func TestArrivalQueueAllocs(t *testing.T) {
 // coordinator's per-event batch append, serial path: once every
 // partition's sketch holds the values' buckets, appending an event to
 // its partition's pending batch, and inserting each full batch inline,
-// allocates nothing.
+// allocates nothing — with metrics off, and with metrics wired, where
+// each full batch also publishes the counters.
 func TestCoordinatorInsertAllocs(t *testing.T) {
-	const parts = 4
-	eng, err := NewEngine(Config{
-		WindowSize: time.Second,
-		Rate:       1000,
-		NumWindows: 1,
-		Partitions: parts,
-		Values:     datagen.NewUniform(1, 2, 1),
-		Builder:    func() sketch.Sketch { return ddsketch.New(0.01) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := eng.newRunState(func(WindowResult) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.sink.close()
-	events := make([]Event, 4*parts*batchSize)
-	for i := range events {
-		events[i] = Event{Value: float64(1 + i%97), Partition: i % parts}
-	}
-	w := &windowState{}
-	cycle := func() {
-		for _, ev := range events {
-			rs.insert(w, 0, ev)
-		}
-	}
-	cycle() // warm: builds the partition sketches and their buckets
-	avg := testing.AllocsPerRun(20, cycle)
-	if avg > 0 {
-		t.Errorf("coordinator insert allocates %.1f times per %d events, want 0", avg, len(events))
-	}
-	rs.flush()
-	sks, _ := rs.sink.partials(0)
-	var n uint64
-	for _, sk := range sks {
-		n += sk.Count()
-	}
-	if n != uint64(rs.stats.Accepted) {
-		t.Fatalf("partition sketches hold %d events, want all %d accepted", n, rs.stats.Accepted)
+	for _, tc := range []struct {
+		name string
+		met  *obs.EngineMetrics
+	}{
+		{"metrics-off", nil},
+		{"metrics-on", obs.NewRegistry().Engine()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const parts = 4
+			eng, err := NewEngine(Config{
+				WindowSize: time.Second,
+				Rate:       1000,
+				NumWindows: 1,
+				Partitions: parts,
+				Values:     datagen.NewUniform(1, 2, 1),
+				Builder:    func() sketch.Sketch { return ddsketch.New(0.01) },
+				Metrics:    tc.met,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs, err := eng.newRunState(func(WindowResult) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rs.sink.close()
+			events := make([]Event, 4*parts*batchSize)
+			for i := range events {
+				events[i] = Event{Value: float64(1 + i%97), Partition: i % parts}
+			}
+			w := &windowState{}
+			cycle := func() {
+				for _, ev := range events {
+					rs.insert(w, 0, ev)
+				}
+			}
+			cycle() // warm: builds the partition sketches and their buckets
+			avg := testing.AllocsPerRun(20, cycle)
+			if avg > 0 {
+				t.Errorf("coordinator insert allocates %.1f times per %d events, want 0", avg, len(events))
+			}
+			rs.flush()
+			sks, _ := rs.sink.partials(0)
+			var n uint64
+			for _, sk := range sks {
+				n += sk.Count()
+			}
+			if n != uint64(rs.stats.Accepted) {
+				t.Fatalf("partition sketches hold %d events, want all %d accepted", n, rs.stats.Accepted)
+			}
+			if tc.met != nil && tc.met.Inserted.Load() != rs.stats.Accepted {
+				t.Errorf("inserted counter %d after the flush, want %d", tc.met.Inserted.Load(), rs.stats.Accepted)
+			}
+		})
 	}
 }
 

@@ -392,41 +392,3 @@ func TestDroppedLateContract(t *testing.T) {
 	}
 	checkIdentity(t, st)
 }
-
-// TestEngineMetricsMatchStats proves the obs counters are not a second
-// bookkeeping that can drift: after a run with drops and rejections, a
-// fresh EngineMetrics must agree exactly with the returned Stats.
-func TestEngineMetricsMatchStats(t *testing.T) {
-	reg := obs.NewRegistry()
-	eng, err := NewEngine(Config{
-		WindowSize: 100 * time.Millisecond,
-		Rate:       5000,
-		NumWindows: 3,
-		Partitions: 2,
-		Workers:    2,
-		Values:     &poisonSource{src: datagen.NewUniform(1, 2, 51), poison: map[int]float64{10: math.NaN()}},
-		Delay:      NewExponentialDelay(20*time.Millisecond, 53),
-		Builder:    ddBuilder,
-		Metrics:    reg.Engine(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, st, err := eng.RunCollect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	for key, want := range map[string]int64{
-		"engine.generated":      st.Generated,
-		"engine.inserted":       st.Accepted,
-		"engine.dropped_late":   st.DroppedLate,
-		"engine.rejected_input": st.RejectedInput,
-		"engine.window_fires":   3,
-	} {
-		if got := snap[key]; got != want {
-			t.Errorf("%s = %d, want %d (stats %+v)", key, got, want, st)
-		}
-	}
-	checkIdentity(t, st)
-}

@@ -22,8 +22,8 @@ func (rs *runState) onDegrade(id int64) {
 		rs.sink.(*partStore).degraded(id)
 		return
 	}
-	if rs.met != nil {
-		rs.met.Degradations.Inc()
+	if rs.cfg.Metrics != nil {
+		rs.cfg.Metrics.Degradations.Inc()
 	}
 	if sp := rs.sealed[int(-1-id)]; sp != nil {
 		sp.degrades++
@@ -49,8 +49,8 @@ func (rs *runState) enforceBudget() {
 	}
 	rs.shedding = out.Exhausted
 	rs.enforceAt = rs.gov.Interval()
-	if rs.met != nil {
-		rs.met.BudgetBytes.Max(int64(out.Usage))
+	if rs.cfg.Metrics != nil {
+		rs.cfg.Metrics.BudgetBytes.Max(int64(out.Usage))
 	}
 }
 
@@ -98,9 +98,9 @@ func (rs *runState) coarsenOldestPane() bool {
 		delete(rs.sealed, j)
 		rs.gov.Untrack(-1 - int64(j))
 		rs.trackPane(j+1, rs.sealed[j+1])
-		if rs.met != nil {
-			rs.met.BudgetEvictions.Inc()
-			rs.met.PanesOpen.Set(int64(len(rs.open) + len(rs.sealed)))
+		if rs.cfg.Metrics != nil {
+			rs.cfg.Metrics.BudgetEvictions.Inc()
+			rs.cfg.Metrics.PanesOpen.Set(int64(len(rs.open) + len(rs.sealed)))
 		}
 		return true
 	}

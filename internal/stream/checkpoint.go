@@ -44,11 +44,11 @@ func asPanicError(r any) *PanicError {
 }
 
 // maybeSnapshot persists a checkpoint when the cadence says so. The
-// drain loops pre-check sinceSnap >= snapEvery before calling, so with
-// checkpointing disabled (snapEvery == math.MaxInt) the per-event cost
+// drain loops pre-check sinceSnap >= CheckpointEvery before calling, so
+// with checkpointing disabled (CheckpointEvery == math.MaxInt) the per-event cost
 // is that one always-false inlined comparison, never a call.
 func (rs *runState) maybeSnapshot() error {
-	if rs.sinceSnap < rs.snapEvery {
+	if rs.sinceSnap < rs.cfg.CheckpointEvery {
 		return nil
 	}
 	rs.sinceSnap = 0
@@ -167,9 +167,9 @@ func (rs *runState) snapshot() error {
 	if err := rs.cfg.CheckpointStore.Put(snap.Seq, data); err != nil {
 		return fmt.Errorf("stream: checkpoint put: %w", err)
 	}
-	if rs.met != nil {
-		rs.met.SnapshotsTaken.Inc()
-		rs.met.SnapshotBytes.Add(int64(len(data)))
+	if rs.cfg.Metrics != nil {
+		rs.cfg.Metrics.SnapshotsTaken.Inc()
+		rs.cfg.Metrics.SnapshotBytes.Add(int64(len(data)))
 	}
 	return nil
 }
@@ -199,6 +199,7 @@ func (rs *runState) restore(snap *checkpoint.Snapshot) error {
 		RejectedInput: snap.RejectedInput,
 		ShedBudget:    snap.ShedBudget,
 	}
+	rs.pub = rs.stats // the run that took the snapshot published these
 	for i := range snap.LateWindows {
 		rs.lateOf[int(snap.LateWindows[i])] = snap.LateDrops[i]
 	}
@@ -293,9 +294,9 @@ func (rs *runState) restore(snap *checkpoint.Snapshot) error {
 		rs.sealed[j] = sp
 		rs.trackPane(j, sp)
 	}
-	if rs.met != nil {
-		rs.met.Restores.Inc()
-		rs.met.ReplayedEvents.Add(snap.Drawn)
+	if rs.cfg.Metrics != nil {
+		rs.cfg.Metrics.Restores.Inc()
+		rs.cfg.Metrics.ReplayedEvents.Add(snap.Drawn)
 	}
 	return nil
 }

@@ -140,8 +140,17 @@ type Config struct {
 	// inserted, dropped-late, rejected, window fires, watermark lag,
 	// batch-queue depth, checkpoint/restore activity) as the run
 	// progresses. Counters accumulate across runs sharing the same
-	// EngineMetrics. Nil disables recording at the cost of one
-	// predictable branch per event.
+	// EngineMetrics. The per-event counters (generated, inserted,
+	// dropped-late, rejected, budget-shed) are counted in Stats and
+	// published as one delta per counter at batch hand-offs: when a
+	// partition's batch fills, at every fire and snapshot barrier, and
+	// when the run returns, failed runs included; generated also as
+	// soon as the run's first event is generated. So they are exact
+	// when Run returns and at every WindowResult callback, and a
+	// mid-run read trails by fewer than 256 accepted events per
+	// partition, plus the events dropped, rejected or shed since the
+	// last hand-off or barrier. Nil disables recording at the cost of
+	// one predictable branch per event (the watermark-lag gauge).
 	Metrics *obs.EngineMetrics
 	// CheckpointStore, when non-nil, enables fault tolerance: the engine
 	// persists a sealed snapshot of its full state (watermark, stats,
@@ -449,7 +458,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Delay == nil {
 		cfg.Delay = ZeroDelay{}
 	}
-	if cfg.CheckpointStore != nil && cfg.CheckpointEvery < 1 {
+	switch {
+	case cfg.CheckpointStore == nil:
+		cfg.CheckpointEvery = math.MaxInt // never due
+	case cfg.CheckpointEvery < 1:
 		cfg.CheckpointEvery = 1
 	}
 	return &Engine{cfg: cfg}, nil
@@ -496,6 +508,7 @@ func (e *Engine) run(emit func(WindowResult), snap *checkpoint.Snapshot) (Stats,
 		}
 	}
 	err = rs.loop()
+	rs.publish()
 	return rs.stats, rs.lateOf, err
 }
 
@@ -509,11 +522,11 @@ func (e *Engine) run(emit func(WindowResult), snap *checkpoint.Snapshot) (Stats,
 // runState takes a 704-byte slot; 8 bytes more would move it to the
 // 768-byte size class, and a run's first allocation from that class
 // after a GC measured ~1.5 µs slower (perfbench tumbling-late setup_s
-// 1.1–1.7×, cold probes only).
+// 1.1–1.7×, cold probes only). It is exactly 696 with pub inline,
+// which keeps metrics from adding an allocation to every run's set-up.
 type runState struct {
 	cfg  Config
 	emit func(WindowResult)
-	met  *obs.EngineMetrics
 	sink partialSink
 	// pending holds each partition's accepted events not yet handed to
 	// the sink (nil before the partition's first event); flush hands
@@ -525,9 +538,11 @@ type runState struct {
 
 	interval time.Duration
 	runEnd   time.Duration
-	genEnd   time.Duration
 
-	stats     Stats
+	stats Stats
+	// pub is stats as last published to Config.Metrics (publish).
+	pub Stats
+
 	inFlight  arrivalQueue
 	open      map[int]*windowState
 	watermark time.Duration // largest event time seen, minus AllowedLateness
@@ -558,7 +573,6 @@ type runState struct {
 	part      int    // partition of the next event: drawn mod Partitions
 	fired     uint64 // windows fired so far (checkpoint sequence basis)
 	sinceSnap int    // fires since the last snapshot
-	snapEvery int    // snapshot cadence; math.MaxInt disables
 
 	builderName string // cached Builder product name for envelopes
 
@@ -581,22 +595,16 @@ func (e *Engine) newRunState(emit func(WindowResult)) (*runState, error) {
 	}
 	runEnd := cfg.WindowSize * time.Duration(cfg.NumWindows)
 	rs := &runState{
-		cfg:      cfg,
-		emit:     emit,
-		met:      cfg.Metrics,
-		vals:     cfg.Values,
-		delay:    cfg.Delay,
-		interval: interval,
-		runEnd:   runEnd,
-		// Grace period past the end so the final watermark passes runEnd:
-		// one window of extra events (discarded, they belong to window
-		// NumWindows) is plenty for realistic delay tails.
-		genEnd:    runEnd + cfg.WindowSize,
+		cfg:       cfg,
+		emit:      emit,
+		vals:      cfg.Values,
+		delay:     cfg.Delay,
+		interval:  interval,
+		runEnd:    runEnd,
 		inFlight:  newArrivalQueue(interval),
 		open:      map[int]*windowState{},
 		watermark: -1,
 		lateOf:    map[int]int64{},
-		snapEvery: math.MaxInt,
 	}
 	if cfg.SessionGap == 0 {
 		rs.initPanes()
@@ -629,7 +637,6 @@ func (e *Engine) newRunState(emit func(WindowResult)) (*runState, error) {
 	}
 	rs.pending = make([]*eventBatch, cfg.Partitions)
 	if cfg.CheckpointStore != nil {
-		rs.snapEvery = cfg.CheckpointEvery
 		rs.builderName = cfg.Builder().Name()
 	}
 	return rs, nil
@@ -643,6 +650,32 @@ func (rs *runState) flush() {
 		if b != nil && len(b.vals) > 0 {
 			rs.pending[part] = rs.sink.insertBatch(b)
 		}
+	}
+	rs.publish()
+}
+
+// publish adds to the engine counters what the run's Stats gained
+// since the last publication: one Add per counter that moved, made at
+// batch hand-offs instead of one atomic increment per event
+// (Config.Metrics states when).
+func (rs *runState) publish() {
+	m := rs.cfg.Metrics
+	if m == nil {
+		return
+	}
+	s, p := &rs.stats, &rs.pub
+	addDelta(&m.Generated, s.Generated, p.Generated)
+	addDelta(&m.Inserted, s.Accepted, p.Accepted)
+	addDelta(&m.DroppedLate, s.DroppedLate, p.DroppedLate)
+	addDelta(&m.RejectedInput, s.RejectedInput, p.RejectedInput)
+	addDelta(&m.BudgetShed, s.ShedBudget, p.ShedBudget)
+	*p = *s
+}
+
+// addDelta adds now-last to c, skipping the atomic when it is 0.
+func addDelta(c *obs.Counter, now, last int64) {
+	if now != last {
+		c.Add(now - last)
 	}
 }
 
@@ -689,8 +722,8 @@ func (rs *runState) fireSession() error {
 // the checkpoint cadence, and emits r with its sketch's self-reported
 // error bound (0 when the sketch type has none).
 func (rs *runState) emitWindow(r WindowResult) {
-	if rs.met != nil {
-		rs.met.WindowFires.Inc()
+	if rs.cfg.Metrics != nil {
+		rs.cfg.Metrics.WindowFires.Inc()
 	}
 	rs.fired++
 	rs.sinceSnap++
@@ -738,11 +771,11 @@ func (rs *runState) process(ev Event) error {
 			rs.enforceBudget()
 		}
 	}
-	if rs.met != nil {
+	if rs.cfg.Metrics != nil {
 		// How far arrival order ran ahead of event time: the delay
 		// model's effective disorder, as seen by the engine.
 		if lag := int64(ev.Arrival - rs.watermark); lag > 0 {
-			rs.met.MaxWatermarkLagNS.Max(lag)
+			rs.cfg.Metrics.MaxWatermarkLagNS.Max(lag)
 		}
 	}
 	return nil
@@ -750,7 +783,8 @@ func (rs *runState) process(ev Event) error {
 
 // insert adds one accepted event to open window w, whose partition
 // sketches the sink holds under key: it appends the event to its
-// partition's pending batch and hands the batch to the sink when full.
+// partition's pending batch and, when the batch is full, hands it to
+// the sink and publishes the counters.
 //
 //sketch:hotpath
 func (rs *runState) insert(w *windowState, key int, ev Event) {
@@ -764,16 +798,14 @@ func (rs *runState) insert(w *windowState, key int, ev Event) {
 	}
 	b.wins = append(b.wins, int32(key))
 	b.vals = append(b.vals, ev.Value)
-	if len(b.vals) == batchSize {
-		rs.pending[part] = rs.sink.insertBatch(b)
-	}
 	w.accepted++
 	rs.stats.Accepted++
-	if rs.met != nil {
-		rs.met.Inserted.Inc()
-	}
 	if rs.cfg.CollectValues {
 		w.values = append(w.values, ev.Value)
+	}
+	if len(b.vals) == batchSize {
+		rs.pending[part] = rs.sink.insertBatch(b)
+		rs.publish()
 	}
 }
 
@@ -800,21 +832,12 @@ func (rs *runState) routeSession(ev Event, t time.Duration) {
 	switch {
 	case math.IsNaN(ev.Value) || math.IsInf(ev.Value, 0):
 		rs.stats.RejectedInput++
-		if rs.met != nil {
-			rs.met.RejectedInput.Inc()
-		}
 	case i == j && rs.watermark >= end:
 		// No open session in reach, and the proto-window alone has
 		// already ended by the watermark.
 		rs.stats.DroppedLate++
-		if rs.met != nil {
-			rs.met.DroppedLate.Inc()
-		}
 	case rs.shedding:
 		rs.stats.ShedBudget++
-		if rs.met != nil {
-			rs.met.BudgetShed.Inc()
-		}
 	default:
 		w := rs.joinSessions(i, j, t, end, int(ev.GenTime/rs.interval))
 		rs.insert(w, w.keys[0], ev)
@@ -893,7 +916,7 @@ func (rs *runState) take(ev Event) error {
 	if err := rs.process(ev); err != nil {
 		return err
 	}
-	if rs.sinceSnap >= rs.snapEvery {
+	if rs.sinceSnap >= rs.cfg.CheckpointEvery {
 		return rs.maybeSnapshot()
 	}
 	return nil
@@ -926,23 +949,31 @@ func (rs *runState) loop() (err error) {
 		}
 	}
 	rs.part = int(rs.drawn % int64(rs.cfg.Partitions))
+	// Grace period past the end so the final watermark passes runEnd:
+	// one window of extra events (discarded, they belong to window
+	// NumWindows) is plenty for realistic delay tails.
+	genEnd := rs.runEnd + rs.cfg.WindowSize
 	gen := rs.interval * time.Duration(rs.drawn)
-	if gen < rs.genEnd {
+	if gen < genEnd {
 		// Drawn inline so a run reaches its first event without paying
-		// for the producer's start.
-		if err := rs.generate(gen, rs.vals.Next(), rs.delay.Delay()); err != nil {
+		// for the producer's start, and counted in the metrics before it
+		// is processed, so a reader of the generated counter sees the
+		// run start without waiting for the first hand-off.
+		ev := rs.event(gen, rs.vals.Next(), rs.delay.Delay())
+		rs.publish()
+		if err := rs.admit(ev); err != nil {
 			return err
 		}
 		gen += rs.interval
 	}
-	if gen < rs.genEnd {
+	if gen < genEnd {
 		// Exactly the draws the loop below consumes, and never more: a
 		// clean run leaves the sources where inline drawing would.
-		src := startProducer(rs.vals, rs.delay, int64((rs.genEnd-gen+rs.interval-1)/rs.interval))
+		src := startProducer(rs.vals, rs.delay, int64((genEnd-gen+rs.interval-1)/rs.interval))
 		defer src.stop()
-		for ; gen < rs.genEnd; gen += rs.interval {
+		for ; gen < genEnd; gen += rs.interval {
 			dr := src.next()
-			if err := rs.generate(gen, dr.v, dr.d); err != nil {
+			if err := rs.admit(rs.event(gen, dr.v, dr.d)); err != nil {
 				return err
 			}
 		}
@@ -963,11 +994,9 @@ func (rs *runState) loop() (err error) {
 	return nil
 }
 
-// generate admits the event drawn at gen with payload v and delay d:
-// it processes the event at once when it arrives as generated with
-// nothing in flight, and otherwise queues it and drains everything that
-// has arrived by gen.
-func (rs *runState) generate(gen time.Duration, v float64, d time.Duration) error {
+// event counts the draw at gen with payload v and delay d and returns
+// its event, assigned to the next partition in turn.
+func (rs *runState) event(gen time.Duration, v float64, d time.Duration) Event {
 	at := gen
 	if rs.cfg.UseIngestionTime {
 		at += d
@@ -979,9 +1008,6 @@ func (rs *runState) generate(gen time.Duration, v float64, d time.Duration) erro
 		// Generated == Accepted + DroppedLate + RejectedInput holds
 		// exactly.
 		rs.stats.Generated++
-		if rs.met != nil {
-			rs.met.Generated.Inc()
-		}
 	}
 	rs.drawn++
 	ev := Event{GenTime: gen, Arrival: gen + d, Value: v, Partition: rs.part}
@@ -989,13 +1015,20 @@ func (rs *runState) generate(gen time.Duration, v float64, d time.Duration) erro
 	if rs.part == rs.cfg.Partitions {
 		rs.part = 0
 	}
-	if d == 0 && rs.inFlight.Len() == 0 {
+	return ev
+}
+
+// admit processes ev at once when it arrives as generated with nothing
+// in flight, and otherwise queues it and drains everything that has
+// arrived by its generation time.
+func (rs *runState) admit(ev Event) error {
+	if ev.Arrival == ev.GenTime && rs.inFlight.Len() == 0 {
 		// Arrived as generated, with nothing in flight: it is the one
 		// event drain(gen) would pop, so it skips the queue.
 		return rs.take(ev)
 	}
 	rs.inFlight.Push(ev)
-	return rs.drain(gen)
+	return rs.drain(ev.GenTime)
 }
 
 // RunCollect is Run but returning the window results as a slice, with

@@ -131,7 +131,6 @@ func (rs *runState) initPanes() {
 	rs.numPanes = rs.paneEnd(cfg.NumWindows - 1)
 	rs.sealed = map[int]*sealedPane{}
 	rs.runEnd = g * time.Duration(rs.numPanes)
-	rs.genEnd = rs.runEnd + cfg.WindowSize
 }
 
 // paneEnd is the exclusive pane bound of window k; the window's end
@@ -178,9 +177,6 @@ func (rs *runState) routePaned(ev Event, t time.Duration) {
 		// identity stays exact.
 		if pi >= 0 && pi < rs.numPanes {
 			rs.stats.RejectedInput++
-			if rs.met != nil {
-				rs.met.RejectedInput.Inc()
-			}
 		}
 	case pi < rs.nextSeal:
 		// The pane was sealed when its first window fired: the event
@@ -189,18 +185,12 @@ func (rs *runState) routePaned(ev Event, t time.Duration) {
 		if pi >= 0 {
 			rs.lateOf[rs.lateWindowOf(pi)]++
 			rs.stats.DroppedLate++
-			if rs.met != nil {
-				rs.met.DroppedLate.Inc()
-			}
 		}
 	case pi < rs.numPanes:
 		if rs.shedding {
 			// Budget exhausted past every degradation rung: shed, count,
 			// and let the event still advance the watermark in process.
 			rs.stats.ShedBudget++
-			if rs.met != nil {
-				rs.met.BudgetShed.Inc()
-			}
 			return
 		}
 		w := rs.open[pi]
@@ -210,8 +200,8 @@ func (rs *runState) routePaned(ev Event, t time.Duration) {
 				w.values = make([]float64, 0, rs.paneValues)
 			}
 			rs.open[pi] = w
-			if rs.met != nil {
-				rs.met.PanesOpen.Set(int64(len(rs.open) + len(rs.sealed)))
+			if rs.cfg.Metrics != nil {
+				rs.cfg.Metrics.PanesOpen.Set(int64(len(rs.open) + len(rs.sealed)))
 			}
 		}
 		rs.insert(w, pi, ev)
@@ -299,8 +289,8 @@ func (rs *runState) mergePanes(r *WindowResult, startPane, endPane int) error {
 		if err != nil {
 			return fmt.Errorf("stream: window %d pane merge: %w", r.Index, err)
 		}
-		if rs.met != nil {
-			rs.met.PaneMerges.Inc()
+		if rs.cfg.Metrics != nil {
+			rs.cfg.Metrics.PaneMerges.Inc()
 		}
 	}
 	return nil
@@ -362,8 +352,8 @@ func (rs *runState) firePaned(k int) error {
 			rs.gov.Untrack(-1 - int64(j))
 		}
 	}
-	if rs.met != nil {
-		rs.met.PanesOpen.Set(int64(len(rs.open) + len(rs.sealed)))
+	if rs.cfg.Metrics != nil {
+		rs.cfg.Metrics.PanesOpen.Set(int64(len(rs.open) + len(rs.sealed)))
 	}
 	return nil
 }
