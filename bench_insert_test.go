@@ -1,14 +1,16 @@
 // Benchmarks for the insert-path dimensions the hot-path overhaul
 // introduced: the index-mapping family (exact log vs the interpolated
-// cubic/linear mappings) and the store layout (dense array vs
-// buffered-paginated). scripts/bench.sh prints, from one run, each
-// legacy variant (exact-log mapping or indexer, dense store) over its
-// fast-path counterpart.
+// cubic/linear mappings) and the store layout (DDSketch's dense array vs
+// buffered-paginated, UDDSketch's map vs dense array). scripts/bench.sh
+// prints, from one run, each legacy variant (exact-log mapping or
+// indexer, dense store, the paper's UDDSketch map) over its
+// counterpart.
 package quantiles_test
 
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ddsketch"
 	"repro/internal/sketch"
 	"repro/internal/uddsketch"
@@ -52,16 +54,37 @@ func BenchmarkInsertMapping(b *testing.B) {
 	}
 }
 
+// storeSketch is a sketch with a native batch insert, as every store
+// arm of BenchmarkInsertStore is.
+type storeSketch interface {
+	sketch.Sketch
+	sketch.BatchInserter
+}
+
 // BenchmarkInsertStore isolates the store cost under the default cubic
-// mapping: dense array vs buffered-paginated, batch and scalar paths.
+// mapping, batch and scalar paths: DDSketch's dense array vs
+// buffered-paginated, and UDDSketch at the study's configuration over
+// the paper's map vs a dense array — the store the paper blames for
+// UDDSketch's slow inserts (Sec 4.4.1).
 func BenchmarkInsertStore(b *testing.B) {
 	const chunk = 256
 	vals := paretoValues(1<<20, 11)
-	builders := map[string]func() *ddsketch.Sketch{
-		"dense":     func() *ddsketch.Sketch { return ddsketch.New(0.01) },
-		"paginated": func() *ddsketch.Sketch { return ddsketch.NewPaginated(0.01) },
+	udd := func(newSketch func(float64, int, int) (*uddsketch.Sketch, error)) func() storeSketch {
+		return func() storeSketch {
+			s, err := newSketch(core.UDDSketchAlpha, core.UDDSketchMaxBuckets, core.UDDSketchNumCollapses)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return s
+		}
 	}
-	for _, name := range []string{"dense", "paginated"} {
+	builders := map[string]func() storeSketch{
+		"dense":           func() storeSketch { return ddsketch.New(0.01) },
+		"paginated":       func() storeSketch { return ddsketch.NewPaginated(0.01) },
+		"uddsketch-map":   udd(uddsketch.NewWithBudget),
+		"uddsketch-dense": udd(uddsketch.NewDenseWithBudget),
+	}
+	for _, name := range []string{"dense", "paginated", "uddsketch-map", "uddsketch-dense"} {
 		builder := builders[name]
 		b.Run(name+"/batch", func(b *testing.B) {
 			sk := builder()

@@ -377,7 +377,7 @@ func runUDDStoreAblation(opts Options) ([]Table, error) {
 			return s
 		}},
 		{"dense array", func() sketch.Sketch {
-			s, err := uddsketch.NewArrayWithBudget(core.UDDSketchAlpha, core.UDDSketchMaxBuckets, core.UDDSketchNumCollapses)
+			s, err := uddsketch.NewDenseWithBudget(core.UDDSketchAlpha, core.UDDSketchMaxBuckets, core.UDDSketchNumCollapses)
 			if err != nil {
 				panic(err)
 			}

@@ -69,7 +69,7 @@ func Entries() []Entry {
 		{"ddsketch-collapsing", func() sketch.Sketch { return ddsketch.NewCollapsing(0.01, 1024) }, true},
 		{"ddsketch-paginated", func() sketch.Sketch { return ddsketch.NewPaginated(0.01) }, true},
 		{"uddsketch", func() sketch.Sketch { return uddsketch.New(0.01, 1024) }, true},
-		{"uddsketch-array", func() sketch.Sketch { return must(uddsketch.NewArray(0.01, 1024)) }, true},
+		{"uddsketch-array", func() sketch.Sketch { return must(uddsketch.NewDense(0.01, 1024)) }, true},
 		{"moments", func() sketch.Sketch { return moments.New(12) }, true},
 		{"moments-log", func() sketch.Sketch { return moments.NewWithTransform(12, moments.TransformLog) }, true},
 		{"moments-full", func() sketch.Sketch { return moments.NewFull(12) }, true},

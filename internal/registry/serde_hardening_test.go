@@ -2,6 +2,8 @@ package registry
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/sketch"
@@ -129,6 +131,71 @@ func TestResumeEquivalenceContract(t *testing.T) {
 			b := mustMarshal(t, e.Name, resumed)
 			if !bytes.Equal(a, b) {
 				t.Fatalf("%s: resumed sketch diverged from the original after identical suffix", e.Name)
+			}
+		})
+	}
+}
+
+// wideUDDSketchEnvelope is a valid-looking UDDSketch envelope (α 0.01,
+// 1,024-bucket budget, cubic indexer) holding one positive bucket at
+// each of the indices ±2^26, a span of 2^27 slots.
+func wideUDDSketchEnvelope() []byte {
+	w := sketch.NewWriter(128)
+	w.Header(sketch.TagUDDSketch)
+	w.F64(0.01)
+	w.U32(1024)
+	w.U32(1 << 31) // collapse counter 0, cubic-indexer flag set
+	w.I64(0)       // zeros
+	w.I64(2)       // count
+	w.F64(1e-300)  // min
+	w.F64(1e300)   // max
+	w.U32(2)
+	w.I64(-(1 << 26))
+	w.I64(1)
+	w.I64(1 << 26)
+	w.I64(1)
+	w.U32(0) // no negative buckets
+	return w.Bytes()
+}
+
+// TestUDDSketchWideSpanEnvelope pins how the two UDDSketch stores take
+// an envelope whose buckets are far apart: the map store holds just its
+// two buckets and accepts it, while the dense store, which would have to
+// allocate the whole span (1 GiB here), refuses it with ErrCorrupt,
+// allocates next to nothing, and is left as it was.
+func TestUDDSketchWideSpanEnvelope(t *testing.T) {
+	blob := wideUDDSketchEnvelope()
+	for _, e := range Entries() {
+		if e.Name != "uddsketch" && e.Name != "uddsketch-array" {
+			continue
+		}
+		t.Run(e.Name, func(t *testing.T) {
+			recv := e.New()
+			prefill(recv)
+			before := mustMarshal(t, e.Name, recv)
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			allocated := ms.TotalAlloc
+			err := recv.UnmarshalBinary(blob)
+			runtime.ReadMemStats(&ms)
+			allocated = ms.TotalAlloc - allocated
+			if e.Name == "uddsketch" {
+				if err != nil {
+					t.Fatalf("map store refused the envelope: %v", err)
+				}
+				if recv.Count() != 2 {
+					t.Errorf("decoded count %d, want 2", recv.Count())
+				}
+				return
+			}
+			if !errors.Is(err, sketch.ErrCorrupt) {
+				t.Fatalf("dense store decoded a 2^27-slot span: err %v", err)
+			}
+			if allocated > 1<<20 {
+				t.Errorf("refused decode allocated %d bytes", allocated)
+			}
+			if !bytes.Equal(mustMarshal(t, e.Name, recv), before) {
+				t.Error("refused decode mutated the receiver")
 			}
 		})
 	}

@@ -42,7 +42,7 @@ func TestCollapseAllocs(t *testing.T) {
 		s := New(0.01, 64)
 		for x := 1.0; ; x *= 1.003 {
 			if s.Collapses() > 0 && s.NonEmptyBuckets() == s.MaxBuckets() {
-				if _, ok := s.positive[s.index(x)]; !ok {
+				if _, ok := s.positive.(mapStore)[s.index(x)]; !ok {
 					return primed{s, x}
 				}
 				continue

@@ -15,11 +15,12 @@ var (
 // InsertBatch implements sketch.BatchInserter: one branch on the
 // indexer kind outside the loop, then the index computation — the cubic
 // float-bit approximation with its multiplier hoisted, or the legacy
-// log-gamma divide — runs in a tight loop with the store maps, bounds
-// and count in locals. The bucket-budget check stays per-element — a
-// collapse changes every subsequent index — so collapses trigger at
+// log-gamma divide — runs in a tight loop with the live bucket counts,
+// bounds and count in locals. The bucket-budget check stays per-element
+// — a collapse changes every subsequent index — so collapses trigger at
 // exactly the scalar path's points; the hoisted mapping state is
-// refreshed after each collapse.
+// refreshed after each collapse. Stores collapse in place, so the
+// kernel keeps adding to the same two stores throughout.
 //
 //sketch:hotpath
 func (s *Sketch) InsertBatch(xs []float64) {
@@ -36,6 +37,7 @@ func (s *Sketch) InsertBatch(xs []float64) {
 //sketch:hotpath
 func (s *Sketch) insertBatchCubic(xs []float64) {
 	pos, neg := s.positive, s.negative
+	nPos, nNeg := pos.len(), neg.len()
 	mult := s.multiplier
 	budget := s.maxBuckets
 	count := s.count
@@ -48,9 +50,13 @@ func (s *Sketch) insertBatchCubic(xs []float64) {
 		}
 		switch {
 		case x >= fastlog.MinIndexable:
-			pos[int(math.Ceil(fastlog.Log2Cubic(x)*mult))]++
+			if pos.add(int(math.Ceil(fastlog.Log2Cubic(x)*mult)), 1) {
+				nPos++
+			}
 		case x < 0 && -x >= fastlog.MinIndexable:
-			neg[int(math.Ceil(fastlog.Log2Cubic(-x)*mult))]++
+			if neg.add(int(math.Ceil(fastlog.Log2Cubic(-x)*mult)), 1) {
+				nNeg++
+			}
 		default:
 			zero++
 		}
@@ -61,16 +67,13 @@ func (s *Sketch) insertBatchCubic(xs []float64) {
 		if x > maxV {
 			maxV = x
 		}
-		if len(pos)+len(neg) > budget {
+		if nPos+nNeg > budget {
 			s.count = count
 			s.zeroCnt += zero
 			zero = 0
 			s.min, s.max = minV, maxV
-			for len(s.positive)+len(s.negative) > budget {
-				s.uniformCollapse()
-			}
-			s.assertInvariants("collapse")
-			pos, neg = s.positive, s.negative
+			s.collapseToBudget()
+			nPos, nNeg = pos.len(), neg.len()
 			mult = s.multiplier
 		}
 	}
@@ -85,6 +88,7 @@ func (s *Sketch) insertBatchCubic(xs []float64) {
 //sketch:hotpath
 func (s *Sketch) insertBatchLog(xs []float64) {
 	pos, neg := s.positive, s.negative
+	nPos, nNeg := pos.len(), neg.len()
 	logGamma := s.logGamma
 	minIndexable := s.minIndexable()
 	budget := s.maxBuckets
@@ -98,9 +102,13 @@ func (s *Sketch) insertBatchLog(xs []float64) {
 		}
 		switch {
 		case x > 0 && x >= minIndexable:
-			pos[int(math.Ceil(math.Log(x)/logGamma))]++
+			if pos.add(int(math.Ceil(math.Log(x)/logGamma)), 1) {
+				nPos++
+			}
 		case x < 0 && -x >= minIndexable:
-			neg[int(math.Ceil(math.Log(-x)/logGamma))]++
+			if neg.add(int(math.Ceil(math.Log(-x)/logGamma)), 1) {
+				nNeg++
+			}
 		default:
 			zero++
 		}
@@ -111,16 +119,13 @@ func (s *Sketch) insertBatchLog(xs []float64) {
 		if x > maxV {
 			maxV = x
 		}
-		if len(pos)+len(neg) > budget {
+		if nPos+nNeg > budget {
 			s.count = count
 			s.zeroCnt += zero
 			zero = 0
 			s.min, s.max = minV, maxV
-			for len(s.positive)+len(s.negative) > budget {
-				s.uniformCollapse()
-			}
-			s.assertInvariants("collapse")
-			pos, neg = s.positive, s.negative
+			s.collapseToBudget()
+			nPos, nNeg = pos.len(), neg.len()
 			logGamma = s.logGamma
 			minIndexable = s.minIndexable()
 		}

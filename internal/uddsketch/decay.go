@@ -14,10 +14,10 @@ var _ sketch.CountScaler = (*Sketch)(nil)
 // scales the same way, and the total count is recomputed as the sum of
 // the scaled parts so Σ buckets + zeroCnt == count holds exactly. Each
 // bucket transforms independently of every other, so the result does
-// not depend on map iteration order. Scaling only removes buckets, so
-// the maxBuckets budget and the current collapse level are untouched;
-// min/max are kept as conservative bounds. If every count rounds away
-// the sketch resets.
+// not depend on the order a store yields its buckets in. Scaling only
+// removes buckets, so the maxBuckets budget and the current collapse
+// level are untouched; min/max are kept as conservative bounds. If
+// every count rounds away the sketch resets.
 func (s *Sketch) ScaleCount(g float64) {
 	if math.IsNaN(g) || g >= 1 {
 		return
@@ -26,12 +26,13 @@ func (s *Sketch) ScaleCount(g float64) {
 		s.Reset()
 		return
 	}
-	scaleMap := func(m map[int]int64) (map[int]int64, int64) {
-		out := make(map[int]int64, len(m))
-		return out, addScaled(out, m, g, 0)
+	dense := s.dense()
+	scaled := func(st store) (store, int64) {
+		out := newStore(dense, st.len())
+		return out, st.addTo(out, g, 0)
 	}
-	pos, posTotal := scaleMap(s.positive)
-	neg, negTotal := scaleMap(s.negative)
+	pos, posTotal := scaled(s.positive)
+	neg, negTotal := scaled(s.negative)
 	zero := int64(math.Round(float64(s.zeroCnt) * g))
 	count := posTotal + negTotal + zero
 	if count == 0 {
@@ -58,42 +59,4 @@ func (s *Sketch) MergeScaled(other sketch.Sketch, g float64) error {
 	}
 	s.fuse(o, g)
 	return nil
-}
-
-// anySurvives reports whether some count in m is still positive after
-// rounding c·g.
-func anySurvives(m map[int]int64, g float64) bool {
-	for _, c := range m {
-		if math.Round(float64(c)*g) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// addScaled adds round(c·g) of every bucket of src into dst — c itself
-// at g = 1 — skipping those that round to 0, with each index collapsed
-// shift levels up (⌈i/2^shift⌉). It returns the total added. A plain
-// merge of sketches at one collapse level takes the first loop, which
-// neither scales nor moves an index.
-func addScaled(dst, src map[int]int64, g float64, shift int) int64 {
-	var total int64
-	if g == 1 && shift == 0 {
-		for i, c := range src {
-			dst[i] += c
-			total += c
-		}
-		return total
-	}
-	for i, c := range src {
-		if g != 1 {
-			c = int64(math.Round(float64(c) * g))
-			if c <= 0 {
-				continue
-			}
-		}
-		dst[ceilShift(i, shift)] += c
-		total += c
-	}
-	return total
 }

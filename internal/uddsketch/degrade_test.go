@@ -15,9 +15,15 @@ import (
 // is exactly one uniform collapse — the collapse counter advances, α
 // deteriorates by the closed form, the count is conserved, and a
 // degraded sketch still merges with an undegraded one (Merge aligns
-// collapse counts).
+// collapse counts), for both stores.
 func TestDegrade(t *testing.T) {
-	s := New(0.001, 1<<20) // huge budget: collapses only via Degrade
+	for _, kind := range storeKinds {
+		t.Run(kind.name, func(t *testing.T) { testDegrade(t, kind.dense) })
+	}
+}
+
+func testDegrade(t *testing.T, dense bool) {
+	s := build(dense, 0.001, 1<<20) // huge budget: collapses only via Degrade
 	rng := rand.New(rand.NewPCG(1, 2))
 	const n = 50000
 	for i := 0; i < n; i++ {
@@ -46,7 +52,7 @@ func TestDegrade(t *testing.T) {
 		t.Errorf("buckets %d did not shrink from %d", nb, buckets)
 	}
 
-	fresh := New(0.001, 1<<20)
+	fresh := build(dense, 0.001, 1<<20)
 	for i := 0; i < 10000; i++ {
 		fresh.Insert(rng.ExpFloat64() * 1000)
 	}
@@ -71,6 +77,30 @@ func TestDegradeRefusesWhenTiny(t *testing.T) {
 	}
 	if s.Collapses() != 0 {
 		t.Errorf("refused Degrade must not collapse (got %d)", s.Collapses())
+	}
+}
+
+// TestDegradeStopsBeforeAlphaSaturates pins the other floor: Degrade
+// refuses the collapse that would round α to 1, even with buckets to
+// spare, so a governor degrading in a loop stops at a guarantee.
+func TestDegradeStopsBeforeAlphaSaturates(t *testing.T) {
+	for _, kind := range storeKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			s := build(kind.dense, 0.001, 1024)
+			for _, x := range []float64{-1e6, -1, -1e-6, 1e-6, 1, 1e6} {
+				s.Insert(x)
+			}
+			var err error
+			for err == nil {
+				_, err = s.Degrade()
+			}
+			if !errors.Is(err, sketch.ErrNotDegradable) {
+				t.Fatalf("Degrade = %v, want ErrNotDegradable", err)
+			}
+			if !(s.Alpha() < 1) || s.NonEmptyBuckets() < 4 {
+				t.Errorf("Degrade stopped at alpha %v with %d buckets, want alpha < 1 and >= 4 buckets", s.Alpha(), s.NonEmptyBuckets())
+			}
+		})
 	}
 }
 

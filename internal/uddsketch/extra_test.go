@@ -98,10 +98,38 @@ func TestInvalidConstruction(t *testing.T) {
 	if _, err := NewChecked(0.01, 1); err == nil {
 		t.Error("1 bucket should fail")
 	}
+	if _, err := NewDense(0.01, 3); err == nil {
+		t.Error("3 buckets should fail")
+	}
 	if _, err := NewWithBudget(1.5, 10, 3); err == nil {
 		t.Error("alpha > 1 should fail")
 	}
 	if _, err := NewWithBudget(0.01, 10, 0); err == nil {
 		t.Error("0 collapses should fail")
+	}
+}
+
+// TestSmallestBudgetTerminates pins the 4-bucket floor: collapses end
+// with each store at indices 0 and 1, so at a budget of 4 a mixed-sign
+// stream terminates, and smaller budgets — where the collapse loop
+// never would — are refused, by the constructors and by the decoder.
+func TestSmallestBudgetTerminates(t *testing.T) {
+	for _, kind := range storeKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			s := build(kind.dense, 0.01, 4)
+			for _, x := range []float64{1, 1.5, -1.5, -1, 1.2, -1.2, 0.9, -0.9} {
+				s.Insert(x)
+			}
+			if s.NonEmptyBuckets() > 4 {
+				t.Errorf("%d buckets, budget 4", s.NonEmptyBuckets())
+			}
+			blob := marshal(t, s)
+			// maxBuckets follows the 2-byte header and the 8-byte α₀;
+			// its low byte comes first.
+			blob[10] = 3
+			if err := build(kind.dense, 0.01, 4).UnmarshalBinary(blob); err == nil {
+				t.Error("decoder accepted a 3-bucket budget")
+			}
+		})
 	}
 }

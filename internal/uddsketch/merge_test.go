@@ -8,84 +8,63 @@ import (
 	"testing"
 )
 
-// refCollapseMap is the map store's uniform collapse as it was before
-// collapses ran in place: both stores rebuilt into fresh maps.
-func refCollapseMap(s *Sketch) {
-	collapse := func(old map[int]int64) map[int]int64 {
-		neu := make(map[int]int64, (len(old)+1)/2)
-		for i, c := range old {
-			neu[ceilShift(i, 1)] += c
+// refCollapse is the uniform collapse as it was before map stores
+// collapsed in place: each map is rebuilt into a fresh one. The dense
+// store has always rebuilt its array, so it collapses as it does.
+func refCollapse(s *Sketch) {
+	if s.dense() {
+		s.positive.collapse()
+		s.negative.collapse()
+	} else {
+		collapse := func(old store) store {
+			neu := make(mapStore, (old.len()+1)/2)
+			old.ascending(func(i int, c int64) bool {
+				neu[ceilShift(i, 1)] += c
+				return true
+			})
+			return neu
 		}
-		return neu
+		s.positive = collapse(s.positive)
+		s.negative = collapse(s.negative)
 	}
-	s.positive = collapse(s.positive)
-	s.negative = collapse(s.negative)
 	s.collapsed()
 }
 
-// refMergeMap is the fusion path Merge replaced: the less-collapsed
-// side is collapsed up to the other's level — other through a private
-// clone, so it is not mutated — and the aligned counts are added, then
-// the budget is restored by further collapses.
-func refMergeMap(s, o *Sketch) {
-	src := o
-	if o.collapses < s.collapses {
-		src = &Sketch{}
-		*src = *o
-		src.positive = make(map[int]int64, len(o.positive))
-		for i, c := range o.positive {
-			src.positive[i] = c
-		}
-		src.negative = make(map[int]int64, len(o.negative))
-		for i, c := range o.negative {
-			src.negative[i] = c
-		}
-		for src.collapses < s.collapses {
-			refCollapseMap(src)
-		}
-	}
-	for s.collapses < o.collapses {
-		refCollapseMap(s)
-	}
-	for i, c := range src.positive {
-		s.positive[i] += c
-	}
-	for i, c := range src.negative {
-		s.negative[i] += c
-	}
-	s.zeroCnt += src.zeroCnt
-	s.count += src.count
-	if src.min < s.min {
-		s.min = src.min
-	}
-	if src.max > s.max {
-		s.max = src.max
-	}
-	for len(s.positive)+len(s.negative) > s.maxBuckets {
-		refCollapseMap(s)
-	}
+// refClone copies s into fresh stores of its kind, buckets added in
+// index order.
+func refClone(s *Sketch) *Sketch {
+	c := *s
+	c.positive, c.negative = newStore(s.dense(), 0), newStore(s.dense(), 0)
+	refAdd(c.positive, s.positive)
+	refAdd(c.negative, s.negative)
+	return &c
 }
 
-// refMergeArray is refMergeMap for the array store: collapse a copy of
-// the less-collapsed other, then add its slots in ascending order.
-func refMergeArray(s, o *ArraySketch) {
+// refAdd adds every bucket of src to dst in index order.
+func refAdd(dst, src store) {
+	src.ascending(func(i int, c int64) bool {
+		dst.add(i, c)
+		return true
+	})
+}
+
+// refMerge is the fusion path Merge replaced: the less-collapsed side
+// is collapsed up to the other's level — other through a private clone,
+// so it is not mutated — and the aligned counts are added, then the
+// budget is restored by further collapses.
+func refMerge(s, o *Sketch) {
 	src := o
 	if o.collapses < s.collapses {
-		src = &ArraySketch{}
-		*src = *o
-		src.counts = append([]int64(nil), o.counts...)
+		src = refClone(o)
 		for src.collapses < s.collapses {
-			src.uniformCollapse()
+			refCollapse(src)
 		}
 	}
 	for s.collapses < o.collapses {
-		s.uniformCollapse()
+		refCollapse(s)
 	}
-	for pos, c := range src.counts {
-		if c != 0 {
-			s.add(src.offset+pos, c)
-		}
-	}
+	refAdd(s.positive, src.positive)
+	refAdd(s.negative, src.negative)
 	s.zeroCnt += src.zeroCnt
 	s.count += src.count
 	if src.min < s.min {
@@ -94,8 +73,8 @@ func refMergeArray(s, o *ArraySketch) {
 	if src.max > s.max {
 		s.max = src.max
 	}
-	for s.nonZero > s.maxBuckets {
-		s.uniformCollapse()
+	for s.NonEmptyBuckets() > s.maxBuckets {
+		refCollapse(s)
 	}
 }
 
@@ -152,86 +131,52 @@ func mergeCases() [][2]mergeFill {
 
 // TestMergeMatchesCloneCollapse pins the clone-free fusion path of
 // both stores to the clone-and-collapse path it replaced: the merged
-// receivers must serialize byte-identically, and the merged-in sketch
-// must be left untouched. Self-merges are included.
+// receivers must serialize byte-identically, a dense receiver must end
+// with the same array, and the merged-in sketch must be left untouched.
+// Self-merges are included.
 func TestMergeMatchesCloneCollapse(t *testing.T) {
 	const budget = 64
-	for ci, tc := range mergeCases() {
-		name := fmt.Sprintf("%d/%s-%d+%d/%s-%d+%d", ci, tc[0].kind, tc[0].n, tc[0].extra, tc[1].kind, tc[1].n, tc[1].extra)
-		t.Run("map/"+name, func(t *testing.T) {
-			build := func(f mergeFill, seed uint64) *Sketch {
-				s := New(0.01, budget)
-				for _, x := range f.values(seed) {
-					s.Insert(x)
+	for _, kind := range storeKinds {
+		for ci, tc := range mergeCases() {
+			name := fmt.Sprintf("%s/%d/%s-%d+%d/%s-%d+%d", kind.name, ci, tc[0].kind, tc[0].n, tc[0].extra, tc[1].kind, tc[1].n, tc[1].extra)
+			t.Run(name, func(t *testing.T) {
+				fill := func(f mergeFill, seed uint64) *Sketch {
+					s := build(kind.dense, 0.01, budget)
+					for _, x := range f.values(seed) {
+						s.Insert(x)
+					}
+					for range f.extra {
+						s.uniformCollapse()
+					}
+					return s
 				}
-				for range f.extra {
-					s.uniformCollapse()
-				}
-				return s
-			}
-			got, o := build(tc[0], 1), build(tc[1], 2)
-			want, wantO := build(tc[0], 1), build(tc[1], 2)
-			oBefore := marshal(t, o)
-			if err := got.Merge(o); err != nil {
-				t.Fatal(err)
-			}
-			refMergeMap(want, wantO)
-			if !bytes.Equal(marshal(t, got), marshal(t, want)) {
-				t.Errorf("Merge differs from clone-and-collapse (collapses %d vs %d, count %d vs %d)",
-					got.Collapses(), want.Collapses(), got.Count(), want.Count())
-			}
-			if !bytes.Equal(marshal(t, o), oBefore) {
-				t.Error("Merge mutated its argument")
-			}
-			self, selfRef := build(tc[0], 3), build(tc[0], 3)
-			if err := self.Merge(self); err != nil {
-				t.Fatal(err)
-			}
-			refMergeMap(selfRef, selfRef)
-			if !bytes.Equal(marshal(t, self), marshal(t, selfRef)) {
-				t.Error("self-merge differs from clone-and-collapse")
-			}
-		})
-		t.Run("array/"+name, func(t *testing.T) {
-			build := func(f mergeFill, seed uint64) *ArraySketch {
-				s, err := NewArray(0.01, budget)
-				if err != nil {
+				got, o := fill(tc[0], 1), fill(tc[1], 2)
+				want, wantO := fill(tc[0], 1), fill(tc[1], 2)
+				oBefore := marshal(t, o)
+				if err := got.Merge(o); err != nil {
 					t.Fatal(err)
 				}
-				for _, x := range f.values(seed) {
-					s.Insert(x)
+				refMerge(want, wantO)
+				if !bytes.Equal(marshal(t, got), marshal(t, want)) {
+					t.Errorf("Merge differs from clone-and-collapse (collapses %d vs %d, count %d vs %d)",
+						got.Collapses(), want.Collapses(), got.Count(), want.Count())
 				}
-				for range f.extra {
-					s.uniformCollapse()
+				if got.MemoryBytes() != want.MemoryBytes() {
+					t.Errorf("MemoryBytes %d, want %d: the store layout diverged", got.MemoryBytes(), want.MemoryBytes())
 				}
-				return s
-			}
-			got, o := build(tc[0], 1), build(tc[1], 2)
-			want, wantO := build(tc[0], 1), build(tc[1], 2)
-			oBefore := marshal(t, o)
-			if err := got.Merge(o); err != nil {
-				t.Fatal(err)
-			}
-			refMergeArray(want, wantO)
-			if !bytes.Equal(marshal(t, got), marshal(t, want)) {
-				t.Errorf("Merge differs from clone-and-collapse (collapses %d vs %d, count %d vs %d)",
-					got.Collapses(), want.Collapses(), got.Count(), want.Count())
-			}
-			if got.MemoryBytes() != want.MemoryBytes() {
-				t.Errorf("MemoryBytes %d, want %d: the array layout diverged", got.MemoryBytes(), want.MemoryBytes())
-			}
-			if !bytes.Equal(marshal(t, o), oBefore) {
-				t.Error("Merge mutated its argument")
-			}
-			self, selfRef := build(tc[0], 3), build(tc[0], 3)
-			if err := self.Merge(self); err != nil {
-				t.Fatal(err)
-			}
-			refMergeArray(selfRef, selfRef)
-			if !bytes.Equal(marshal(t, self), marshal(t, selfRef)) {
-				t.Error("self-merge differs from clone-and-collapse")
-			}
-		})
+				if !bytes.Equal(marshal(t, o), oBefore) {
+					t.Error("Merge mutated its argument")
+				}
+				self, selfRef := fill(tc[0], 3), fill(tc[0], 3)
+				if err := self.Merge(self); err != nil {
+					t.Fatal(err)
+				}
+				refMerge(selfRef, selfRef)
+				if !bytes.Equal(marshal(t, self), marshal(t, selfRef)) {
+					t.Error("self-merge differs from clone-and-collapse")
+				}
+			})
+		}
 	}
 }
 

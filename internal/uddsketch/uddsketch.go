@@ -10,17 +10,18 @@
 // α₀ = tanh(atanh(α_k)/2^(k−1)), which NewWithBudget computes (paper
 // Sec 3.4 and 4.2).
 //
-// Mirroring the study's methodology, the store is a Go map — the paper's
-// UDDSketch deliberately keeps the map-backed bucket store of the original
-// C implementation, and attributes its slower insert/merge times to it.
+// Mirroring the study's methodology, the default store is a Go map — the
+// paper's UDDSketch deliberately keeps the map-backed bucket store of the
+// original C implementation, and attributes its slower insert/merge times
+// to it. NewDense builds the same sketch over a dense array store, the
+// other arm of that ablation (see store.go).
 package uddsketch
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
-	"sync"
 
 	"repro/internal/fastlog"
 	"repro/internal/sketch"
@@ -61,8 +62,9 @@ func initMultiplier(gamma float64) float64 {
 	return 1 / (fastlog.CubicMinSlope * math.Log2(gamma))
 }
 
-// Sketch is a UDDSketch instance covering the full real line (positive
-// map store, mirrored negative map store, and an exact-zero counter).
+// Sketch is a UDDSketch instance covering the full real line (a positive
+// store, a mirrored negative store, and an exact-zero counter). Both
+// stores are of the kind its constructor chose.
 type Sketch struct {
 	initAlpha  float64
 	alpha      float64
@@ -81,8 +83,8 @@ type Sketch struct {
 	indexer    byte
 	multiplier float64
 
-	positive map[int]int64
-	negative map[int]int64
+	positive store
+	negative store
 	zeroCnt  int64
 	count    int64
 	min, max float64
@@ -95,7 +97,8 @@ var (
 
 // New returns a UDDSketch with initial relative accuracy alpha0 and a
 // bucket budget of maxBuckets (counting positive and negative buckets
-// together). It panics on invalid parameters; use NewChecked for errors.
+// together, at least 4). It panics on invalid parameters; use
+// NewChecked for errors.
 func New(alpha0 float64, maxBuckets int) *Sketch {
 	s, err := NewChecked(alpha0, maxBuckets)
 	if err != nil {
@@ -106,24 +109,15 @@ func New(alpha0 float64, maxBuckets int) *Sketch {
 
 // NewChecked is New with error reporting instead of panicking.
 func NewChecked(alpha0 float64, maxBuckets int) (*Sketch, error) {
-	if !(alpha0 > 0 && alpha0 < 1) {
-		return nil, fmt.Errorf("uddsketch: alpha must be in (0,1), got %v", alpha0)
-	}
-	if maxBuckets < 2 {
-		return nil, fmt.Errorf("uddsketch: need at least 2 buckets, got %d", maxBuckets)
-	}
-	s := &Sketch{
-		initAlpha:  alpha0,
-		maxBuckets: maxBuckets,
-		indexer:    indexerCubic,
-		positive:   make(map[int]int64),
-		negative:   make(map[int]int64),
-		min:        math.Inf(1),
-		max:        math.Inf(-1),
-	}
-	s.setAlpha(alpha0)
-	s.multiplier = initMultiplier(s.gamma)
-	return s, nil
+	return newSketch(alpha0, maxBuckets, false)
+}
+
+// NewDense is NewChecked over a dense array store instead of the
+// paper's map: the same sketch, answers and serialized bytes, a
+// different speed and memory profile. It exists for the store ablation
+// (ablation-uddstore).
+func NewDense(alpha0 float64, maxBuckets int) (*Sketch, error) {
+	return newSketch(alpha0, maxBuckets, true)
 }
 
 // NewWithBudget returns a UDDSketch whose *final* relative accuracy is
@@ -131,6 +125,15 @@ func NewChecked(alpha0 float64, maxBuckets int) (*Sketch, error) {
 // α₀ = tanh(atanh(alphaK)/2^(numCollapses−1)). This reproduces the study's
 // configuration: alphaK = 0.01, maxBuckets = 1024, numCollapses = 12.
 func NewWithBudget(alphaK float64, maxBuckets, numCollapses int) (*Sketch, error) {
+	return newWithBudget(alphaK, maxBuckets, numCollapses, false)
+}
+
+// NewDenseWithBudget is NewWithBudget over a dense array store.
+func NewDenseWithBudget(alphaK float64, maxBuckets, numCollapses int) (*Sketch, error) {
+	return newWithBudget(alphaK, maxBuckets, numCollapses, true)
+}
+
+func newWithBudget(alphaK float64, maxBuckets, numCollapses int, dense bool) (*Sketch, error) {
 	if !(alphaK > 0 && alphaK < 1) {
 		return nil, fmt.Errorf("uddsketch: alpha must be in (0,1), got %v", alphaK)
 	}
@@ -138,7 +141,44 @@ func NewWithBudget(alphaK float64, maxBuckets, numCollapses int) (*Sketch, error
 		return nil, fmt.Errorf("uddsketch: numCollapses must be >= 1, got %d", numCollapses)
 	}
 	alpha0 := math.Tanh(math.Atanh(alphaK) / math.Pow(2, float64(numCollapses-1)))
-	return NewChecked(alpha0, maxBuckets)
+	return newSketch(alpha0, maxBuckets, dense)
+}
+
+func newSketch(alpha0 float64, maxBuckets int, dense bool) (*Sketch, error) {
+	if !(alpha0 > 0 && alpha0 < 1) {
+		return nil, fmt.Errorf("uddsketch: alpha must be in (0,1), got %v", alpha0)
+	}
+	// Repeated collapses bring every positive index to 1 or 0 and every
+	// negative-store index likewise, so 4 buckets is the least budget
+	// that collapsing can always restore.
+	if maxBuckets < 4 {
+		return nil, fmt.Errorf("uddsketch: need at least 4 buckets, got %d", maxBuckets)
+	}
+	s := &Sketch{
+		initAlpha:  alpha0,
+		maxBuckets: maxBuckets,
+		indexer:    indexerCubic,
+		positive:   newStore(dense, 0),
+		negative:   newStore(dense, 0),
+	}
+	s.reset()
+	return s, nil
+}
+
+// newStore returns an empty store of the chosen kind, a map sized for
+// hint buckets or a dense array.
+func newStore(dense bool, hint int) store {
+	if dense {
+		return new(denseStore)
+	}
+	return make(mapStore, hint)
+}
+
+// dense reports whether the sketch keeps its buckets in dense stores; a
+// zero Sketch, as a decode target, counts as the paper's map.
+func (s *Sketch) dense() bool {
+	_, ok := s.positive.(*denseStore)
+	return ok
 }
 
 func (s *Sketch) setAlpha(alpha float64) {
@@ -218,11 +258,12 @@ func (s *Sketch) InsertN(x float64, n uint64) {
 	if metrics != nil {
 		metrics.Inserts.Add(int64(n))
 	}
+	var grew bool
 	switch {
 	case x > 0 && x >= s.minIndexable():
-		s.positive[s.index(x)] += int64(n)
+		grew = s.positive.add(s.index(x), int64(n))
 	case x < 0 && -x >= s.minIndexable():
-		s.negative[s.index(-x)] += int64(n)
+		grew = s.negative.add(s.index(-x), int64(n))
 	default:
 		s.zeroCnt += int64(n)
 	}
@@ -233,56 +274,27 @@ func (s *Sketch) InsertN(x float64, n uint64) {
 	if x > s.max {
 		s.max = x
 	}
-	if len(s.positive)+len(s.negative) > s.maxBuckets {
-		for len(s.positive)+len(s.negative) > s.maxBuckets {
-			s.uniformCollapse()
-		}
-		s.assertInvariants("collapse")
+	if grew && s.NonEmptyBuckets() > s.maxBuckets {
+		s.collapseToBudget()
 	}
 }
 
-// ceilShift computes ⌈i/2^d⌉ for signed i: the bucket that index i
-// lands in after d uniform collapses. An arithmetic shift floors, so
-// negating around it ceils; for d ≥ 64 it yields 1 for positive i and 0
-// otherwise, the fixed points of repeated ⌈i/2⌉.
-func ceilShift(i, d int) int { return -(-i >> d) }
-
-// bucket is one (index, count) pair of a map store.
-type bucket struct {
-	i int
-	c int64
+// collapseToBudget runs uniform collapses until the bucket budget
+// holds again.
+func (s *Sketch) collapseToBudget() {
+	for s.NonEmptyBuckets() > s.maxBuckets {
+		s.uniformCollapse()
+	}
+	s.assertInvariants("collapse")
 }
-
-// collapseScratch holds the (index, count) buffers that in-place
-// collapses stage a store's buckets through. No sketch keeps one, so an
-// idle sketch holds no memory beyond its maps.
-var collapseScratch = sync.Pool{New: func() any { return new([]bucket) }}
 
 // uniformCollapse merges every adjacent (odd, even) index pair into
 // ⌈i/2⌉, squares γ, and updates the error guarantee α ← 2α/(1+α²).
-// Each store collapses in place: its pairs are staged in a pooled
-// buffer, the map is cleared — which keeps its capacity — and refilled,
-// so a warm sketch collapses without allocating.
+// Each store collapses in place.
 func (s *Sketch) uniformCollapse() {
-	buf := collapseScratch.Get().(*[]bucket)
-	*buf = collapseInPlace(s.positive, *buf)
-	*buf = collapseInPlace(s.negative, *buf)
-	collapseScratch.Put(buf)
+	s.positive.collapse()
+	s.negative.collapse()
 	s.collapsed()
-}
-
-// collapseInPlace moves every bucket of m to ⌈i/2⌉, staging the pairs
-// in buf, and returns buf for reuse.
-func collapseInPlace(m map[int]int64, buf []bucket) []bucket {
-	buf = buf[:0]
-	for i, c := range m {
-		buf = append(buf, bucket{i, c})
-	}
-	clear(m)
-	for _, b := range buf {
-		m[ceilShift(b.i, 1)] += b.c
-	}
-	return buf
 }
 
 // collapsed advances the accuracy bookkeeping by one uniform collapse,
@@ -305,16 +317,10 @@ func (s *Sketch) collapsed() {
 // Count implements sketch.Sketch.
 func (s *Sketch) Count() uint64 { return uint64(s.count) }
 
-func sortedKeys(m map[int]int64) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
+// total sums a store's counts.
+func total(st store) int64 { return st.addTo(nil, 1, 0) }
 
-// Quantile implements sketch.Sketch.
+// Quantile implements sketch.Sketch: QuantileAll at one target.
 func (s *Sketch) Quantile(q float64) (float64, error) {
 	if err := sketch.CheckQuantile(q); err != nil {
 		return 0, err
@@ -322,64 +328,30 @@ func (s *Sketch) Quantile(q float64) (float64, error) {
 	if s.count == 0 {
 		return 0, sketch.ErrEmpty
 	}
-	rank := int64(math.Ceil(q * float64(s.count)))
-	if rank < 1 {
-		rank = 1
+	out, err := s.QuantileAll([]float64{q})
+	if err != nil {
+		return 0, err
 	}
-	if rank > s.count {
-		rank = s.count
-	}
-	var negTotal int64
-	for _, c := range s.negative {
-		negTotal += c
-	}
-	switch {
-	case rank <= negTotal:
-		want := negTotal - rank
-		var cum int64
-		keys := sortedKeys(s.negative)
-		for _, i := range keys {
-			cum += s.negative[i]
-			if cum > want {
-				return s.clamp(-s.value(i)), nil
-			}
-		}
-		return s.clamp(s.min), nil
-	case rank <= negTotal+s.zeroCnt:
-		return 0, nil
-	default:
-		want := rank - negTotal - s.zeroCnt
-		var cum int64
-		keys := sortedKeys(s.positive)
-		for _, i := range keys {
-			cum += s.positive[i]
-			if cum >= want {
-				return s.clamp(s.value(i)), nil
-			}
-		}
-		return s.clamp(s.max), nil
-	}
+	return out[0], nil
 }
 
-// storeTarget is one batched rank target: want is the cumulative count
-// that resolves it during a store scan, pos its slot in the output.
+// storeTarget is one batched rank target: a store scan resolves it at
+// the first bucket whose cumulative count exceeds want; pos is its slot
+// in the output.
 type storeTarget struct {
 	want int64
 	pos  int
 }
 
 // QuantileAll implements sketch.MultiQuantiler: the negative total is
-// summed once, each touched store sorts its keys once, and one
-// cumulative scan resolves all of that store's targets in ascending
-// rank order — instead of one full map walk plus key sort per quantile.
+// summed once, and one cumulative scan of each touched store, in index
+// order, resolves all of that store's targets in ascending rank order —
+// instead of one full store walk plus key sort per quantile.
 func (s *Sketch) QuantileAll(qs []float64) ([]float64, error) {
 	if err := sketch.ValidateQuantiles(qs, s.count == 0); err != nil {
 		return nil, err
 	}
-	var negTotal int64
-	for _, c := range s.negative {
-		negTotal += c
-	}
+	negTotal := total(s.negative)
 	out := make([]float64, len(qs))
 	var negT, posT []storeTarget
 	for i, q := range qs {
@@ -392,60 +364,45 @@ func (s *Sketch) QuantileAll(qs []float64) ([]float64, error) {
 		}
 		switch {
 		case rank <= negTotal:
+			// The negative store's index order runs from the value
+			// nearest zero outwards, so rank counts back from negTotal.
 			negT = append(negT, storeTarget{negTotal - rank, i})
 		case rank <= negTotal+s.zeroCnt:
 			out[i] = 0
 		default:
-			posT = append(posT, storeTarget{rank - negTotal - s.zeroCnt, i})
+			posT = append(posT, storeTarget{rank - negTotal - s.zeroCnt - 1, i})
 		}
 	}
-	byWant := func(a, b storeTarget) int {
-		switch {
-		case a.want < b.want:
-			return -1
-		case a.want > b.want:
-			return 1
-		default:
-			return 0
-		}
-	}
-	if len(negT) > 0 {
-		slices.SortFunc(negT, byWant)
-		k := 0
-		var cum int64
-		for _, i := range sortedKeys(s.negative) {
-			cum += s.negative[i]
-			for k < len(negT) && cum > negT[k].want {
-				out[negT[k].pos] = s.clamp(-s.value(i))
-				k++
-			}
-			if k == len(negT) {
-				break
-			}
-		}
-		for ; k < len(negT); k++ {
-			out[negT[k].pos] = s.clamp(s.min)
-		}
-	}
-	if len(posT) > 0 {
-		slices.SortFunc(posT, byWant)
-		k := 0
-		var cum int64
-		for _, i := range sortedKeys(s.positive) {
-			cum += s.positive[i]
-			for k < len(posT) && cum >= posT[k].want {
-				out[posT[k].pos] = s.clamp(s.value(i))
-				k++
-			}
-			if k == len(posT) {
-				break
-			}
-		}
-		for ; k < len(posT); k++ {
-			out[posT[k].pos] = s.clamp(s.max)
-		}
-	}
+	s.resolve(s.negative, negT, -1, out)
+	s.resolve(s.positive, posT, 1, out)
 	return out, nil
+}
+
+// resolve answers targets ts from one store: the bucket value times
+// sign, clamped to [min, max], or the extreme on that side for a target
+// the scan never reaches.
+func (s *Sketch) resolve(st store, ts []storeTarget, sign float64, out []float64) {
+	if len(ts) == 0 {
+		return
+	}
+	slices.SortFunc(ts, func(a, b storeTarget) int { return cmp.Compare(a.want, b.want) })
+	k := 0
+	var cum int64
+	st.ascending(func(i int, c int64) bool {
+		cum += c
+		for k < len(ts) && cum > ts[k].want {
+			out[ts[k].pos] = s.clamp(sign * s.value(i))
+			k++
+		}
+		return k < len(ts)
+	})
+	rest := s.max
+	if sign < 0 {
+		rest = s.min
+	}
+	for ; k < len(ts); k++ {
+		out[ts[k].pos] = s.clamp(rest)
+	}
 }
 
 func (s *Sketch) clamp(x float64) float64 {
@@ -468,25 +425,25 @@ func (s *Sketch) Rank(x float64) (float64, error) {
 	}
 	var le int64
 	if x >= 0 {
-		for _, c := range s.negative {
-			le += c
-		}
-		le += s.zeroCnt
+		le = total(s.negative) + s.zeroCnt
 		if x > 0 {
 			xi := s.index(x)
-			for i, c := range s.positive {
-				if i <= xi {
-					le += c
+			s.positive.ascending(func(i int, c int64) bool {
+				if i > xi {
+					return false
 				}
-			}
+				le += c
+				return true
+			})
 		}
 	} else {
 		xi := s.index(-x)
-		for i, c := range s.negative {
+		s.negative.ascending(func(i int, c int64) bool {
 			if i >= xi {
 				le += c
 			}
-		}
+			return true
+		})
 	}
 	return float64(le) / float64(s.count), nil
 }
@@ -516,7 +473,7 @@ func (s *Sketch) fuse(o *Sketch, g float64) {
 	zero := o.zeroCnt
 	if g != 1 {
 		zero = int64(math.Round(float64(o.zeroCnt) * g))
-		if zero == 0 && !anySurvives(o.positive, g) && !anySurvives(o.negative, g) {
+		if zero == 0 && o.positive.addTo(nil, g, 0)+o.negative.addTo(nil, g, 0) == 0 {
 			return
 		}
 	}
@@ -525,7 +482,7 @@ func (s *Sketch) fuse(o *Sketch, g float64) {
 		s.uniformCollapse()
 	}
 	shift := s.collapses - o.collapses
-	added := addScaled(s.positive, o.positive, g, shift) + addScaled(s.negative, o.negative, g, shift) + zero
+	added := o.positive.addTo(s.positive, g, shift) + o.negative.addTo(s.negative, g, shift) + zero
 	s.zeroCnt += zero
 	s.count += added
 	if o.min < s.min {
@@ -534,7 +491,7 @@ func (s *Sketch) fuse(o *Sketch, g float64) {
 	if o.max > s.max {
 		s.max = o.max
 	}
-	for len(s.positive)+len(s.negative) > s.maxBuckets {
+	for s.NonEmptyBuckets() > s.maxBuckets {
 		s.uniformCollapse()
 	}
 	if metrics != nil {
@@ -545,6 +502,8 @@ func (s *Sketch) fuse(o *Sketch, g float64) {
 
 // mergeable returns other as a UDDSketch with the receiver's initial α
 // and indexer, or the ErrIncompatible a merge of it must fail with.
+// Stores of either kind merge into each other: they hold the same
+// buckets.
 func (s *Sketch) mergeable(other sketch.Sketch) (*Sketch, error) {
 	o, ok := other.(*Sketch)
 	if !ok {
@@ -562,12 +521,7 @@ func (s *Sketch) mergeable(other sketch.Sketch) (*Sketch, error) {
 }
 
 // NonEmptyBuckets reports the live bucket count across both stores.
-func (s *Sketch) NonEmptyBuckets() int { return len(s.positive) + len(s.negative) }
-
-// maxDegradeCollapses caps the collapse counter at its serialization
-// bound (the counter shares its wire word with the indexer flag; α has
-// long saturated at 1 by then anyway).
-const maxDegradeCollapses = 4096
+func (s *Sketch) NonEmptyBuckets() int { return s.positive.len() + s.negative.len() }
 
 // Degrade implements sketch.Degrader: run one extra uniform collapse —
 // exactly the sketch's native budget mechanism (Epicoco et al.),
@@ -575,22 +529,25 @@ const maxDegradeCollapses = 4096
 // α ← 2α/(1+α²). Merge already aligns differing collapse counts, so a
 // degraded sketch stays mergeable with any sketch of the same initial
 // α. Refused when fewer than 4 buckets are live (a collapse would
-// degrade α while freeing almost nothing).
+// degrade α while freeing almost nothing), and when the collapsed α
+// would round to 1, which is no guarantee at all. α saturates within
+// ~1,080 collapses from any α₀, so Degrade also keeps the collapse
+// counter below its serialization bound of 4096.
 //
 // Unlike the budget collapse, which collapses in place and keeps each
 // map's capacity for the refill that follows, Degrade rebuilds both
-// stores into maps sized to the surviving buckets: it is the governor's
-// way to hand memory back, and a cleared map would release none. Freed
-// bytes are measured by MemoryBytes, which sketch.FootprintOf charges:
-// the paper's per-bucket accounting, blind to map capacity, so only a
-// rebuild makes the reported bytes actually leave the heap.
+// stores sized to the surviving buckets: it is the governor's way to
+// hand memory back, and a cleared map would release none. Freed bytes
+// are measured by MemoryBytes, which sketch.FootprintOf charges: for a
+// map the paper's per-bucket accounting, blind to map capacity, so only
+// a rebuild makes the reported bytes actually leave the heap.
 func (s *Sketch) Degrade() (int, error) {
-	if s.NonEmptyBuckets() < 4 || s.collapses >= maxDegradeCollapses {
+	if s.NonEmptyBuckets() < 4 || !(2*s.alpha/(1+s.alpha*s.alpha) < 1) {
 		return 0, sketch.ErrNotDegradable
 	}
 	before := s.MemoryBytes()
-	s.positive = rebuilt(s.positive, 1)
-	s.negative = rebuilt(s.negative, 1)
+	s.positive = s.positive.rebuilt(1)
+	s.negative = s.negative.rebuilt(1)
 	s.collapsed()
 	s.assertInvariants("degrade")
 	freed := before - s.MemoryBytes()
@@ -600,28 +557,19 @@ func (s *Sketch) Degrade() (int, error) {
 	return freed, nil
 }
 
-// Trim implements sketch.Trimmer: it rebuilds both stores into maps
-// sized to their buckets. A map keeps the capacity of its fullest
-// moment through in-place collapses, and ranging over it — as merging
-// the sketch into another or querying it does — walks all of that
+// Trim implements sketch.Trimmer: it rebuilds map stores sized to their
+// buckets (a dense store's array is already what MemoryBytes reports,
+// so Trim leaves it). A map keeps the capacity of its fullest moment
+// through in-place collapses, and ranging over it — as merging the
+// sketch into another or querying it does — walks all of that
 // capacity: a Pareto sketch filled with 100k values and left at 757
 // buckets after 10 collapses merges ~1.2x faster trimmed. Trimming
 // costs about one merge, so Trim a sketch once it has stopped growing
 // and will be merged many times; buckets, answers and serialized bytes
 // are unchanged.
 func (s *Sketch) Trim() {
-	s.positive = rebuilt(s.positive, 0)
-	s.negative = rebuilt(s.negative, 0)
-}
-
-// rebuilt returns a fresh map sized to m's buckets after d uniform
-// collapses, holding each count of m at ⌈i/2^d⌉.
-func rebuilt(m map[int]int64, d int) map[int]int64 {
-	neu := make(map[int]int64, ceilShift(len(m), d))
-	for i, c := range m {
-		neu[ceilShift(i, d)] += c
-	}
-	return neu
+	s.positive = s.positive.rebuilt(0)
+	s.negative = s.negative.rebuilt(0)
 }
 
 // AccuracyBound implements sketch.AccuracyBounder: the sketch's current
@@ -630,18 +578,22 @@ func rebuilt(m map[int]int64, d int) map[int]int64 {
 // carries the worse collapse count's α).
 func (s *Sketch) AccuracyBound() float64 { return s.alpha }
 
-// MemoryBytes implements sketch.Sketch using the paper's accounting for a
-// map-backed store: a map index, a bucket index and a count per bucket
-// (Sec 4.3), plus fixed bookkeeping.
-func (s *Sketch) MemoryBytes() int {
-	numbers := 3*(len(s.positive)+len(s.negative)) + 8
-	return 8 * numbers
+// MemoryBytes implements sketch.Sketch with each store's accounting:
+// for the paper's map a map index, a bucket index and a count per
+// bucket (Sec 4.3), for a dense store its allocated slots, plus fixed
+// bookkeeping.
+func (s *Sketch) MemoryBytes() int { return s.positive.bytes() + s.negative.bytes() }
+
+// Reset implements sketch.Sketch. The stores stay of their kind.
+func (s *Sketch) Reset() {
+	dense := s.dense()
+	s.positive = newStore(dense, 0)
+	s.negative = newStore(dense, 0)
+	s.reset()
 }
 
-// Reset implements sketch.Sketch.
-func (s *Sketch) Reset() {
-	s.positive = make(map[int]int64)
-	s.negative = make(map[int]int64)
+// reset returns everything but the stores to the empty state.
+func (s *Sketch) reset() {
 	s.zeroCnt = 0
 	s.count = 0
 	s.collapses = 0
@@ -654,9 +606,10 @@ func (s *Sketch) Reset() {
 // MarshalBinary implements encoding.BinaryMarshaler. The indexer kind
 // rides in the high bit of the collapse counter (see indexerFlagCubic)
 // so that envelopes written before the fast indexer existed decode as
-// exact-log sketches without a version bump or a length change.
+// exact-log sketches without a version bump or a length change. The
+// bytes do not depend on the store kind.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	w := sketch.NewWriter(64 + 16*(len(s.positive)+len(s.negative)))
+	w := sketch.NewWriter(64 + 16*s.NonEmptyBuckets())
 	w.Header(sketch.TagUDDSketch)
 	w.F64(s.initAlpha)
 	w.U32(uint32(s.maxBuckets))
@@ -665,19 +618,22 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	w.I64(s.count)
 	w.F64(s.min)
 	w.F64(s.max)
-	writeMap := func(m map[int]int64) {
-		w.U32(uint32(len(m)))
-		for _, i := range sortedKeys(m) {
+	for _, st := range []store{s.positive, s.negative} {
+		w.U32(uint32(st.len()))
+		st.ascending(func(i int, c int64) bool {
 			w.I64(int64(i))
-			w.I64(m[i])
-		}
+			w.I64(c)
+			return true
+		})
 	}
-	writeMap(s.positive)
-	writeMap(s.negative)
 	return w.Bytes(), nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. It decodes
+// into the receiver's store kind (the map for a zero Sketch), so a
+// decoded sketch resumes exactly as the one that was encoded. A dense
+// receiver refuses an envelope whose bucket indices span more than
+// maxDecodeSpan slots rather than allocate that span.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	r := sketch.NewReader(data)
 	if err := r.Header(sketch.TagUDDSketch); err != nil {
@@ -710,7 +666,8 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if zeroCnt < 0 || count < 0 || math.IsNaN(minV) || math.IsNaN(maxV) {
 		return sketch.ErrCorrupt
 	}
-	ns, err := NewChecked(initAlpha, maxBuckets)
+	dense := s.dense()
+	ns, err := newSketch(initAlpha, maxBuckets, dense)
 	if err != nil {
 		return sketch.ErrCorrupt
 	}
@@ -722,10 +679,11 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	ns.count = count
 	ns.min = minV
 	ns.max = maxV
-	readMap := func(m map[int]int64) error {
+	readStore := func(st store) error {
 		n := int(r.U32())
+		lo, hi := math.MaxInt, math.MinInt
 		for i := 0; i < n; i++ {
-			idx := r.I64()
+			idx := int(r.I64())
 			c := r.I64()
 			if r.Err() != nil {
 				return r.Err()
@@ -734,14 +692,20 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 			if c <= 0 {
 				return sketch.ErrCorrupt
 			}
-			m[int(idx)] += c
+			// The unsigned difference is exact even where hi−lo
+			// overflows an int.
+			lo, hi = min(lo, idx), max(hi, idx)
+			if dense && uint64(hi-lo) >= maxDecodeSpan {
+				return sketch.ErrCorrupt
+			}
+			st.add(idx, c)
 		}
 		return nil
 	}
-	if err := readMap(ns.positive); err != nil {
+	if err := readStore(ns.positive); err != nil {
 		return err
 	}
-	if err := readMap(ns.negative); err != nil {
+	if err := readStore(ns.negative); err != nil {
 		return err
 	}
 	if r.Err() != nil {
@@ -756,17 +720,10 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	// Structural validation: bucket sums must reproduce the serialized
 	// count, the budget must hold, and a non-empty sketch needs ordered
 	// bounds — anything else is corruption, not a decodable sketch.
-	var sum int64
-	for _, c := range ns.positive {
-		sum += c
-	}
-	for _, c := range ns.negative {
-		sum += c
-	}
-	if sum+ns.zeroCnt != ns.count {
+	if total(ns.positive)+total(ns.negative)+ns.zeroCnt != ns.count {
 		return sketch.ErrCorrupt
 	}
-	if len(ns.positive)+len(ns.negative) > ns.maxBuckets {
+	if ns.NonEmptyBuckets() > ns.maxBuckets {
 		return sketch.ErrCorrupt
 	}
 	if ns.count > 0 && !(ns.min <= ns.max) {

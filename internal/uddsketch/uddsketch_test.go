@@ -12,6 +12,34 @@ import (
 	"repro/internal/sketch"
 )
 
+// storeKinds are the two bucket stores the store-generic tests run
+// over: the paper's map, and the dense array store of NewDense (named
+// after the registry's uddsketch-array entry and the ablation's row).
+var storeKinds = []struct {
+	name  string
+	dense bool
+}{{"map", false}, {"array", true}}
+
+// build returns a sketch over the chosen store, panicking on invalid
+// parameters like New.
+func build(dense bool, alpha0 float64, maxBuckets int) *Sketch {
+	s, err := newSketch(alpha0, maxBuckets, dense)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// buildWithBudget is NewWithBudget over the chosen store.
+func buildWithBudget(t testing.TB, dense bool, alphaK float64, maxBuckets, numCollapses int) *Sketch {
+	t.Helper()
+	s, err := newWithBudget(alphaK, maxBuckets, numCollapses, dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func exactQuantile(sorted []float64, q float64) float64 {
 	idx := int(math.Ceil(q * float64(len(sorted))))
 	if idx < 1 {
@@ -88,43 +116,51 @@ func TestAlphaDeterioration(t *testing.T) {
 }
 
 func TestBucketBudgetRespected(t *testing.T) {
-	s := New(1e-4, 64)
-	rng := rand.New(rand.NewPCG(9, 10))
-	for i := 0; i < 100000; i++ {
-		s.Insert(math.Exp(rng.Float64()*40 - 20))
-	}
-	if n := s.NonEmptyBuckets(); n > 64 {
-		t.Errorf("holds %d buckets, budget 64", n)
+	for _, kind := range storeKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			s := build(kind.dense, 1e-4, 64)
+			rng := rand.New(rand.NewPCG(9, 10))
+			for i := 0; i < 100000; i++ {
+				s.Insert(math.Exp(rng.Float64()*40 - 20))
+			}
+			if n := s.NonEmptyBuckets(); n > 64 {
+				t.Errorf("holds %d buckets, budget 64", n)
+			}
+			if s.Collapses() == 0 {
+				t.Error("expected collapses")
+			}
+		})
 	}
 }
 
 // The headline property: current Alpha() always bounds the observed
 // relative error, even after collapses.
 func TestRelativeErrorGuarantee(t *testing.T) {
-	s, err := NewWithBudget(0.01, 1024, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(42, 43))
-	data := make([]float64, 200000)
-	for i := range data {
-		data[i] = 1 / math.Pow(1-rng.Float64(), 1.0) // Pareto α=1, huge range
-		s.Insert(data[i])
-	}
-	sort.Float64s(data)
-	alpha := s.Alpha()
-	if alpha > 0.01 {
-		t.Fatalf("final alpha %v exceeded the 0.01 design threshold", alpha)
-	}
-	for _, q := range []float64{0.01, 0.25, 0.5, 0.75, 0.95, 0.99, 0.999} {
-		truth := exactQuantile(data, q)
-		est, err := s.Quantile(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if re := relErr(truth, est); re > alpha*(1+1e-9) {
-			t.Errorf("q=%v: rel err %v > current alpha %v", q, re, alpha)
-		}
+	for _, kind := range storeKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			s := buildWithBudget(t, kind.dense, 0.01, 1024, 12)
+			rng := rand.New(rand.NewPCG(42, 43))
+			data := make([]float64, 200000)
+			for i := range data {
+				data[i] = 1 / math.Pow(1-rng.Float64(), 1.0) // Pareto α=1, huge range
+				s.Insert(data[i])
+			}
+			sort.Float64s(data)
+			alpha := s.Alpha()
+			if alpha > 0.01 {
+				t.Fatalf("final alpha %v exceeded the 0.01 design threshold", alpha)
+			}
+			for _, q := range []float64{0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99, 0.999} {
+				truth := exactQuantile(data, q)
+				est, err := s.Quantile(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if re := relErr(truth, est); re > alpha*(1+1e-9) {
+					t.Errorf("q=%v: rel err %v > current alpha %v", q, re, alpha)
+				}
+			}
+		})
 	}
 }
 
@@ -142,29 +178,56 @@ func TestEmptyAndInvalid(t *testing.T) {
 	}
 }
 
+// Both stores hold negatives in their own mirrored store (the dense
+// store once counted them as zeros), and zeros exactly.
 func TestNegativeAndZero(t *testing.T) {
-	s := New(0.01, 1024)
-	for _, x := range []float64{-50, -5, 0, 5, 50} {
-		s.Insert(x)
-	}
-	med, err := s.Quantile(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if med != 0 {
-		t.Errorf("median = %v, want 0", med)
-	}
-	lo, _ := s.Quantile(0.2)
-	if re := relErr(-50, lo); re > 0.01 {
-		t.Errorf("q=0.2 = %v, want ≈ -50", lo)
+	for _, kind := range storeKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			s := build(kind.dense, 0.01, 1024)
+			for _, x := range []float64{-50, -5, 0, 5, 50} {
+				s.Insert(x)
+			}
+			med, err := s.Quantile(0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if med != 0 {
+				t.Errorf("median = %v, want 0", med)
+			}
+			lo, _ := s.Quantile(0.2)
+			if re := relErr(-50, lo); re > 0.01 {
+				t.Errorf("q=0.2 = %v, want ≈ -50", lo)
+			}
+
+			s = build(kind.dense, 0.01, 256)
+			for _, x := range []float64{0, -5, 10} {
+				s.Insert(x)
+			}
+			if s.Count() != 3 {
+				t.Fatalf("count %d", s.Count())
+			}
+			lo, err = s.Quantile(0.3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if re := relErr(-5, lo); re > 0.01 {
+				t.Errorf("q=0.3 = %v, want ≈ -5 from the negative store", lo)
+			}
+		})
 	}
 }
 
 // Merging sketches with different collapse counts aligns γ first and
 // preserves counts and accuracy.
 func TestMergeAlignsCollapses(t *testing.T) {
-	a := New(1e-4, 128) // will collapse on wide data
-	b := New(1e-4, 128)
+	for _, kind := range storeKinds {
+		t.Run(kind.name, func(t *testing.T) { testMergeAlignsCollapses(t, kind.dense) })
+	}
+}
+
+func testMergeAlignsCollapses(t *testing.T, dense bool) {
+	a := build(dense, 1e-4, 128) // will collapse on wide data
+	b := build(dense, 1e-4, 128)
 	rng := rand.New(rand.NewPCG(5, 6))
 	var all []float64
 	for i := 0; i < 50000; i++ {
@@ -337,10 +400,17 @@ func TestReset(t *testing.T) {
 }
 
 // TestCollapseConcurrentSketches runs collapse-heavy sketches on
-// several goroutines at once: they share only the pooled collapse
+// several goroutines at once: map stores share only the pooled collapse
 // scratch buffers, so each must end byte-identical to the same input
-// built alone (run under -race to check the sharing).
+// built alone (run under -race to check the sharing). Dense stores share
+// nothing and must pass too.
 func TestCollapseConcurrentSketches(t *testing.T) {
+	for _, kind := range storeKinds {
+		t.Run(kind.name, func(t *testing.T) { testCollapseConcurrentSketches(t, kind.dense) })
+	}
+}
+
+func testCollapseConcurrentSketches(t *testing.T, dense bool) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	xs := make([]float64, 20000)
 	for i := range xs {
@@ -349,8 +419,8 @@ func TestCollapseConcurrentSketches(t *testing.T) {
 			xs[i] = -xs[i]
 		}
 	}
-	build := func() []byte {
-		s := New(0.001, 64)
+	fill := func() []byte {
+		s := build(dense, 0.001, 64)
 		for _, x := range xs {
 			s.Insert(x)
 		}
@@ -360,7 +430,7 @@ func TestCollapseConcurrentSketches(t *testing.T) {
 		}
 		return b
 	}
-	want := build()
+	want := fill()
 	const workers = 4
 	got := make([][]byte, workers)
 	var wg sync.WaitGroup
@@ -368,7 +438,7 @@ func TestCollapseConcurrentSketches(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[w] = build()
+			got[w] = fill()
 		}()
 	}
 	wg.Wait()

@@ -103,6 +103,7 @@ InsertMapping/logarithmic                    InsertMapping/linear
 InsertIndexer/logarithmic                    InsertIndexer/cubic
 InsertStore/dense/batch                      InsertStore/paginated/batch
 InsertStore/dense/scalar                     InsertStore/paginated/scalar
+InsertStore/uddsketch-map/batch              InsertStore/uddsketch-dense/batch
 ConcurrentInsert/kll/locked/w=4              ConcurrentInsert/kll/w=4
 ConcurrentInsert/ddsketch/locked/w=4         ConcurrentInsert/ddsketch/w=4
 ConcurrentInsert/kll/locked/w=1              ConcurrentInsert/kll/w=4

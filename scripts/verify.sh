@@ -167,8 +167,9 @@ gate pane go test -race \
 	-run 'Pane|Sliding|Decay|ScaleCount|MergeScaled|WeightedQuantiles|TumblingSlide|Golden|WindowBoundary|Lateness|DroppedLate' \
 	./internal/stream ./internal/sketch ./internal/stats ./internal/harness
 # UDDSketch's in-place collapses stage buckets through one scratch pool
-# shared by every sketch: collapse-heavy sketches built on several
-# goroutines at once must stay byte-identical under the race detector.
+# shared by every map-store sketch: collapse-heavy sketches built on
+# several goroutines at once must stay byte-identical under the race
+# detector. Each collapse test runs over both stores (map and dense).
 gate uddsketch-collapse go test -race -run 'Collapse' ./internal/uddsketch
 # Memory-budget governor and fault-hardened checkpoint I/O under the
 # race detector: the budget-never-exceeded property, graceful
