@@ -23,6 +23,10 @@ var goldenExperiments = []struct {
 }{
 	{"table3", nil},
 	{"ablation-uddstore", []string{"insert/op", "merge/op", "8-quantile query"}},
+	{"fig6", nil},
+	{"fig7", nil},
+	{"ablation-hra", nil},
+	{"related", []string{"insert/op"}},
 }
 
 // TestReproductionGolden runs each golden experiment at goldenScale and

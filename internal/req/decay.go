@@ -1,7 +1,6 @@
 package req
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -53,26 +52,16 @@ func (s *Sketch) MergeScaled(other sketch.Sketch, g float64) error {
 	if !ok {
 		return s.Merge(other) // reports the incompatibility
 	}
-	c, err := o.clone()
-	if err != nil {
-		return err
-	}
+	c := o.Clone()
 	c.ScaleCount(g)
 	return s.Merge(c)
 }
 
-// clone returns a deep copy of s that continues bit-identically to it:
+// Clone returns a deep copy of s that continues bit-identically to it:
 // compactor buffers and schedule state are copied, and the RNG resumes
 // from s's PCG state. Scratch and the query view are not copied.
-func (s *Sketch) clone() (*Sketch, error) {
-	state, err := s.pcg.MarshalBinary()
-	if err != nil {
-		return nil, fmt.Errorf("req: clone: %w", err)
-	}
-	pcg := rand.NewPCG(s.seed, s.seed^0xbf58476d1ce4e5b9)
-	if err := pcg.UnmarshalBinary(state); err != nil {
-		return nil, fmt.Errorf("req: clone: %w", err)
-	}
+func (s *Sketch) Clone() *Sketch {
+	pcg := *s.pcg
 	c := &Sketch{
 		k:          s.k,
 		hra:        s.hra,
@@ -80,8 +69,8 @@ func (s *Sketch) clone() (*Sketch, error) {
 		count:      s.count,
 		min:        s.min,
 		max:        s.max,
-		rng:        rand.New(pcg),
-		pcg:        pcg,
+		rng:        rand.New(&pcg),
+		pcg:        &pcg,
 		seed:       s.seed,
 	}
 	for h, oc := range s.compactors {
@@ -90,5 +79,5 @@ func (s *Sketch) clone() (*Sketch, error) {
 		cc.scratch = nil
 		c.compactors[h] = &cc
 	}
-	return c, nil
+	return c
 }

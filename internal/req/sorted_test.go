@@ -331,11 +331,7 @@ func TestReqSortedCompactionDifferential(t *testing.T) {
 							ref.degrade()
 							name = "degrade"
 						case op == 8:
-							c, err := got.clone()
-							if err != nil {
-								t.Fatal(err)
-							}
-							got = c
+							got = got.Clone()
 							name = "clone"
 						default:
 							got = roundTrip(t, got)
@@ -404,10 +400,7 @@ func TestReqSortedResumeShortSuffix(t *testing.T) {
 				t.Fatal(err)
 			}
 			for n := 1; n <= 200; n++ {
-				a, err := orig.clone()
-				if err != nil {
-					t.Fatal(err)
-				}
+				a := orig.Clone()
 				var b Sketch
 				if err := b.UnmarshalBinary(blob); err != nil {
 					t.Fatal(err)
