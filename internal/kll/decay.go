@@ -8,30 +8,22 @@ import (
 
 var _ sketch.CountScaler = (*Sketch)(nil)
 
-// ScaleCount implements sketch.CountScaler through
-// sketch.ScaleLevels: each sample at level h is re-placed at every set
-// bit of round(g·2^h), conserving weight exactly for the new count.
-// Re-placed levels are concatenations, so their sorted bits are
-// re-derived. There is no randomness until the final capacity-restoring
-// compress, whose coin flips come from the sketch's own deterministic
-// PCG stream. If everything rounds away the sketch resets. min/max are
-// kept: surviving samples are a subset of the old ones, so the bounds
-// stay ordered (they become conservative, not exact).
+// ScaleCount implements sketch.CountScaler through the stack's Scale:
+// each sample at level h is re-placed at every set bit of round(g·2^h),
+// conserving weight exactly for the new count. There is no randomness
+// until the final capacity-restoring compress, whose coin flips come
+// from the sketch's own deterministic PCG stream. If everything rounds
+// away the sketch resets. min/max are kept: surviving samples are a
+// subset of the old ones, so the bounds stay ordered (they become
+// conservative, not exact).
 func (s *Sketch) ScaleCount(g float64) {
 	if math.IsNaN(g) || g >= 1 {
 		return
 	}
-	newLevels, count := sketch.ScaleLevels(s.levels, g)
-	if count == 0 {
+	if !s.Scale(g) {
 		s.Reset()
 		return
 	}
-	for h := range s.levels {
-		s.levels[h] = append(s.levels[h][:0], newLevels[h]...)
-		s.markSorted(h)
-	}
-	s.count = count
-	s.view.Invalidate()
 	recordCompactions(s.compress())
 }
 

@@ -1,9 +1,16 @@
 // Package kll implements the KLL sketch (Karnin, Lang, Liberty; FOCS
 // 2016) with the practical refinements of Ivkin et al. used by Apache
 // DataSketches: a hierarchy of compactors whose capacities decay
-// geometrically (factor 2/3) from the top level's k, lazy compaction, and
-// exact min/max tracking. An item retained at level h represents 2^h
+// geometrically (factor 2/3) from the top level's k, and exact min/max
+// tracking. Compaction is eager: every level compacts as soon as it
+// reaches its own capacity. An item retained at level h represents 2^h
 // stream items.
+//
+// The compactors are a sketch.CompactorStack, shared with ReqSketch;
+// this package keeps only KLL's schedule: the geometric capacities,
+// compress's trigger, which region compacts (all of a level but, on
+// odd sizes, its smallest item), the min-k Merge rule and the header
+// fields of the serialized form.
 //
 // Mirroring the DataSketches implementation the study evaluates (a
 // *float* sketch), samples are stored as float32; this is what produces
@@ -19,7 +26,6 @@ package kll
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"slices"
 
 	"repro/internal/sketch"
@@ -36,24 +42,15 @@ const minCompactorSize = 2
 // top level.
 const capacityDecay = 2.0 / 3.0
 
-// Sketch is a KLL quantile sketch.
+// Sketch is a KLL quantile sketch. Its query view treats a level as a
+// sorted run only when all of it is ascending and it is not level 0,
+// and is built lazily at query time and invalidated by mutation — the
+// same auxiliary structure DataSketches builds, and the reason KLL
+// query times are fast and size-stable (Sec 4.4.2).
 type Sketch struct {
-	k      int
-	levels [][]float32 // levels[h] holds items of weight 2^h
-	// sorted has bit h set exactly when levels[h], h ≥ 1, is ascending;
-	// bit 0 is never set, since inserts append to level 0 unsorted.
-	// Compaction keeps the levels it promotes into sorted (see
-	// compactLevel), and every other mutator re-derives the bits of the
-	// levels it touches, so the mask is a pure function of the levels —
-	// which is what lets UnmarshalBinary restore it by scanning.
-	sorted uint64
-	count  uint64
-	min    float64
-	max    float64
-	rng    *rand.Rand
-	pcg    *rand.PCG // rng's source, kept for exact state serialization
-	seed   uint64
-	caps   []int // cached per-level capacities for the current height
+	sketch.CompactorStack
+	k    int
+	caps []int // cached per-level capacities for the current height
 	// peakStale is set when caps is rebuilt and cleared when compress
 	// records the peak-bytes gauge. MemoryBytes after a compaction
 	// cascade is a function of the capacity schedule, except for levels
@@ -61,12 +58,6 @@ type Sketch struct {
 	// capacity — and that change rebuilds the schedule too. So only the
 	// first cascade after a rebuild can raise the gauge.
 	peakStale bool
-
-	// view is the sorted query view, built lazily at query time and
-	// invalidated by mutation — the same auxiliary structure DataSketches
-	// builds, and the reason KLL query times are fast and size-stable
-	// (Sec 4.4.2).
-	view sketch.LevelView
 }
 
 var _ sketch.Sketch = (*Sketch)(nil)
@@ -82,15 +73,9 @@ func NewWithSeed(k int, seed uint64) *Sketch {
 	if k < minCompactorSize {
 		panic(fmt.Sprintf("kll: k must be >= %d, got %d", minCompactorSize, k))
 	}
-	pcg := rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)
 	return &Sketch{
-		k:      k,
-		levels: [][]float32{make([]float32, 0, 8)},
-		min:    math.Inf(1),
-		max:    math.Inf(-1),
-		rng:    rand.New(pcg),
-		pcg:    pcg,
-		seed:   seed,
+		CompactorStack: sketch.NewCompactorStack(seed, seed^0x9e3779b97f4a7c15, 8, true),
+		k:              k,
 	}
 }
 
@@ -106,7 +91,7 @@ func (s *Sketch) K() int { return s.k }
 // are cached per sketch height since they are consulted on every insert;
 // the check stays small enough to inline and rebuildCaps does the rest.
 func (s *Sketch) capacity(h int) int {
-	if len(s.caps) != len(s.levels) {
+	if len(s.caps) != len(s.Levels) {
 		s.rebuildCaps()
 	}
 	return s.caps[h]
@@ -115,9 +100,9 @@ func (s *Sketch) capacity(h int) int {
 // rebuildCaps recomputes the capacity schedule for the current height.
 func (s *Sketch) rebuildCaps() {
 	s.peakStale = true
-	s.caps = slices.Grow(s.caps[:0], len(s.levels))[:len(s.levels)]
+	s.caps = slices.Grow(s.caps[:0], len(s.Levels))[:len(s.Levels)]
 	for lvl := range s.caps {
-		depth := len(s.levels) - 1 - lvl
+		depth := len(s.Levels) - 1 - lvl
 		c := int(math.Ceil(float64(s.k) * math.Pow(capacityDecay, float64(depth))))
 		if c < minCompactorSize {
 			c = minCompactorSize
@@ -133,7 +118,7 @@ func (s *Sketch) Insert(x float64) {
 	if math.IsNaN(x) {
 		return
 	}
-	s.view.Invalidate()
+	s.InvalidateView()
 	c := s.insert(x)
 	if metrics != nil {
 		metrics.Inserts.Inc()
@@ -158,7 +143,7 @@ func (s *Sketch) InsertBatch(xs []float64) {
 	if n == 0 {
 		return
 	}
-	s.view.Invalidate()
+	s.InvalidateView()
 	if metrics != nil {
 		metrics.Inserts.Add(int64(n))
 		recordCompactions(c)
@@ -169,15 +154,7 @@ func (s *Sketch) InsertBatch(xs []float64) {
 // which is not NaN, and compresses once level 0 is full, returning the
 // compactions run. The caller invalidates the query view.
 func (s *Sketch) insert(x float64) int {
-	s.levels[0] = append(s.levels[0], float32(x))
-	s.count++
-	if x < s.min {
-		s.min = x
-	}
-	if x > s.max {
-		s.max = x
-	}
-	if len(s.levels[0]) >= s.capacity(0) {
+	if s.Append(x) >= s.capacity(0) {
 		return s.compress()
 	}
 	return 0
@@ -187,8 +164,8 @@ func (s *Sketch) insert(x float64) int {
 // until every level fits its capacity, and returns how many it ran.
 func (s *Sketch) compress() int {
 	n := 0
-	for h := 0; h < len(s.levels); h++ {
-		if len(s.levels[h]) >= s.capacity(h) {
+	for h := 0; h < len(s.Levels); h++ {
+		if len(s.Levels[h].Items) >= s.capacity(h) {
 			s.compactLevel(h)
 			n++
 		}
@@ -201,112 +178,36 @@ func (s *Sketch) compress() int {
 	return n
 }
 
-// compactLevel sorts level h, promotes a uniformly chosen half (odd- or
-// even-indexed items) to level h+1 and discards the rest. When the level
-// holds an odd number of items one item stays behind so total weight is
-// conserved exactly.
+// compactLevel compacts level h whole: it promotes a uniformly chosen
+// half (odd- or even-indexed items) to level h+1 and discards the rest.
+// When the level holds an odd number of items its smallest item stays
+// behind, so total weight is conserved exactly.
 //
-// Levels above 0 are kept sorted, so only level 0 and a level whose
-// sorted bit a merge or rescale cleared pay for a sort. The promoted
-// half is itself ascending, and it is merged into a sorted level h+1 in
-// place, from the back, reading the run straight out of level h's array;
-// an unsorted level h+1 just takes it appended. A float32 multiset
+// Levels above 0 stay sorted, so only level 0 and a level a merge or
+// rescale left unsorted pay for a sort. KLL sorts such a level whole
+// with one kernel call, which holds no merge scratch that Footprint
+// would count, and sorts level 0 even when it is ascending: the radix
+// kernel puts −0 before +0, which decides the zero promoted on data
+// holding both, and the byte goldens pin that choice. The promoted
+// half is merged into an ascending level h+1 and appended to any
+// other. A float32 multiset
 // without ±0 ties has one ascending order, so every compaction promotes
 // the same items and draws the same coin flips as sorting the whole
 // level each time would: answers are unchanged, and only the order of
-// samples inside a level (visible in serialized bytes) differs. −0 and
-// +0 compare equal, so on data holding both, which zero is promoted —
-// and so which one an answer returns — may differ from that reference.
+// samples inside a level (visible in serialized bytes) differs.
 func (s *Sketch) compactLevel(h int) {
-	buf := s.levels[h]
-	if len(buf) < minCompactorSize {
+	n := len(s.Levels[h].Items)
+	if n < minCompactorSize {
 		return
 	}
-	if h+1 >= len(s.levels) {
-		s.levels = append(s.levels, make([]float32, 0, s.capacity(h)+1))
+	if h+1 >= len(s.Levels) {
+		s.AddLevel(s.capacity(h) + 1)
 	}
-	if h == 0 || s.sorted&(1<<h) == 0 {
-		sketch.SortFloat32(buf)
+	if h == 0 || !s.Ascending(h) {
+		s.SortWhole(h)
 	}
-	// Keep one leftover on odd sizes: compact items buf[start:start+2m].
-	m := len(buf) / 2
-	start := len(buf) - 2*m // 0 or 1; the smallest item stays on odd sizes
-	offset := 0
-	if s.rng.Uint64()&1 == 1 {
-		offset = 1
-	}
-	run := buf[start+offset:] // the promoted items are run[0], run[2], …
-	next := s.levels[h+1]
-	if len(next) == 0 || s.sorted&(1<<(h+1)) != 0 {
-		s.levels[h+1] = sketch.MergeRun(next, run, m)
-		s.sorted |= 1 << (h + 1)
-	} else {
-		for i := 0; i < m; i++ {
-			next = append(next, run[2*i])
-		}
-		s.levels[h+1] = next
-	}
-	if start == 1 {
-		s.levels[h] = append(s.levels[h][:0], buf[0])
-	} else {
-		s.levels[h] = s.levels[h][:0]
-	}
-	if h > 0 {
-		s.sorted |= 1 << h // at most one item is left
-	}
-}
-
-// markSorted re-derives bit h of the sorted mask from levels[h], for a
-// mutator that changed the level other than by compaction.
-func (s *Sketch) markSorted(h int) {
-	if h > 0 && slices.IsSorted(s.levels[h]) {
-		s.sorted |= 1 << h
-	} else {
-		s.sorted &^= 1 << h
-	}
-}
-
-// Count implements sketch.Sketch.
-func (s *Sketch) Count() uint64 { return s.count }
-
-// buildView brings the sorted query view up to date with the levels.
-func (s *Sketch) buildView() {
-	if s.view.Begin() {
-		for h, lv := range s.levels {
-			sorted := 0
-			if s.sorted&(1<<h) != 0 {
-				sorted = len(lv)
-			}
-			s.view.AddLevel(h, lv, sorted)
-		}
-		s.view.Sort()
-	}
-}
-
-// Quantile implements sketch.Sketch: the retained sample whose cumulative
-// weight first reaches ⌈qN⌉. Estimates are actual inserted values
-// (float32-rounded); q = 1 returns the exact maximum.
-func (s *Sketch) Quantile(q float64) (float64, error) {
-	if err := sketch.CheckQuantile(q); err != nil {
-		return 0, err
-	}
-	if s.count == 0 {
-		return 0, sketch.ErrEmpty
-	}
-	if q == 1 {
-		return s.max, nil
-	}
-	s.buildView()
-	return s.view.Quantile(q, s.count, s.min, s.max), nil
-}
-
-// Rank implements sketch.Sketch.
-func (s *Sketch) Rank(x float64) (float64, error) {
-	if s.count == 0 {
-		return 0, sketch.ErrEmpty
-	}
-	s.buildView()
-	return s.view.Rank(x, s.count), nil
+	even := n &^ 1
+	s.Compact(h, n-even, even, s.Ascending(h+1))
 }
 
 // Merge implements sketch.Sketch: compactors at the same height are
@@ -327,22 +228,11 @@ func (s *Sketch) Merge(other sketch.Sketch) error {
 		s.k = o.k
 		s.caps = nil
 	}
-	mergedCount := s.count + o.count
-	for len(s.levels) < len(o.levels) {
-		s.levels = append(s.levels, nil)
+	mergedCount := s.N + o.N
+	for len(s.Levels) < len(o.Levels) {
+		s.AddLevel(0)
 	}
-	for h, lv := range o.levels {
-		s.levels[h] = append(s.levels[h], lv...)
-		s.markSorted(h)
-	}
-	s.count += o.count
-	s.view.Invalidate()
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
+	s.Concat(&o.CompactorStack)
 	recordCompactions(s.compress())
 	s.assertCount("merge", mergedCount)
 	return nil
@@ -353,25 +243,13 @@ func (s *Sketch) Merge(other sketch.Sketch) error {
 // candidates.
 func (s *Sketch) SampleValues() []float64 {
 	out := make([]float64, 0, s.Retained())
-	for _, lv := range s.levels {
-		for _, v := range lv {
+	for _, lv := range s.Levels {
+		for _, v := range lv.Items {
 			out = append(out, float64(v))
 		}
 	}
 	return out
 }
-
-// Retained reports the total number of samples currently held.
-func (s *Sketch) Retained() int {
-	n := 0
-	for _, lv := range s.levels {
-		n += len(lv)
-	}
-	return n
-}
-
-// NumLevels reports the current compactor count.
-func (s *Sketch) NumLevels() int { return len(s.levels) }
 
 // MemoryBytes implements sketch.Sketch: 4 bytes per allocated float32
 // slot. Like the DataSketches implementation the study measured, the
@@ -380,25 +258,14 @@ func (s *Sketch) NumLevels() int { return len(s.levels) }
 // not just their current occupancy, plus fixed bookkeeping.
 func (s *Sketch) MemoryBytes() int {
 	slots := 0
-	for h := range s.levels {
+	for h := range s.Levels {
 		c := s.capacity(h)
-		if n := len(s.levels[h]); n > c {
+		if n := len(s.Levels[h].Items); n > c {
 			c = n
 		}
 		slots += c
 	}
 	return 4*slots + 8*8
-}
-
-// Footprint implements sketch.Footprinter: the live bytes actually
-// held — allocated sample-slot capacity (not the schedule's target
-// capacities) plus the sorted-view caches and fixed bookkeeping.
-func (s *Sketch) Footprint() int {
-	slots := 0
-	for _, lv := range s.levels {
-		slots += cap(lv)
-	}
-	return 4*slots + s.view.Bytes() + 8*8
 }
 
 // minDegradeK is the floor Degrade will not shrink k below: at k = 8
@@ -424,10 +291,7 @@ func (s *Sketch) Degrade() (int, error) {
 	s.k = nk
 	s.caps = nil
 	recordCompactions(s.compress())
-	for h := range s.levels {
-		s.levels[h] = slices.Clip(s.levels[h])
-	}
-	s.view = sketch.LevelView{} // drop the query view's capacity too
+	s.Clip()
 	freed := before - s.Footprint()
 	if freed < 0 {
 		freed = 0
@@ -445,7 +309,7 @@ func (s *Sketch) AccuracyBound() float64 {
 
 // Reset implements sketch.Sketch.
 func (s *Sketch) Reset() {
-	*s = *NewWithSeed(s.k, s.seed)
+	*s = *NewWithSeed(s.k, s.Seed)
 }
 
 // Clone returns a deep copy that continues (inserts, compaction coin
@@ -456,25 +320,12 @@ func (s *Sketch) Reset() {
 // immutable sketch concurrently; the concurrent layer's CAS handoff and
 // snapshot reads are built on exactly that property.
 func (s *Sketch) Clone() *Sketch {
-	c := &Sketch{
-		k:      s.k,
-		count:  s.count,
-		min:    s.min,
-		max:    s.max,
-		seed:   s.seed,
-		caps:   slices.Clone(s.caps),
-		sorted: s.sorted,
-
-		peakStale: s.peakStale,
+	return &Sketch{
+		CompactorStack: s.CompactorStack.Clone(),
+		k:              s.k,
+		caps:           slices.Clone(s.caps),
+		peakStale:      s.peakStale,
 	}
-	c.levels = make([][]float32, len(s.levels))
-	for h, lv := range s.levels {
-		c.levels[h] = slices.Clone(lv)
-	}
-	pcg := *s.pcg
-	c.pcg = &pcg
-	c.rng = rand.New(c.pcg)
-	return c
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
@@ -482,84 +333,46 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	w := sketch.NewWriter(96 + 4*s.Retained())
 	w.Header(sketch.TagKLL)
 	w.U32(uint32(s.k))
-	w.U64(s.seed)
-	rngState, err := s.pcg.MarshalBinary()
-	if err != nil {
+	if err := s.MarshalState(w); err != nil {
 		return nil, err
 	}
-	w.Blob(rngState)
-	w.U64(s.count)
-	w.F64(s.min)
-	w.F64(s.max)
-	w.U32(uint32(len(s.levels)))
-	for _, lv := range s.levels {
-		w.U32(uint32(len(lv)))
-		for _, v := range lv {
-			w.U32(math.Float32bits(v))
-		}
+	for h := range s.Levels {
+		s.MarshalLevel(w, h)
 	}
 	return w.Bytes(), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The decoded
-// sketch restores the exact PCG state of the compaction RNG, so it
+// sketch restores the exact PCG state of the compaction coin, so it
 // continues (inserts, compaction coin flips, future serializations)
 // bit-identically to the original — the contract stream checkpoint
-// recovery relies on.
+// recovery relies on. A blob that parses but breaks the stack's
+// structure (weight conservation, ordered bounds, NaN samples) is
+// corrupt.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	r := sketch.NewReader(data)
 	if err := r.Header(sketch.TagKLL); err != nil {
 		return err
 	}
 	k := int(r.U32())
-	seed := r.U64()
-	rngState := r.Blob()
-	count := r.U64()
-	minV := r.F64()
-	maxV := r.F64()
-	numLevels := int(r.U32())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if k < minCompactorSize || k > 1<<24 || numLevels < 1 || numLevels > 64 {
+	if k < minCompactorSize || k > 1<<24 {
 		return sketch.ErrCorrupt
 	}
-	ns := NewWithSeed(k, seed)
-	if err := ns.pcg.UnmarshalBinary(rngState); err != nil {
+	ns := NewWithSeed(k, 0)
+	numLevels, err := ns.UnmarshalState(r)
+	if err != nil {
+		return err
+	}
+	if numLevels < 1 || numLevels > 64 {
 		return sketch.ErrCorrupt
 	}
-	ns.count = count
-	ns.min = minV
-	ns.max = maxV
-	ns.levels = make([][]float32, numLevels)
-	for h := range ns.levels {
-		n := int(r.U32())
-		if r.Err() != nil || n < 0 || n > (r.Remaining())/4 {
-			return sketch.ErrCorrupt
+	for range numLevels {
+		if err := ns.UnmarshalLevel(r); err != nil {
+			return err
 		}
-		lv := make([]float32, n)
-		for i := range lv {
-			lv[i] = math.Float32frombits(r.U32())
-		}
-		ns.levels[h] = lv
 	}
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if r.Remaining() != 0 {
-		return sketch.ErrCorrupt
-	}
-	// Structural validation: a blob that decodes but breaks the sketch's
-	// invariants (weight conservation, ordered bounds, NaN samples) is
-	// corrupt, even if every field parsed.
-	if !sketch.ValidLevels(ns.levels, ns.count, ns.min, ns.max) {
-		return sketch.ErrCorrupt
-	}
-	// The sorted mask is a pure function of the levels, so scanning
-	// restores exactly the original's, and the decoded sketch merges
-	// where the original would have: resume stays byte-identical.
-	for h := range ns.levels {
-		ns.markSorted(h)
+	if err := ns.Validate(r); err != nil {
+		return err
 	}
 	ns.assertInvariants("unmarshal")
 	*s = *ns

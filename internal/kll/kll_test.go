@@ -52,8 +52,8 @@ func TestTable2Example(t *testing.T) {
 	}
 	// The retained samples are either the odd- or even-indexed elements.
 	var kept []float64
-	for h, lv := range s.levels {
-		for _, v := range lv {
+	for h, lv := range s.Levels {
+		for _, v := range lv.Items {
 			kept = append(kept, float64(v))
 			if h != 1 {
 				t.Errorf("sample %v has weight %d, want 2", v, uint64(1)<<h)
@@ -78,9 +78,8 @@ func TestTable2Example(t *testing.T) {
 		t.Errorf("kept %v, want every-other elements %v or %v", kept, even, odd)
 	}
 	// Total weight is preserved exactly.
-	s.buildView()
-	if s.Count() != 10 || s.view.Weight() != 10 {
-		t.Errorf("count %d, view weight %d, want 10", s.Count(), s.view.Weight())
+	if w := retainedWeight(s); s.Count() != 10 || w != 10 {
+		t.Errorf("count %d, retained weight %d, want 10", s.Count(), w)
 	}
 }
 
@@ -130,8 +129,7 @@ func TestWeightConservation(t *testing.T) {
 	for i := uint64(0); i < n; i++ {
 		s.Insert(float64(i))
 	}
-	s.buildView()
-	if total := s.view.Weight(); total != n {
+	if total := retainedWeight(s); total != n {
 		t.Fatalf("total sample weight %d, want %d", total, n)
 	}
 }
@@ -328,8 +326,7 @@ func TestQuickWeightConservation(t *testing.T) {
 		for i := 0; i < int(n); i++ {
 			s.Insert(float64(i % 97))
 		}
-		s.buildView()
-		return s.view.Weight() == uint64(n)
+		return retainedWeight(s) == uint64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -368,4 +365,14 @@ func TestCloneContinuesIdentically(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("clone and original serialize differently after the same suffix")
 	}
+}
+
+// retainedWeight is Σ_h |levels[h]|·2^h, the weight the retained samples
+// carry.
+func retainedWeight(s *Sketch) uint64 {
+	var w uint64
+	for h, lv := range s.Levels {
+		w += uint64(len(lv.Items)) << uint(h)
+	}
+	return w
 }

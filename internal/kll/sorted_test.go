@@ -12,13 +12,13 @@ import (
 )
 
 // refKLL drives a Sketch's state with the sort-every-compaction
-// algorithm that predates the sorted mask: compaction sorts the whole
+// algorithm that predates sorted levels: compaction sorts the whole
 // level every time and appends the promoted half to the level above.
-// It reads and writes only the levels, count, bounds, k and RNG, so the
-// real sketch's answers, coin flips and level multisets can be checked
-// against it step by step. The capacity cache of the wrapped Sketch is
-// never consulted, and its sorted mask stays 0, so its query view sorts
-// every level.
+// It reads and writes only the levels, count, bounds, k and coin, so
+// the real sketch's answers, coin flips and level multisets can be
+// checked against it step by step. The capacity cache of the wrapped
+// Sketch is never consulted. A level it compacts restarts with no
+// known sorted prefix; the query view finds each level's by scanning.
 type refKLL struct{ s *Sketch }
 
 func newRefKLL(k int, seed uint64) refKLL { return refKLL{NewWithSeed(k, seed)} }
@@ -26,7 +26,7 @@ func newRefKLL(k int, seed uint64) refKLL { return refKLL{NewWithSeed(k, seed)} 
 // capacity recomputes the schedule from scratch, independent of the
 // real sketch's cache.
 func (r refKLL) capacity(h int) int {
-	depth := len(r.s.levels) - 1 - h
+	depth := len(r.s.Levels) - 1 - h
 	c := int(math.Ceil(float64(r.s.k) * math.Pow(capacityDecay, float64(depth))))
 	if c < minCompactorSize {
 		c = minCompactorSize
@@ -39,23 +39,23 @@ func (r refKLL) insert(x float64) {
 	if math.IsNaN(x) {
 		return
 	}
-	s.levels[0] = append(s.levels[0], float32(x))
-	s.count++
-	s.view.Invalidate()
-	if x < s.min {
-		s.min = x
+	s.Levels[0].Items = append(s.Levels[0].Items, float32(x))
+	s.N++
+	s.InvalidateView()
+	if x < s.Min {
+		s.Min = x
 	}
-	if x > s.max {
-		s.max = x
+	if x > s.Max {
+		s.Max = x
 	}
-	if len(s.levels[0]) >= r.capacity(0) {
+	if len(s.Levels[0].Items) >= r.capacity(0) {
 		r.compress()
 	}
 }
 
 func (r refKLL) compress() {
-	for h := 0; h < len(r.s.levels); h++ {
-		if len(r.s.levels[h]) >= r.capacity(h) {
+	for h := 0; h < len(r.s.Levels); h++ {
+		if len(r.s.Levels[h].Items) >= r.capacity(h) {
 			r.compactLevel(h)
 		}
 	}
@@ -63,27 +63,27 @@ func (r refKLL) compress() {
 
 func (r refKLL) compactLevel(h int) {
 	s := r.s
-	buf := s.levels[h]
+	buf := s.Levels[h].Items
 	if len(buf) < minCompactorSize {
 		return
 	}
-	if h+1 >= len(s.levels) {
-		s.levels = append(s.levels, make([]float32, 0, r.capacity(h)+1))
+	if h+1 >= len(s.Levels) {
+		s.AddLevel(r.capacity(h) + 1)
 	}
 	slices.Sort(buf)
 	m := len(buf) / 2
 	start := len(buf) - 2*m
 	offset := 0
-	if s.rng.Uint64()&1 == 1 {
+	if s.PCG.Uint64()&1 == 1 {
 		offset = 1
 	}
 	for i := 0; i < m; i++ {
-		s.levels[h+1] = append(s.levels[h+1], buf[start+2*i+offset])
+		s.Levels[h+1].Items = append(s.Levels[h+1].Items, buf[start+2*i+offset])
 	}
 	if start == 1 {
-		s.levels[h] = append(s.levels[h][:0], buf[0])
+		s.Levels[h] = sketch.Level{Items: append(buf[:0], buf[0])}
 	} else {
-		s.levels[h] = s.levels[h][:0]
+		s.Levels[h] = sketch.Level{Items: buf[:0]}
 	}
 }
 
@@ -92,35 +92,29 @@ func (r refKLL) merge(o refKLL) {
 	if o.s.k < s.k {
 		s.k = o.s.k
 	}
-	for len(s.levels) < len(o.s.levels) {
-		s.levels = append(s.levels, nil)
+	for len(s.Levels) < len(o.s.Levels) {
+		s.AddLevel(0)
 	}
-	for h, lv := range o.s.levels {
-		s.levels[h] = append(s.levels[h], lv...)
+	for h, lv := range o.s.Levels {
+		s.Levels[h].Items = append(s.Levels[h].Items, lv.Items...)
 	}
-	s.count += o.s.count
-	s.view.Invalidate()
-	if o.s.min < s.min {
-		s.min = o.s.min
+	s.N += o.s.N
+	s.InvalidateView()
+	if o.s.Min < s.Min {
+		s.Min = o.s.Min
 	}
-	if o.s.max > s.max {
-		s.max = o.s.max
+	if o.s.Max > s.Max {
+		s.Max = o.s.Max
 	}
 	r.compress()
 }
 
 func (r refKLL) scaleCount(g float64) {
 	s := r.s
-	newLevels, count := sketch.ScaleLevels(s.levels, g)
-	if count == 0 {
-		*s = *NewWithSeed(s.k, s.seed)
+	if !s.Scale(g) {
+		*s = *NewWithSeed(s.k, s.Seed)
 		return
 	}
-	for h := range s.levels {
-		s.levels[h] = append(s.levels[h][:0], newLevels[h]...)
-	}
-	s.count = count
-	s.view.Invalidate()
 	r.compress()
 }
 
@@ -131,10 +125,7 @@ func (r refKLL) degrade() {
 	}
 	s.k = max(s.k/2, minDegradeK)
 	r.compress()
-	for h := range s.levels {
-		s.levels[h] = slices.Clip(s.levels[h])
-	}
-	s.view = sketch.LevelView{}
+	s.Clip()
 }
 
 // diffValue draws test data: a mix of continuous values and heavy ties,
@@ -153,47 +144,53 @@ func diffValue(rng *rand.Rand) float64 {
 	return x
 }
 
+// ascendingPrefix is the length of buf's longest ascending prefix.
+func ascendingPrefix(buf []float32) int {
+	n := 0
+	for n < len(buf) && (n == 0 || buf[n] >= buf[n-1]) {
+		n++
+	}
+	return n
+}
+
 // checkSame asserts that the real sketch and the reference hold the
 // same state: per-level multisets, RNG state, k, count and bounds, and
 // bit-equal Quantile and Rank answers. It also checks, in every build,
-// that the real sketch's sorted mask matches its levels.
+// that every sorted prefix of the real sketch is its level's longest
+// ascending prefix.
 func checkSame(t *testing.T, step string, got *Sketch, ref refKLL) {
 	t.Helper()
 	want := ref.s
-	if got.k != want.k || got.count != want.count || len(got.levels) != len(want.levels) {
+	if got.k != want.k || got.N != want.N || len(got.Levels) != len(want.Levels) {
 		t.Fatalf("%s: k/count/levels %d/%d/%d, reference %d/%d/%d", step,
-			got.k, got.count, len(got.levels), want.k, want.count, len(want.levels))
+			got.k, got.N, len(got.Levels), want.k, want.N, len(want.Levels))
 	}
-	if math.Float64bits(got.min) != math.Float64bits(want.min) || math.Float64bits(got.max) != math.Float64bits(want.max) {
-		t.Fatalf("%s: bounds [%v, %v], reference [%v, %v]", step, got.min, got.max, want.min, want.max)
+	if math.Float64bits(got.Min) != math.Float64bits(want.Min) || math.Float64bits(got.Max) != math.Float64bits(want.Max) {
+		t.Fatalf("%s: bounds [%v, %v], reference [%v, %v]", step, got.Min, got.Max, want.Min, want.Max)
 	}
-	for h := range got.levels {
-		a, b := slices.Clone(got.levels[h]), slices.Clone(want.levels[h])
+	for h := range got.Levels {
+		a, b := slices.Clone(got.Levels[h].Items), slices.Clone(want.Levels[h].Items)
 		slices.Sort(a)
 		slices.Sort(b)
 		if !slices.Equal(a, b) {
 			t.Fatalf("%s: level %d multiset differs from the reference (%d vs %d items)", step, h, len(a), len(b))
 		}
-		if h > 0 && (got.sorted&(1<<h) != 0) != slices.IsSorted(got.levels[h]) {
-			t.Fatalf("%s: sorted bit of level %d is %v, level ascending %v", step, h,
-				got.sorted&(1<<h) != 0, slices.IsSorted(got.levels[h]))
+		if p := ascendingPrefix(got.Levels[h].Items); got.SortedPrefix(h) != p {
+			t.Fatalf("%s: sorted prefix of level %d is %d, its ascending prefix %d", step, h, got.SortedPrefix(h), p)
 		}
 	}
-	if got.sorted&1 != 0 {
-		t.Fatalf("%s: sorted mask flags level 0", step)
-	}
-	ga, err := got.pcg.MarshalBinary()
+	ga, err := got.PCG.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wa, err := want.pcg.MarshalBinary()
+	wa, err := want.PCG.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ga, wa) {
 		t.Fatalf("%s: RNG state differs from the reference", step)
 	}
-	if got.count == 0 {
+	if got.N == 0 {
 		return
 	}
 	for _, q := range []float64{1e-6, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1} {
@@ -315,7 +312,6 @@ func TestSortedCompactionDifferential(t *testing.T) {
 					default:
 						got = roundTrip(t, got)
 						ref = refKLL{roundTrip(t, ref.s)}
-						ref.s.sorted = 0 // the reference's levels are unordered
 						name = "serde"
 					}
 					checkSame(t, fmt.Sprintf("step %d (%s)", step, name), got, ref)
@@ -326,7 +322,7 @@ func TestSortedCompactionDifferential(t *testing.T) {
 }
 
 // TestSortedResumeShortSuffix pins resume ≡ uninterrupted byte for byte
-// on short suffixes, where the sorted mask decides whether the first
+// on short suffixes, where the sorted prefixes decide whether the first
 // few compactions merge or append: a decoded copy and an exact clone of
 // the original take the same 1–200 further values and must serialize
 // identically. The states cover a plain stream, a merge into an empty
@@ -406,9 +402,9 @@ func TestSortedResumeShortSuffix(t *testing.T) {
 // samples.
 func TestUnmarshalRejectsWeightOverflow(t *testing.T) {
 	s := New(DefaultK)
-	s.levels = make([][]float32, 64)
-	s.levels[63] = []float32{1, 2}
-	s.min, s.max = 1, 2
+	s.Levels = make([]sketch.Level, 64)
+	s.Levels[63].Items = []float32{1, 2}
+	s.Min, s.Max = 1, 2
 	blob, err := s.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)

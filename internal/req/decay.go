@@ -2,41 +2,28 @@ package req
 
 import (
 	"math"
-	"math/rand/v2"
-	"slices"
 
 	"repro/internal/sketch"
 )
 
 var _ sketch.CountScaler = (*Sketch)(nil)
 
-// ScaleCount implements sketch.CountScaler through
-// sketch.ScaleLevels, the binary re-decomposition KLL uses: each item in
-// the height-h compactor is re-placed into the compactor at every set
-// bit of round(g·2^h). Each compactor keeps its section configuration
-// and compaction-schedule state; only its buffer contents are rebuilt
-// (and sortedLen re-derived). Coin flips happen only in the final
-// compress, from the sketch's own PCG stream. If everything rounds away
-// the sketch resets. min/max are kept as conservative bounds.
+// ScaleCount implements sketch.CountScaler through the stack's Scale,
+// the binary re-decomposition KLL uses: each item in the height-h
+// compactor is re-placed into the compactor at every set bit of
+// round(g·2^h). Each compactor keeps its section configuration and
+// compaction-schedule state; only its items are rebuilt. Coin flips
+// happen only in the final compress, from the sketch's own PCG stream.
+// If everything rounds away the sketch resets. min/max are kept as
+// conservative bounds.
 func (s *Sketch) ScaleCount(g float64) {
 	if math.IsNaN(g) || g >= 1 {
 		return
 	}
-	bufs := make([][]float32, len(s.compactors))
-	for h, c := range s.compactors {
-		bufs[h] = c.buf
-	}
-	newBufs, count := sketch.ScaleLevels(bufs, g)
-	if count == 0 {
+	if !s.Scale(g) {
 		s.Reset()
 		return
 	}
-	for h, c := range s.compactors {
-		c.buf = append(c.buf[:0], newBufs[h]...)
-		c.markSorted(0)
-	}
-	s.count = count
-	s.view.Invalidate()
 	recordCompactions(s.compress())
 }
 
@@ -55,29 +42,4 @@ func (s *Sketch) MergeScaled(other sketch.Sketch, g float64) error {
 	c := o.Clone()
 	c.ScaleCount(g)
 	return s.Merge(c)
-}
-
-// Clone returns a deep copy of s that continues bit-identically to it:
-// compactor buffers and schedule state are copied, and the RNG resumes
-// from s's PCG state. Scratch and the query view are not copied.
-func (s *Sketch) Clone() *Sketch {
-	pcg := *s.pcg
-	c := &Sketch{
-		k:          s.k,
-		hra:        s.hra,
-		compactors: make([]*compactor, len(s.compactors)),
-		count:      s.count,
-		min:        s.min,
-		max:        s.max,
-		rng:        rand.New(&pcg),
-		pcg:        &pcg,
-		seed:       s.seed,
-	}
-	for h, oc := range s.compactors {
-		cc := *oc
-		cc.buf = slices.Clone(oc.buf)
-		cc.scratch = nil
-		c.compactors[h] = &cc
-	}
-	return c
 }

@@ -11,13 +11,19 @@
 // (paper Sec 3.5 and 4.2). Samples are stored as float32, mirroring the
 // DataSketches float implementation whose footprint the study reports
 // (≈17 KB / ≈4,177 retained items at 1M Pareto inserts, Sec 4.3).
+//
+// The compactors are a sketch.CompactorStack, shared with KLL; this
+// package keeps only ReqSketch's schedule: each compactor's sections
+// and trailing-ones compaction counter, the HRA/LRA choice of region,
+// the maxMergeRatio cap on merging a promoted run, the Merge rule that
+// ORs the counters, and the header and per-compactor fields of the
+// serialized form.
 package req
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand/v2"
 	"slices"
 
 	"repro/internal/sketch"
@@ -41,30 +47,20 @@ const (
 	maxMergeRatio = 8
 )
 
-// compactor is one relative compactor at height h; items in it carry
-// weight 2^h.
+// compactor is the schedule of one relative compactor: the stack level
+// of the same height holds its items, which carry weight 2^h.
 type compactor struct {
-	h            int
 	sectionSizeF float64
 	sectionSize  int
 	numSections  int
 	state        uint64 // number of compactions performed
-	buf          []float32
-	// sortedLen is the length of buf's longest ascending prefix, a pure
-	// function of buf: every mutator either keeps it exact (Insert,
-	// compaction) or re-derives it (markSorted), so a decoded compactor
-	// holds exactly the original's and promotes into the same places.
-	sortedLen int
-	scratch   []float32
 }
 
-func newCompactor(h, sectionSize int) *compactor {
-	return &compactor{
-		h:            h,
+func newCompactor(sectionSize int) compactor {
+	return compactor{
 		sectionSizeF: float64(sectionSize),
 		sectionSize:  sectionSize,
 		numSections:  initNumSections,
-		buf:          make([]float32, 0, 2*sectionSize*initNumSections),
 	}
 }
 
@@ -72,69 +68,21 @@ func newCompactor(h, sectionSize int) *compactor {
 // half of which is the protected region.
 func (c *compactor) capacity() int { return 2 * c.sectionSize * c.numSections }
 
-// ascending reports whether the whole buffer is sorted.
-func (c *compactor) ascending() bool { return c.sortedLen == len(c.buf) }
-
-// markSorted re-derives sortedLen after a mutation that changed only
-// buf[from:]: buf[:min(from, sortedLen)] is still ascending, so the
-// scan resumes there.
-func (c *compactor) markSorted(from int) {
-	n := min(from, c.sortedLen)
-	for n < len(c.buf) && (n == 0 || c.buf[n] >= c.buf[n-1]) {
-		n++
-	}
-	c.sortedLen = n
-}
-
-// sort restores full sortedness. The buffer is a sorted prefix plus an
-// unsorted tail of new arrivals, so only the tail is sorted (with the
-// shared kernel) and then merged with the prefix.
-func (c *compactor) sort() {
-	if c.ascending() {
-		return
-	}
-	tail := c.buf[c.sortedLen:]
-	sketch.SortFloat32(tail)
-	if c.sortedLen > 0 {
-		c.scratch = append(c.scratch[:0], tail...)
-		// Merge backward: largest elements settle at the end first.
-		i, j, k := c.sortedLen-1, len(c.scratch)-1, len(c.buf)-1
-		for j >= 0 {
-			if i >= 0 && c.buf[i] > c.scratch[j] {
-				c.buf[k] = c.buf[i]
-				i--
-			} else {
-				c.buf[k] = c.scratch[j]
-				j--
-			}
-			k--
-		}
-	}
-	c.sortedLen = len(c.buf)
-}
-
 // nearestEven rounds to the nearest even integer.
 func nearestEven(f float64) int {
 	return 2 * int(math.Round(f/2))
 }
 
-// Sketch is a ReqSketch instance.
+// Sketch is a ReqSketch instance. Its query view takes each level's
+// exact sorted prefix as a run; it is built lazily at query time and
+// invalidated by mutation. Unlike KLL's, the rebuild must sort the
+// unsorted tail of every compactor, not only of the bottom one, which
+// is why ReqSketch query time grows with data size (Sec 4.4.2).
 type Sketch struct {
+	sketch.CompactorStack
 	k          int  // initial section size
 	hra        bool // high ranks accurate (compact lowest values first)
-	compactors []*compactor
-	count      uint64
-	min, max   float64
-	rng        *rand.Rand
-	pcg        *rand.PCG // rng's source, kept for exact state serialization
-	seed       uint64
-
-	// view is the sorted query view, built lazily at query time and
-	// invalidated by mutation. Unlike KLL's, the rebuild must sort the
-	// unsorted tail of every compactor, not only of the bottom one,
-	// which is why ReqSketch query time grows with data size
-	// (Sec 4.4.2).
-	view sketch.LevelView
+	compactors []compactor
 }
 
 var _ sketch.Sketch = (*Sketch)(nil)
@@ -150,17 +98,18 @@ func NewWithSeed(k int, hra bool, seed uint64) *Sketch {
 		panic(fmt.Sprintf("req: section size must be >= %d, got %d", minSectionSize, k))
 	}
 	k = nearestEven(float64(k))
-	pcg := rand.NewPCG(seed, seed^0xbf58476d1ce4e5b9)
 	return &Sketch{
-		k:          k,
-		hra:        hra,
-		compactors: []*compactor{newCompactor(0, k)},
-		min:        math.Inf(1),
-		max:        math.Inf(-1),
-		rng:        rand.New(pcg),
-		pcg:        pcg,
-		seed:       seed,
+		CompactorStack: sketch.NewCompactorStack(seed, seed^0xbf58476d1ce4e5b9, 2*k*initNumSections, false),
+		k:              k,
+		hra:            hra,
+		compactors:     []compactor{newCompactor(k)},
 	}
+}
+
+// addLevel adds a compactor of the given section size on top.
+func (s *Sketch) addLevel(sectionSize int) {
+	s.AddLevel(2 * sectionSize * initNumSections)
+	s.compactors = append(s.compactors, newCompactor(sectionSize))
 }
 
 // Name implements sketch.Sketch.
@@ -179,7 +128,7 @@ func (s *Sketch) Insert(x float64) {
 	if math.IsNaN(x) {
 		return
 	}
-	s.view.Invalidate()
+	s.InvalidateView()
 	c := s.insert(x)
 	if metrics != nil {
 		metrics.Inserts.Inc()
@@ -204,7 +153,7 @@ func (s *Sketch) InsertBatch(xs []float64) {
 	if n == 0 {
 		return
 	}
-	s.view.Invalidate()
+	s.InvalidateView()
 	if metrics != nil {
 		metrics.Inserts.Add(int64(n))
 		recordCompactions(c)
@@ -215,20 +164,7 @@ func (s *Sketch) InsertBatch(xs []float64) {
 // which is not NaN, and compresses once the bottom compactor is full,
 // returning the compactions run. The caller invalidates the query view.
 func (s *Sketch) insert(x float64) int {
-	c0 := s.compactors[0]
-	xf := float32(x)
-	if c0.ascending() && (len(c0.buf) == 0 || xf >= c0.buf[len(c0.buf)-1]) {
-		c0.sortedLen++
-	}
-	c0.buf = append(c0.buf, xf)
-	s.count++
-	if x < s.min {
-		s.min = x
-	}
-	if x > s.max {
-		s.max = x
-	}
-	if len(c0.buf) >= c0.capacity() {
+	if s.Append(x) >= s.compactors[0].capacity() {
 		return s.compress()
 	}
 	return 0
@@ -239,8 +175,7 @@ func (s *Sketch) insert(x float64) int {
 func (s *Sketch) compress() int {
 	n := 0
 	for h := 0; h < len(s.compactors); h++ {
-		c := s.compactors[h]
-		if len(c.buf) >= c.capacity() {
+		if len(s.Levels[h].Items) >= s.compactors[h].capacity() {
 			s.compactLevel(h)
 			n++
 		}
@@ -248,21 +183,21 @@ func (s *Sketch) compress() int {
 	if metrics != nil {
 		metrics.PeakBytes.Max(int64(s.MemoryBytes()))
 	}
+	s.assertInvariants("compress")
 	return n
 }
 
 // compactLevel runs one compaction of compactor h, promoting survivors to
 // height h+1 (created on demand).
 func (s *Sketch) compactLevel(h int) {
-	c := s.compactors[h]
-	if len(c.buf) < 2 {
+	n := len(s.Levels[h].Items)
+	if n < 2 {
 		return
 	}
 	if h+1 >= len(s.compactors) {
-		s.compactors = append(s.compactors, newCompactor(h+1, c.sectionSize))
+		s.addLevel(s.compactors[h].sectionSize)
 	}
-	next := s.compactors[h+1]
-	c.sort()
+	c := &s.compactors[h]
 
 	// The schedule: the number of sections compacted at the C-th
 	// compaction is trailingOnes(C)+1, capped at numSections — so the
@@ -275,49 +210,27 @@ func (s *Sketch) compactLevel(h int) {
 	L := secs * c.sectionSize
 	// Never touch the protected half of the nominal capacity; with
 	// oversized buffers (post-merge) allow compacting the excess too.
-	if maxL := len(c.buf) - c.capacity()/2; L > maxL {
+	if maxL := n - c.capacity()/2; L > maxL {
 		L = maxL
 	}
 	L &^= 1 // even
 	if L < 2 {
 		L = 2
-		if len(c.buf) < 2 {
-			return
-		}
 	}
 
-	var compactRegion []float32
+	// High ranks accurate: sacrifice the smallest values; otherwise the
+	// largest.
+	lo := n - L
 	if s.hra {
-		// High ranks accurate: sacrifice the smallest values.
-		compactRegion = c.buf[:L]
-	} else {
-		compactRegion = c.buf[len(c.buf)-L:]
-	}
-	offset := 0
-	if s.rng.Uint64()&1 == 1 {
-		offset = 1
+		lo = 0
 	}
 	// The promoted items, every other item of a sorted region, form an
 	// ascending run. Merged into an ascending compactor h+1 it keeps
 	// h+1 ascending, so h+1 needs no sort at its own compaction or in
 	// the query view. Otherwise (h+1 has a descent, or is too long for
 	// a merge to pay) it is appended.
-	if next.ascending() && len(next.buf) <= maxMergeRatio*(L/2) {
-		next.buf = sketch.MergeRun(next.buf, compactRegion[offset:], L/2)
-		next.sortedLen = len(next.buf)
-	} else {
-		n := len(next.buf)
-		for i := offset; i < len(compactRegion); i += 2 {
-			next.buf = append(next.buf, compactRegion[i])
-		}
-		next.markSorted(n)
-	}
-	if s.hra {
-		c.buf = append(c.buf[:0], c.buf[L:]...)
-	} else {
-		c.buf = c.buf[:len(c.buf)-L]
-	}
-	c.sortedLen = len(c.buf) // removing a contiguous region of a sorted buffer keeps it sorted
+	merge := s.Ascending(h+1) && len(s.Levels[h+1].Items) <= maxMergeRatio*(L/2)
+	s.Compact(h, lo, L, merge)
 
 	c.state++
 	// Grow the number of sections (shrinking their size by √2) once the
@@ -330,45 +243,6 @@ func (s *Sketch) compactLevel(h int) {
 			c.numSections <<= 1
 		}
 	}
-}
-
-// Count implements sketch.Sketch.
-func (s *Sketch) Count() uint64 { return s.count }
-
-// buildView brings the sorted query view up to date with the
-// compactors.
-func (s *Sketch) buildView() {
-	if s.view.Begin() {
-		for _, c := range s.compactors {
-			s.view.AddLevel(c.h, c.buf, c.sortedLen)
-		}
-		s.view.Sort()
-	}
-}
-
-// Quantile implements sketch.Sketch; estimates are actual inserted values
-// (float32-rounded) and q = 1 returns the exact maximum.
-func (s *Sketch) Quantile(q float64) (float64, error) {
-	if err := sketch.CheckQuantile(q); err != nil {
-		return 0, err
-	}
-	if s.count == 0 {
-		return 0, sketch.ErrEmpty
-	}
-	if q == 1 {
-		return s.max, nil
-	}
-	s.buildView()
-	return s.view.Quantile(q, s.count, s.min, s.max), nil
-}
-
-// Rank implements sketch.Sketch.
-func (s *Sketch) Rank(x float64) (float64, error) {
-	if s.count == 0 {
-		return 0, sketch.ErrEmpty
-	}
-	s.buildView()
-	return s.view.Rank(x, s.count), nil
 }
 
 // Merge implements sketch.Sketch: same-height compactors concatenate
@@ -390,17 +264,13 @@ func (s *Sketch) Merge(other sketch.Sketch) error {
 	if o.k < s.k {
 		s.k = o.k
 	}
+	mergedCount := s.N + o.N
 	for len(s.compactors) < len(o.compactors) {
-		h := len(s.compactors)
-		s.compactors = append(s.compactors, newCompactor(h, s.compactors[h-1].sectionSize))
+		s.addLevel(s.compactors[len(s.compactors)-1].sectionSize)
 	}
+	s.Concat(&o.CompactorStack)
 	for h, oc := range o.compactors {
-		c := s.compactors[h]
-		// Appended foreign items extend the receiver's sorted prefix
-		// only when it covered the whole buffer.
-		n := len(c.buf)
-		c.buf = append(c.buf, oc.buf...)
-		c.markSorted(n)
+		c := &s.compactors[h]
 		c.state |= oc.state
 		// Adopt the finer (further advanced) section configuration; at
 		// equal advancement, the smaller (degraded) section size wins so
@@ -412,29 +282,10 @@ func (s *Sketch) Merge(other sketch.Sketch) error {
 			c.sectionSizeF = oc.sectionSizeF
 		}
 	}
-	s.count += o.count
-	s.view.Invalidate()
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
 	recordCompactions(s.compress())
+	s.assertCount("merge", mergedCount)
 	return nil
 }
-
-// Retained reports the total number of samples currently held.
-func (s *Sketch) Retained() int {
-	n := 0
-	for _, c := range s.compactors {
-		n += len(c.buf)
-	}
-	return n
-}
-
-// NumLevels reports the number of relative compactors.
-func (s *Sketch) NumLevels() int { return len(s.compactors) }
 
 // MemoryBytes implements sketch.Sketch: 4 bytes per retained float32
 // sample plus per-compactor and global bookkeeping.
@@ -443,15 +294,11 @@ func (s *Sketch) MemoryBytes() int {
 }
 
 // Footprint implements sketch.Footprinter: the live bytes actually
-// held — allocated buffer and merge-scratch capacity per compactor plus
-// the sorted-view caches and fixed bookkeeping — as opposed to
-// MemoryBytes' occupancy-based Table 3 accounting.
+// held — the stack's allocated buffer and merge-scratch capacity, query
+// view and fixed bookkeeping, plus each compactor's schedule — as
+// opposed to MemoryBytes' occupancy-based Table 3 accounting.
 func (s *Sketch) Footprint() int {
-	b := 0
-	for _, c := range s.compactors {
-		b += 4*(cap(c.buf)+cap(c.scratch)) + 5*8
-	}
-	return b + s.view.Bytes() + 8*8
+	return s.CompactorStack.Footprint() + 5*8*len(s.compactors)
 }
 
 // Degrade implements sketch.Degrader: halve every compactor's section
@@ -462,7 +309,8 @@ func (s *Sketch) Footprint() int {
 func (s *Sketch) Degrade() (int, error) {
 	before := s.Footprint()
 	shrunk := false
-	for _, c := range s.compactors {
+	for h := range s.compactors {
+		c := &s.compactors[h]
 		if ne := nearestEven(c.sectionSizeF / 2); ne >= minSectionSize && ne < c.sectionSize {
 			c.sectionSizeF /= 2
 			c.sectionSize = ne
@@ -476,11 +324,7 @@ func (s *Sketch) Degrade() (int, error) {
 		s.k = nk
 	}
 	recordCompactions(s.compress())
-	for _, c := range s.compactors {
-		c.buf = slices.Clip(c.buf)
-		c.scratch = nil
-	}
-	s.view = sketch.LevelView{} // drop the query view's capacity too
+	s.Clip()
 	freed := before - s.Footprint()
 	if freed < 0 {
 		freed = 0
@@ -499,7 +343,20 @@ func (s *Sketch) AccuracyBound() float64 {
 
 // Reset implements sketch.Sketch.
 func (s *Sketch) Reset() {
-	*s = *NewWithSeed(s.k, s.hra, s.seed)
+	*s = *NewWithSeed(s.k, s.hra, s.Seed)
+}
+
+// Clone returns a deep copy of s that continues bit-identically to it:
+// the stack and every compactor's schedule are copied, and the coin
+// resumes from s's PCG state. Scratch and the query view are not
+// copied.
+func (s *Sketch) Clone() *Sketch {
+	return &Sketch{
+		CompactorStack: s.CompactorStack.Clone(),
+		k:              s.k,
+		hra:            s.hra,
+		compactors:     slices.Clone(s.compactors),
+	}
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
@@ -512,32 +369,23 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	} else {
 		w.Byte(0)
 	}
-	w.U64(s.seed)
-	rngState, err := s.pcg.MarshalBinary()
-	if err != nil {
+	if err := s.MarshalState(w); err != nil {
 		return nil, err
 	}
-	w.Blob(rngState)
-	w.U64(s.count)
-	w.F64(s.min)
-	w.F64(s.max)
-	w.U32(uint32(len(s.compactors)))
-	for _, c := range s.compactors {
+	for h, c := range s.compactors {
 		w.F64(c.sectionSizeF)
 		w.U32(uint32(c.sectionSize))
 		w.U32(uint32(c.numSections))
 		w.U64(c.state)
-		w.U32(uint32(len(c.buf)))
-		for _, v := range c.buf {
-			w.U32(math.Float32bits(v))
-		}
+		s.MarshalLevel(w, h)
 	}
 	return w.Bytes(), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. Like KLL, the
-// decoded sketch restores the exact PCG state of its coin-flip RNG, so
-// it continues bit-identically to the original.
+// decoded sketch restores the exact PCG state of its coin, so it
+// continues bit-identically to the original; a blob that parses but
+// breaks the stack's structure is corrupt.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
 	r := sketch.NewReader(data)
 	if err := r.Header(sketch.TagReq); err != nil {
@@ -545,62 +393,36 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	}
 	k := int(r.U32())
 	hra := r.Byte() == 1
-	seed := r.U64()
-	rngState := r.Blob()
-	count := r.U64()
-	minV := r.F64()
-	maxV := r.F64()
-	numLevels := int(r.U32())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if k < minSectionSize || k > 1<<20 || numLevels < 1 || numLevels > 64 {
+	if k < minSectionSize || k > 1<<20 {
 		return sketch.ErrCorrupt
 	}
-	ns := NewWithSeed(k, hra, seed)
-	if err := ns.pcg.UnmarshalBinary(rngState); err != nil {
+	ns := NewWithSeed(k, hra, 0)
+	numLevels, err := ns.UnmarshalState(r)
+	if err != nil {
+		return err
+	}
+	if numLevels < 1 || numLevels > 64 {
 		return sketch.ErrCorrupt
 	}
-	ns.count = count
-	ns.min = minV
-	ns.max = maxV
-	ns.compactors = make([]*compactor, numLevels)
-	for h := range ns.compactors {
-		c := newCompactor(h, k)
+	ns.compactors = make([]compactor, 0, numLevels)
+	for range numLevels {
+		c := newCompactor(k)
 		c.sectionSizeF = r.F64()
 		c.sectionSize = int(r.U32())
 		c.numSections = int(r.U32())
 		c.state = r.U64()
-		n := int(r.U32())
-		if r.Err() != nil || n < 0 || n > r.Remaining()/4 {
-			return sketch.ErrCorrupt
-		}
 		if c.sectionSize < minSectionSize || c.sectionSize > 1<<20 || c.numSections < 1 || c.numSections > 1<<20 {
 			return sketch.ErrCorrupt
 		}
-		c.buf = make([]float32, n)
-		for i := range c.buf {
-			c.buf[i] = math.Float32frombits(r.U32())
+		if err := ns.UnmarshalLevel(r); err != nil {
+			return err
 		}
-		c.markSorted(0)
-		ns.compactors[h] = c
+		ns.compactors = append(ns.compactors, c)
 	}
-	if r.Err() != nil {
-		return r.Err()
+	if err := ns.Validate(r); err != nil {
+		return err
 	}
-	if r.Remaining() != 0 {
-		return sketch.ErrCorrupt
-	}
-	// Structural validation, as KLL's decoder: NaN samples, unordered
-	// bounds or a count that disagrees with the retained weight would
-	// otherwise decode and answer from a sketch no stream produced.
-	bufs := make([][]float32, len(ns.compactors))
-	for h, c := range ns.compactors {
-		bufs[h] = c.buf
-	}
-	if !sketch.ValidLevels(bufs, ns.count, ns.min, ns.max) {
-		return sketch.ErrCorrupt
-	}
+	ns.assertInvariants("unmarshal")
 	*s = *ns
 	return nil
 }

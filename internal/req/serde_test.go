@@ -36,20 +36,20 @@ func wantCorrupt(t *testing.T, blob []byte) {
 // retained weight Σ|buf_h|·2^h used to decode and answer from it
 // (count 5 over 1000 items gave Rank(500) = 100).
 func TestUnmarshalRejectsCountMismatch(t *testing.T) {
-	wantCorrupt(t, corruptedBlob(t, func(s *Sketch) { s.count = 5 }))
+	wantCorrupt(t, corruptedBlob(t, func(s *Sketch) { s.N = 5 }))
 }
 
 // TestUnmarshalRejectsNaNSample: no inserted value is NaN, so a NaN
 // sample can only come from a corrupt blob.
 func TestUnmarshalRejectsNaNSample(t *testing.T) {
 	wantCorrupt(t, corruptedBlob(t, func(s *Sketch) {
-		s.compactors[0].buf[0] = float32(math.NaN())
+		s.Levels[0].Items[0] = float32(math.NaN())
 	}))
 }
 
 // TestUnmarshalRejectsUnorderedBounds: a non-empty sketch has min ≤ max.
 func TestUnmarshalRejectsUnorderedBounds(t *testing.T) {
-	wantCorrupt(t, corruptedBlob(t, func(s *Sketch) { s.min, s.max = s.max, s.min }))
+	wantCorrupt(t, corruptedBlob(t, func(s *Sketch) { s.Min, s.Max = s.Max, s.Min }))
 }
 
 // TestUnmarshalRejectsWeightOverflow: two items at height 63 weigh 2^64,
@@ -57,12 +57,12 @@ func TestUnmarshalRejectsUnorderedBounds(t *testing.T) {
 func TestUnmarshalRejectsWeightOverflow(t *testing.T) {
 	wantCorrupt(t, corruptedBlob(t, func(s *Sketch) {
 		for len(s.compactors) < 64 {
-			s.compactors = append(s.compactors, newCompactor(len(s.compactors), s.k))
+			s.addLevel(s.k)
 		}
-		for _, c := range s.compactors {
-			c.buf = c.buf[:0]
+		for h := range s.Levels {
+			s.Levels[h].Items = s.Levels[h].Items[:0]
 		}
-		s.compactors[63].buf = []float32{1, 2}
-		s.count = 0
+		s.Levels[63].Items = []float32{1, 2}
+		s.N = 0
 	}))
 }

@@ -16,9 +16,10 @@ import (
 // algorithm that predates sorted runs: compaction sorts the whole
 // buffer every time and appends the promoted items to compactor h+1.
 // It reads and writes only the compactors' buffers and schedules, the
-// count, bounds, k and RNG, so the real sketch's answers, coin flips
-// and buffer multisets can be checked against it step by step. It keeps
-// every sortedLen at 0, so its query view sorts every buffer.
+// count, bounds, k and coin, so the real sketch's answers, coin flips
+// and buffer multisets can be checked against it step by step. A
+// buffer it compacts restarts with no known sorted prefix; the query
+// view finds each buffer's by scanning.
 type refReq struct{ s *Sketch }
 
 func newRefReq(k int, hra bool, seed uint64) refReq { return refReq{NewWithSeed(k, hra, seed)} }
@@ -28,19 +29,18 @@ func (r refReq) insert(x float64) {
 	if math.IsNaN(x) {
 		return
 	}
-	c0 := s.compactors[0]
-	c0.buf = append(c0.buf, float32(x))
-	s.count++
-	s.view.Invalidate()
-	s.min, s.max = min(s.min, x), max(s.max, x)
-	if len(c0.buf) >= c0.capacity() {
+	s.Levels[0].Items = append(s.Levels[0].Items, float32(x))
+	s.N++
+	s.InvalidateView()
+	s.Min, s.Max = min(s.Min, x), max(s.Max, x)
+	if len(s.Levels[0].Items) >= s.compactors[0].capacity() {
 		r.compress()
 	}
 }
 
 func (r refReq) compress() {
 	for h := 0; h < len(r.s.compactors); h++ {
-		if c := r.s.compactors[h]; len(c.buf) >= c.capacity() {
+		if len(r.s.Levels[h].Items) >= r.s.compactors[h].capacity() {
 			r.compactLevel(h)
 		}
 	}
@@ -48,36 +48,37 @@ func (r refReq) compress() {
 
 func (r refReq) compactLevel(h int) {
 	s := r.s
-	c := s.compactors[h]
-	if len(c.buf) < 2 {
+	buf := s.Levels[h].Items
+	if len(buf) < 2 {
 		return
 	}
 	if h+1 >= len(s.compactors) {
-		s.compactors = append(s.compactors, newCompactor(h+1, c.sectionSize))
+		s.addLevel(s.compactors[h].sectionSize)
 	}
-	next := s.compactors[h+1]
-	slices.Sort(c.buf)
+	c := &s.compactors[h]
+	next := &s.Levels[h+1]
+	slices.Sort(buf)
 	secs := min(bits.TrailingZeros64(^c.state)+1, c.numSections)
 	L := secs * c.sectionSize
-	if maxL := len(c.buf) - c.capacity()/2; L > maxL {
+	if maxL := len(buf) - c.capacity()/2; L > maxL {
 		L = maxL
 	}
 	L &^= 1
 	if L < 2 {
 		L = 2
 	}
-	region := c.buf[len(c.buf)-L:]
+	region := buf[len(buf)-L:]
 	if s.hra {
-		region = c.buf[:L]
+		region = buf[:L]
 	}
-	offset := int(s.rng.Uint64() & 1)
+	offset := int(s.PCG.Uint64() & 1)
 	for i := offset; i < L; i += 2 {
-		next.buf = append(next.buf, region[i])
+		next.Items = append(next.Items, region[i])
 	}
 	if s.hra {
-		c.buf = append(c.buf[:0], c.buf[L:]...)
+		s.Levels[h] = sketch.Level{Items: append(buf[:0], buf[L:]...)}
 	} else {
-		c.buf = c.buf[:len(c.buf)-L]
+		s.Levels[h] = sketch.Level{Items: buf[:len(buf)-L]}
 	}
 	c.state++
 	if c.state >= 1<<uint(c.numSections-1) && c.sectionSize > minSectionSize {
@@ -93,47 +94,37 @@ func (r refReq) merge(o refReq) {
 	s := r.s
 	s.k = min(s.k, o.s.k)
 	for len(s.compactors) < len(o.s.compactors) {
-		h := len(s.compactors)
-		s.compactors = append(s.compactors, newCompactor(h, s.compactors[h-1].sectionSize))
+		s.addLevel(s.compactors[len(s.compactors)-1].sectionSize)
 	}
 	for h, oc := range o.s.compactors {
-		c := s.compactors[h]
-		c.buf = append(c.buf, oc.buf...)
+		c := &s.compactors[h]
+		s.Levels[h].Items = append(s.Levels[h].Items, o.s.Levels[h].Items...)
 		c.state |= oc.state
 		if oc.numSections > c.numSections ||
 			(oc.numSections == c.numSections && oc.sectionSize < c.sectionSize) {
 			c.numSections, c.sectionSize, c.sectionSizeF = oc.numSections, oc.sectionSize, oc.sectionSizeF
 		}
 	}
-	s.count += o.s.count
-	s.view.Invalidate()
-	s.min, s.max = min(s.min, o.s.min), max(s.max, o.s.max)
+	s.N += o.s.N
+	s.InvalidateView()
+	s.Min, s.Max = min(s.Min, o.s.Min), max(s.Max, o.s.Max)
 	r.compress()
 }
 
 func (r refReq) scaleCount(g float64) {
 	s := r.s
-	bufs := make([][]float32, len(s.compactors))
-	for h, c := range s.compactors {
-		bufs[h] = c.buf
-	}
-	newBufs, count := sketch.ScaleLevels(bufs, g)
-	if count == 0 {
-		*s = *NewWithSeed(s.k, s.hra, s.seed)
+	if !s.Scale(g) {
+		*s = *NewWithSeed(s.k, s.hra, s.Seed)
 		return
 	}
-	for h, c := range s.compactors {
-		c.buf = append(c.buf[:0], newBufs[h]...)
-	}
-	s.count = count
-	s.view.Invalidate()
 	r.compress()
 }
 
 func (r refReq) degrade() {
 	s := r.s
 	shrunk := false
-	for _, c := range s.compactors {
+	for h := range s.compactors {
+		c := &s.compactors[h]
 		if ne := nearestEven(c.sectionSizeF / 2); ne >= minSectionSize && ne < c.sectionSize {
 			c.sectionSizeF /= 2
 			c.sectionSize = ne
@@ -147,15 +138,7 @@ func (r refReq) degrade() {
 		s.k = nk
 	}
 	r.compress()
-	s.view = sketch.LevelView{}
-}
-
-// unsort zeroes every sortedLen of a sketch the reference takes over.
-func (r refReq) unsort() refReq {
-	for _, c := range r.s.compactors {
-		c.sortedLen = 0
-	}
-	return r
+	s.Clip()
 }
 
 // diffValue draws test data: a mix of continuous values and heavy ties,
@@ -186,45 +169,46 @@ func ascendingPrefix(buf []float32) int {
 // checkSame asserts that the real sketch and the reference hold the
 // same state — per-compactor multisets and schedules, RNG state, k,
 // count and bounds — and give bit-equal Quantile and Rank answers, and
-// that every sortedLen of the real sketch is its buffer's longest
+// that every sorted prefix of the real sketch is its buffer's longest
 // ascending prefix.
 func checkSame(t *testing.T, step string, got *Sketch, ref refReq) {
 	t.Helper()
 	want := ref.s
-	if got.k != want.k || got.count != want.count || len(got.compactors) != len(want.compactors) {
+	if got.k != want.k || got.N != want.N || len(got.compactors) != len(want.compactors) {
 		t.Fatalf("%s: k/count/compactors %d/%d/%d, reference %d/%d/%d", step,
-			got.k, got.count, len(got.compactors), want.k, want.count, len(want.compactors))
+			got.k, got.N, len(got.compactors), want.k, want.N, len(want.compactors))
 	}
-	if math.Float64bits(got.min) != math.Float64bits(want.min) || math.Float64bits(got.max) != math.Float64bits(want.max) {
-		t.Fatalf("%s: bounds [%v, %v], reference [%v, %v]", step, got.min, got.max, want.min, want.max)
+	if math.Float64bits(got.Min) != math.Float64bits(want.Min) || math.Float64bits(got.Max) != math.Float64bits(want.Max) {
+		t.Fatalf("%s: bounds [%v, %v], reference [%v, %v]", step, got.Min, got.Max, want.Min, want.Max)
 	}
 	for h, c := range got.compactors {
 		w := want.compactors[h]
 		if c.state != w.state || c.sectionSize != w.sectionSize || c.numSections != w.numSections || c.sectionSizeF != w.sectionSizeF {
 			t.Fatalf("%s: compactor %d schedule differs from the reference", step, h)
 		}
-		a, b := slices.Clone(c.buf), slices.Clone(w.buf)
+		lv := got.Levels[h]
+		a, b := slices.Clone(lv.Items), slices.Clone(want.Levels[h].Items)
 		slices.Sort(a)
 		slices.Sort(b)
 		if !slices.Equal(a, b) {
 			t.Fatalf("%s: compactor %d multiset differs from the reference (%d vs %d items)", step, h, len(a), len(b))
 		}
-		if p := ascendingPrefix(c.buf); c.sortedLen != p {
-			t.Fatalf("%s: compactor %d sortedLen %d, longest ascending prefix %d", step, h, c.sortedLen, p)
+		if p := ascendingPrefix(lv.Items); got.SortedPrefix(h) != p {
+			t.Fatalf("%s: compactor %d sorted prefix %d, longest ascending prefix %d", step, h, got.SortedPrefix(h), p)
 		}
 	}
-	ga, err := got.pcg.MarshalBinary()
+	ga, err := got.PCG.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wa, err := want.pcg.MarshalBinary()
+	wa, err := want.PCG.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(ga, wa) {
 		t.Fatalf("%s: RNG state differs from the reference", step)
 	}
-	if got.count == 0 {
+	if got.N == 0 {
 		return
 	}
 	for _, q := range []float64{1e-6, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1} {
@@ -335,7 +319,7 @@ func TestReqSortedCompactionDifferential(t *testing.T) {
 							name = "clone"
 						default:
 							got = roundTrip(t, got)
-							ref = refReq{roundTrip(t, ref.s)}.unsort()
+							ref = refReq{roundTrip(t, ref.s)}
 							name = "serde"
 						}
 						checkSame(t, fmt.Sprintf("step %d (%s)", step, name), got, ref)
@@ -347,8 +331,8 @@ func TestReqSortedCompactionDifferential(t *testing.T) {
 }
 
 // TestReqSortedResumeShortSuffix pins resume ≡ uninterrupted byte for
-// byte on short suffixes, where sortedLen decides whether the first few
-// promotions merge or append: a decoded copy and an exact clone of the
+// byte on short suffixes, where the sorted prefixes decide whether the
+// first few promotions merge or append: a decoded copy and an exact clone of the
 // original take the same 1–200 further values and must serialize
 // identically. The states cover plain streams in both modes, a merge
 // into an empty receiver (its compactors arrive ascending through

@@ -7,27 +7,26 @@ import (
 	"sort"
 )
 
-// LevelView is the sorted query view of a level-based sampler (KLL,
-// ReqSketch): an item retained at level h weighs 2^h, and every item is
-// sorted by value with its cumulative weight so quantile and rank
-// queries are binary searches. The view is built lazily once per
-// mutation epoch, and its arrays keep their capacity across rebuilds,
-// so a warm rebuild allocates nothing. The zero value is an empty,
-// invalid view.
+// levelView is the sorted query view of a CompactorStack: an item
+// retained at level h weighs 2^h, and every item is sorted by value
+// with its cumulative weight so quantile and rank queries are binary
+// searches. The view is built lazily once per mutation epoch, and its
+// arrays keep their capacity across rebuilds, so a warm rebuild
+// allocates nothing. The zero value is an empty, invalid view.
 //
-// The samplers keep most of their items in sorted runs (KLL's levels
-// above 0, the sorted prefix of each REQ compactor), so a rebuild takes
-// each level as an ascending prefix plus an unsorted tail, sorts only
-// the tails (into one scratch array, with SortFloat32) and merges all
-// the runs. A rebuild is closure-free:
+// The stack keeps most of its items in sorted runs (each level's
+// ascending prefix), so a rebuild takes each level as an ascending
+// prefix plus an unsorted tail, sorts only the tails (into one scratch
+// array, with SortFloat32) and merges all the runs. A rebuild is
+// closure-free:
 //
 //	if v.Begin() {
-//		for h, items := range levels {
-//			v.AddLevel(h, items, sortedLen[h])
+//		for h, lv := range levels {
+//			v.AddLevel(h, lv.Items, lv.Sorted)
 //		}
 //		v.Sort()
 //	}
-type LevelView struct {
+type levelView struct {
 	valid   bool
 	vals    []float32  // item values, ascending
 	cum     []uint64   // cum[i] is the total weight of vals[:i+1]
@@ -44,11 +43,11 @@ type levelRun struct {
 
 // Invalidate marks the view stale; the next Begin starts a rebuild.
 // Every mutation of the summarized levels must call it.
-func (v *LevelView) Invalidate() { v.valid = false }
+func (v *levelView) Invalidate() { v.valid = false }
 
 // Begin starts a rebuild and reports true, or reports false when the
 // view is still valid and needs none.
-func (v *LevelView) Begin() bool {
+func (v *levelView) Begin() bool {
 	if v.valid {
 		return false
 	}
@@ -60,7 +59,7 @@ func (v *LevelView) Begin() bool {
 // being rebuilt. items[:sorted] must be ascending; the rest may be in
 // any order. The view reads items until Sort returns, so the level must
 // not change before then.
-func (v *LevelView) AddLevel(h int, items []float32, sorted int) {
+func (v *levelView) AddLevel(h int, items []float32, sorted int) {
 	w := uint64(1) << uint(h)
 	if sorted > 0 {
 		v.runs = append(v.runs, levelRun{items[:sorted], w})
@@ -74,7 +73,7 @@ func (v *LevelView) AddLevel(h int, items []float32, sorted int) {
 // value and the weights are accumulated. Equal values from different
 // runs may land in any order, which cannot be observed: Quantile and
 // Rank only consult cumulative weight at value boundaries.
-func (v *LevelView) Sort() {
+func (v *levelView) Sort() {
 	n, tn := 0, 0
 	for _, r := range v.runs {
 		n += len(r.items)
@@ -155,7 +154,7 @@ func siftRun(runs []levelRun, i int) {
 // Quantile returns the item whose cumulative weight first reaches
 // ⌈q·count⌉, clamped to [min, max], or max when no item reaches it. q
 // must be valid and the view built.
-func (v *LevelView) Quantile(q float64, count uint64, min, max float64) float64 {
+func (v *levelView) Quantile(q float64, count uint64, min, max float64) float64 {
 	target := uint64(math.Ceil(q * float64(count)))
 	if target < 1 {
 		target = 1
@@ -178,7 +177,7 @@ func (v *LevelView) Quantile(q float64, count uint64, min, max float64) float64 
 
 // Rank returns the weight of the items ≤ x (compared as float32) as a
 // fraction of count, and 0 for NaN. The view must be built.
-func (v *LevelView) Rank(x float64, count uint64) float64 {
+func (v *levelView) Rank(x float64, count uint64) float64 {
 	if math.IsNaN(x) {
 		return 0
 	}
@@ -193,7 +192,7 @@ func (v *LevelView) Rank(x float64, count uint64) float64 {
 
 // Weight reports the total weight of the built view, which equals the
 // sampler's count whenever its levels conserve weight.
-func (v *LevelView) Weight() uint64 {
+func (v *levelView) Weight() uint64 {
 	if len(v.cum) == 0 {
 		return 0
 	}
@@ -201,11 +200,11 @@ func (v *LevelView) Weight() uint64 {
 }
 
 // Bytes reports the capacity the view holds, for Footprint accounting.
-func (v *LevelView) Bytes() int {
+func (v *levelView) Bytes() int {
 	return 4*cap(v.vals) + 8*cap(v.cum) + 4*cap(v.scratch) + 32*(cap(v.runs)+cap(v.tails))
 }
 
-// ScaleLevels rescales the weight of level-based samples by g in (0, 1)
+// scaleLevels rescales the weight of the stack's items by g in (0, 1)
 // through binary re-decomposition: an item at level h weighs 2^h, so
 // after scaling it should weigh W = round(g·2^h), and it is re-placed at
 // every set bit of W (all bits are ≤ h, so the hierarchy never grows).
@@ -215,13 +214,14 @@ func (v *LevelView) Bytes() int {
 // the result is a pure function of levels and g. Levels whose scaled
 // weight rounds to 0 drop their items; a total of 0 (always so for
 // g ≤ 0) means everything rounded away.
-func ScaleLevels(levels [][]float32, g float64) ([][]float32, uint64) {
+func scaleLevels(levels []Level, g float64) ([][]float32, uint64) {
 	if g <= 0 {
 		return nil, 0
 	}
 	out := make([][]float32, len(levels))
 	var count uint64
-	for h, lv := range levels {
+	for h, l := range levels {
+		lv := l.Items
 		if len(lv) == 0 {
 			continue
 		}
@@ -239,15 +239,15 @@ func ScaleLevels(levels [][]float32, g float64) ([][]float32, uint64) {
 	return out, count
 }
 
-// ValidLevels reports whether decoded level-based samples are
-// structurally sound: no sample is NaN, the retained weight
-// Σ_h |levels[h]|·2^h sums without overflow to exactly count, and
-// min ≤ max when count > 0. Decoders reject a blob failing it as
-// corrupt even when every field parsed; the overflow check matters
-// because a wrapped sum can match any count.
-func ValidLevels(levels [][]float32, count uint64, min, max float64) bool {
+// validLevels reports whether decoded levels are structurally sound:
+// no item is NaN, the retained weight Σ_h |levels[h]|·2^h sums without
+// overflow to exactly count, and min ≤ max when count > 0. The decoder
+// rejects a blob failing it as corrupt even when every field parsed;
+// the overflow check matters because a wrapped sum can match any count.
+func validLevels(levels []Level, count uint64, min, max float64) bool {
 	var weight uint64
-	for h, lv := range levels {
+	for h, l := range levels {
+		lv := l.Items
 		if len(lv) == 0 {
 			continue
 		}

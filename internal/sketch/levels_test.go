@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// pairView is the query view LevelView replaced, kept as the reference:
+// pairView is the query view levelView replaced, kept as the reference:
 // every (value, weight) pair of every level, sorted by value with a
 // comparison sort, and the weights accumulated.
 type pairView struct {
@@ -65,7 +65,7 @@ func TestLevelViewMergeMatchesPairSort(t *testing.T) {
 			return float32(rng.ExpFloat64())
 		}
 	}
-	var v LevelView
+	var v levelView
 	for trial := 0; trial < 300; trial++ {
 		levels := make([][]float32, 1+rng.IntN(20))
 		sorted := make([]int, len(levels))
@@ -122,7 +122,7 @@ func TestLevelViewMergeMatchesPairSort(t *testing.T) {
 	}
 }
 
-// refQuantile and refRank are LevelView.Quantile and LevelView.Rank
+// refQuantile and refRank are levelView.Quantile and levelView.Rank
 // over the pair-sorted reference (no clamping is needed: min and max are
 // the reference's own extremes).
 func refQuantile(p pairView, q float64, count uint64, hi float64) float64 {
@@ -160,7 +160,7 @@ func TestLevelViewRebuildAllocs(t *testing.T) {
 			slices.Sort(levels[h][:len(levels[h])/2])
 		}
 	}
-	var v LevelView
+	var v levelView
 	rebuild := func() {
 		v.Invalidate()
 		if v.Begin() {
@@ -172,6 +172,6 @@ func TestLevelViewRebuildAllocs(t *testing.T) {
 	}
 	rebuild()
 	if avg := testing.AllocsPerRun(100, rebuild); avg != 0 {
-		t.Errorf("a warm LevelView rebuild allocates %.1f times, want 0", avg)
+		t.Errorf("a warm levelView rebuild allocates %.1f times, want 0", avg)
 	}
 }

@@ -192,6 +192,10 @@ func InsertAll(s Sketch, xs []float64) {
 // path and relies on this equivalence for its answers to match
 // per-event insertion (internal/stream), and TestInsertBatchEquivalence
 // enforces it for every implementation.
+//
+// On KLL and REQ InsertBatch is no kernel: it runs the scalar insert
+// body per value and saves only the metrics, which it publishes as one
+// delta per batch instead of one per value.
 type BatchInserter interface {
 	// InsertBatch adds every value of xs, equivalent to inserting them
 	// one at a time in order.

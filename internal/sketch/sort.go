@@ -18,10 +18,10 @@ const (
 	radixMax     = 512
 )
 
-// SortFloat32 is the sort kernel of the level-based samplers (KLL,
-// ReqSketch) and of LevelView: it sorts b ascending. b must hold no
-// NaN, which a level never does: the samplers' Insert drops NaNs and
-// ValidLevels rejects them on decode. On such input every class gives
+// SortFloat32 is the sort kernel of the compactor stack (KLL,
+// ReqSketch) and of its query view: it sorts b ascending. b must hold
+// no NaN, which a level never does: the samplers' Insert drops NaNs and
+// the stack's decoder rejects them. On such input every class gives
 // the same order as slices.Sort, except that −0 and +0, which compare
 // equal, may come out in either order (the radix class puts −0 first).
 //
@@ -135,30 +135,4 @@ func radixPass(src []uint32, dst *[radixMax]uint32, counts *[256]uint64, p uint)
 		dst[counts[d]>>lane&(radixMax-1)] = k
 		counts[d] += 1 << lane
 	}
-}
-
-// MergeRun merges the m ascending items run[0], run[2], …, run[2(m−1)]
-// into the ascending dst and returns the result: a compaction promotes
-// every other item of a sorted region, so its output is such a run.
-// dst grows exactly as m single appends would grow it, so the allocated
-// capacity (which Footprint reports) is what appending the run would
-// leave. The merge runs backward in place, largest items first; run
-// must not share dst's array.
-func MergeRun(dst, run []float32, m int) []float32 {
-	n := len(dst)
-	for cap(dst) < n+m {
-		dst = append(dst[:cap(dst)], 0)
-	}
-	dst = dst[:n+m]
-	i, j := n-1, m-1
-	for k := n + m - 1; j >= 0; k-- {
-		if i >= 0 && dst[i] > run[2*j] {
-			dst[k] = dst[i]
-			i--
-		} else {
-			dst[k] = run[2*j]
-			j--
-		}
-	}
-	return dst
 }

@@ -113,6 +113,11 @@ func TestInvalidConstruction(t *testing.T) {
 // with each store at indices 0 and 1, so at a budget of 4 a mixed-sign
 // stream terminates, and smaller budgets — where the collapse loop
 // never would — are refused, by the constructors and by the decoder.
+// Over a wide value range the budget collapses run until α saturates
+// at 1 (the 11th collapse from α₀ = 0.01): every one of them still
+// runs, the sketch reports AccuracyBound 1, its answers stay within
+// [min, max], and it survives a round trip — in the invariants build
+// too, whose check accepts the saturated α.
 func TestSmallestBudgetTerminates(t *testing.T) {
 	for _, kind := range storeKinds {
 		t.Run(kind.name, func(t *testing.T) {
@@ -122,6 +127,28 @@ func TestSmallestBudgetTerminates(t *testing.T) {
 			}
 			if s.NonEmptyBuckets() > 4 {
 				t.Errorf("%d buckets, budget 4", s.NonEmptyBuckets())
+			}
+
+			wide := build(kind.dense, 0.01, 4)
+			values := []float64{1, 1.5, -1.5, -1, 1e-9, -1e9, 1e9, -1e-9}
+			for _, x := range values {
+				wide.Insert(x)
+			}
+			if wide.NonEmptyBuckets() > 4 || wide.Count() != uint64(len(values)) {
+				t.Errorf("wide range: %d buckets (budget 4), count %d", wide.NonEmptyBuckets(), wide.Count())
+			}
+			if wide.Collapses() < 11 || wide.AccuracyBound() != 1 {
+				t.Errorf("wide range: %d collapses, AccuracyBound %v; want ≥ 11 and a saturated 1", wide.Collapses(), wide.AccuracyBound())
+			}
+			for _, q := range []float64{0.01, 0.25, 0.5, 0.75, 1} {
+				v, err := wide.Quantile(q)
+				if err != nil || v < -1e9 || v > 1e9 {
+					t.Errorf("wide range: Quantile(%v) = %v, %v; want a value in [-1e9, 1e9]", q, v, err)
+				}
+			}
+			var d Sketch
+			if err := d.UnmarshalBinary(marshal(t, wide)); err != nil || d.AccuracyBound() != 1 {
+				t.Errorf("wide range: round trip: %v, AccuracyBound %v", err, d.AccuracyBound())
 			}
 			blob := marshal(t, s)
 			// maxBuckets follows the 2-byte header and the 8-byte α₀;

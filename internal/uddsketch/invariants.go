@@ -18,7 +18,10 @@ import (
 //   - Positive bucket counts: neither insertion nor collapse can
 //     produce an empty or negative bucket, and each store's live
 //     bucket count is the number of buckets it holds.
-//   - Accuracy bookkeeping: α ∈ (0,1) and γ consistent with α.
+//   - Accuracy bookkeeping: α ∈ (0,1] and γ consistent with α. A
+//     budget too small for the data's value range collapses until α
+//     rounds to 1 (γ = +Inf), which means no guarantee (see New); the
+//     collapses must still run, so the saturated α is a valid state.
 //   - Ordered bounds: min ≤ max (non-NaN) whenever non-empty.
 func (s *Sketch) assertInvariants(op string) {
 	sum := checkStore(op, "positive", s.positive) + checkStore(op, "negative", s.negative)
@@ -29,10 +32,10 @@ func (s *Sketch) assertInvariants(op string) {
 	if n := s.NonEmptyBuckets(); n > s.maxBuckets {
 		invariant.Violationf("uddsketch", op, "bucket budget exceeded: %d live buckets, budget %d", n, s.maxBuckets)
 	}
-	if !(s.alpha > 0 && s.alpha < 1) {
-		invariant.Violationf("uddsketch", op, "alpha %v outside (0,1) after %d collapses", s.alpha, s.collapses)
+	if !(s.alpha > 0 && s.alpha <= 1) {
+		invariant.Violationf("uddsketch", op, "alpha %v outside (0,1] after %d collapses", s.alpha, s.collapses)
 	}
-	if g := (1 + s.alpha) / (1 - s.alpha); math.Abs(g-s.gamma) > 1e-9*g {
+	if g := (1 + s.alpha) / (1 - s.alpha); math.IsInf(g, 1) != math.IsInf(s.gamma, 1) || math.Abs(g-s.gamma) > 1e-9*g {
 		invariant.Violationf("uddsketch", op, "gamma %v inconsistent with alpha %v (want %v)", s.gamma, s.alpha, g)
 	}
 	if s.count > 0 {

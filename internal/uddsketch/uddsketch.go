@@ -99,6 +99,14 @@ var (
 // bucket budget of maxBuckets (counting positive and negative buckets
 // together, at least 4). It panics on invalid parameters; use
 // NewChecked for errors.
+//
+// The budget is always kept: each uniform collapse that it forces
+// deteriorates α ← 2α/(1+α²), and a budget too small for the data's
+// value range can collapse until α rounds to 1 in float64 — from
+// α₀ = 0.01, 4 buckets over values spanning 1e-9 to 1e9 saturate at
+// the 11th collapse. α = 1 (AccuracyBound) means no relative-error
+// guarantee: answers keep their sign and stay within [min, max], and
+// nothing more.
 func New(alpha0 float64, maxBuckets int) *Sketch {
 	s, err := NewChecked(alpha0, maxBuckets)
 	if err != nil {
@@ -575,7 +583,8 @@ func (s *Sketch) Trim() {
 // AccuracyBound implements sketch.AccuracyBounder: the sketch's current
 // relative accuracy α — the exact post-collapse guarantee, which grows
 // with every Degrade and propagates through merges (the merged sketch
-// carries the worse collapse count's α).
+// carries the worse collapse count's α). It reads 1 once budget
+// collapses have saturated α, which means no guarantee (see New).
 func (s *Sketch) AccuracyBound() float64 { return s.alpha }
 
 // MemoryBytes implements sketch.Sketch with each store's accounting:

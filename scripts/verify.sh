@@ -91,24 +91,26 @@ gate hotpath-allocs go test -run 'Allocs' ./internal/kll ./internal/req \
 	./internal/fastlog ./internal/stream ./internal/concurrent \
 	./internal/sketch ./internal/checkpoint ./internal/stats
 gate invariant-tests go test -tags invariants ./internal/...
-# The samplers keep their items in sorted runs and share one float32
-# sort kernel (internal/sketch): KLL keeps its levels above 0 sorted,
-# REQ sorts only each compactor's unsorted tail and merges promoted runs
-# into ascending compactors, and the query view merges the runs instead
-# of sorting every item. The exact oracle sorts with an in-place float64
-# radix sort and the moments solver runs blocked Newton passes. The
-# differential tests of each against its reference — sort-every-
-# compaction KLL and REQ, short-suffix resume, slices.Sort,
-# sort.Float64s, the pair-sorted view, the plain Newton loops — run by
-# name, plain and invariant-armed (which also checks KLL's sorted mask
-# against the levels after every mutation), then both sort kernels'
-# fuzzers run for 10 s each, so a broken sortedness contract, sort or
-# kernel is reported as this gate. Minimizing a new interesting input is
-# capped at 1 s: at the default 60 s it would take the whole 10 s from
-# fuzzing.
+# KLL and REQ share one compactor stack (internal/sketch) that keeps
+# its items in sorted runs and one float32 sort kernel: KLL keeps its
+# levels above 0 sorted, REQ sorts only each compactor's unsorted tail
+# and merges promoted runs into ascending compactors, and the query view
+# merges the runs instead of sorting every item. The exact oracle sorts
+# with an in-place float64 radix sort and the moments solver runs
+# blocked Newton passes. The differential tests of each against its
+# reference — sort-every-compaction KLL and REQ, short-suffix resume,
+# slices.Sort, sort.Float64s, the pair-sorted view, the plain Newton
+# loops — run by name, with the byte goldens of KLL and REQ
+# (TestCompactorBytesGolden) and the reproduction tables
+# (TestReproductionGolden), plain and invariant-armed (which also
+# checks every level's exact sorted prefix after every mutation), then
+# both sort kernels' fuzzers run for 10 s each, so a broken sortedness
+# contract, sort or kernel, or a byte or table drift, is reported as
+# this gate. Minimizing a new interesting input is capped at 1 s: at the
+# default 60 s it would take the whole 10 s from fuzzing.
 sort_kernel() {
-	local tests='TestSortedCompactionDifferential|TestSortedResumeShortSuffix|TestSortFloat32MatchesSlicesSort|TestReqSortedCompactionDifferential|TestReqSortedResumeShortSuffix|TestLevelViewMergeMatchesPairSort|TestNewtonKernelMatchesPlainLoops|TestSortFloat64MatchesSortFloat64s'
-	local pkgs='./internal/kll ./internal/req ./internal/sketch ./internal/maxent ./internal/stats'
+	local tests='TestSortedCompactionDifferential|TestSortedResumeShortSuffix|TestSortFloat32MatchesSlicesSort|TestReqSortedCompactionDifferential|TestReqSortedResumeShortSuffix|TestLevelViewMergeMatchesPairSort|TestNewtonKernelMatchesPlainLoops|TestSortFloat64MatchesSortFloat64s|TestCompactorBytesGolden|TestReproductionGolden'
+	local pkgs='./internal/kll ./internal/req ./internal/sketch ./internal/maxent ./internal/stats ./internal/harness'
 	go test -count=1 -run "$tests" $pkgs &&
 		go test -count=1 -tags invariants -run "$tests" $pkgs &&
 		go test -run '^$' -fuzz FuzzSortFloat32 -fuzztime 10s -fuzzminimizetime 1s ./internal/sketch &&
