@@ -416,9 +416,10 @@ func (st *CompactorStack) MarshalLevel(w *Writer, h int) {
 	}
 }
 
-// UnmarshalState reads what MarshalState wrote into st, dropping its
-// levels, and returns the level count the levels to follow must
-// number. A short or malformed input is ErrCorrupt.
+// UnmarshalState reads what MarshalState wrote into st, a freshly
+// built stack whose levels it drops, and returns the level count the
+// levels to follow must number. A short or malformed input is
+// ErrCorrupt.
 func (st *CompactorStack) UnmarshalState(r *Reader) (int, error) {
 	st.Seed = r.U64()
 	state := r.Blob()
@@ -433,7 +434,6 @@ func (st *CompactorStack) UnmarshalState(r *Reader) (int, error) {
 		return 0, ErrCorrupt
 	}
 	st.Levels = make([]Level, 0, min(numLevels, 64))
-	st.view = levelView{}
 	return numLevels, nil
 }
 
