@@ -14,7 +14,8 @@ import (
 
 // concurrentBenchBufSize is the per-writer buffer used by
 // BenchmarkConcurrentInsert: large enough that the KLL handoff's
-// copy-on-write clone amortizes to a few ns per insert.
+// sharing clone (the level headers plus the few low levels the batch's
+// compactions write) amortizes over thousands of inserts.
 const concurrentBenchBufSize = 4096
 
 // BenchmarkConcurrentInsert measures aggregate insert throughput into

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/ddsketch"
 	"repro/internal/kll"
+	"repro/internal/obs"
 	"repro/internal/sketch"
 )
 
@@ -501,5 +502,152 @@ func TestSharedFootprint(t *testing.T) {
 	}
 	if got := d.Footprint(); got <= base {
 		t.Errorf("SharedDDSketch footprint did not grow after page installs: %d <= %d", got, base)
+	}
+}
+
+// TestSharedKLLPublishedVersionsImmutable pins the contract the
+// handoff's ShareClone rests on: nothing writes a published version
+// again. An early snapshot borrows every sample array of the version it
+// was taken from; writers then run thousands of handoffs beside readers
+// that snapshot and query, and neither the early snapshot's serialized
+// bytes nor its version's may move. Under -race (the verify.sh
+// concurrent gate) it also proves that concurrent ShareClones of one
+// version never write memory another goroutine reads.
+func TestSharedKLLPublishedVersionsImmutable(t *testing.T) {
+	const (
+		numWriters = 3
+		numReaders = 2
+		warm       = 20000
+		perWriter  = 40000
+	)
+	xs := testValues(warm + numWriters*perWriter)
+	sh := NewKLL(kll.DefaultK, numWriters, 64)
+	sh.Writer(0).InsertBatch(xs[:warm])
+	early := sh.Snapshot().(*Snapshot).Quantiler.(*kll.Sketch)
+	version := sh.state.Load().sk
+	marshal := func(s *kll.Sketch) []byte {
+		t.Helper()
+		b, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	want := marshal(version)
+	if !bytes.Equal(marshal(early), want) {
+		t.Fatal("snapshot bytes differ from the version it was taken from")
+	}
+	wantMedian, err := early.Quantile(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var readers, writers sync.WaitGroup
+	stop := make(chan struct{})
+	for range numReaders {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := sketch.Quantiles(sh.Snapshot(), []float64{0.01, 0.5, 0.99}); err != nil {
+					t.Errorf("quantiles on live snapshot: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	for i := range numWriters {
+		writers.Add(1)
+		go func(i int) {
+			defer writers.Done()
+			w := sh.Writer(i)
+			part := xs[warm+i*perWriter : warm+(i+1)*perWriter]
+			for j, x := range part {
+				if j%3 == 0 {
+					w.InsertBatch(part[j : j+1])
+				} else {
+					w.Insert(x)
+				}
+			}
+			w.Flush()
+		}(i)
+	}
+	for range 50 {
+		if got, err := early.Quantile(0.5); err != nil || got != wantMedian {
+			t.Fatalf("early snapshot's median moved while writers ran: %v, %v; want %v", got, err, wantMedian)
+		}
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+
+	if sh.Epoch() < 1000 {
+		t.Fatalf("only %d handoffs ran; the test needs many", sh.Epoch())
+	}
+	if c := sh.Count(); c != uint64(len(xs)) {
+		t.Fatalf("final count %d, want %d", c, len(xs))
+	}
+	if !bytes.Equal(marshal(early), want) {
+		t.Error("the early snapshot's bytes moved after later handoffs")
+	}
+	if !bytes.Equal(marshal(version), want) {
+		t.Error("a published version's bytes moved after later handoffs")
+	}
+}
+
+// TestWriterInsertBatchMatchesInsert: InsertBatch copies runs of the
+// buffer's free space instead of inserting value by value, and must be
+// indistinguishable from Insert per value — the same handoffs at the
+// same points (identical shared-sketch bytes and epoch), the same
+// buffered tail, and the same count of rejected NaN and ±Inf values —
+// over batches that end before, at and past the buffer's end.
+func TestWriterInsertBatchMatchesInsert(t *testing.T) {
+	reg := obs.NewRegistry()
+	SetMetrics(reg.Concurrent())
+	defer SetMetrics(nil)
+
+	xs := testValues(6000)
+	for i := 5; i < len(xs); i += 97 {
+		xs[i] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[i%3]
+	}
+	const bufSize = 64
+	one, batch := NewKLL(kll.DefaultK, 1, bufSize), NewKLL(kll.DefaultK, 1, bufSize)
+	w1, wb := one.Writer(0), batch.Writer(0)
+	rejected := func() int64 { return reg.Concurrent().RejectedInput.Load() }
+	for i, size := 0, 1; i < len(xs); size = size*7%(3*bufSize) + 1 {
+		part := xs[i:min(i+size, len(xs))]
+		i += len(part)
+		before := rejected()
+		for _, x := range part {
+			w1.Insert(x)
+		}
+		perValue := rejected() - before
+		wb.InsertBatch(part)
+		if got := rejected() - before - perValue; got != perValue {
+			t.Fatalf("batch of %d: InsertBatch rejected %d, Insert %d", len(part), got, perValue)
+		}
+		if wb.Buffered() != w1.Buffered() || batch.Epoch() != one.Epoch() {
+			t.Fatalf("batch of %d: InsertBatch left %d buffered at epoch %d, Insert %d at %d",
+				len(part), wb.Buffered(), batch.Epoch(), w1.Buffered(), one.Epoch())
+		}
+	}
+	for _, sh := range []*SharedKLL{one, batch} {
+		sh.Flush()
+	}
+	a, err := one.state.Load().sk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := batch.state.Load().sk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Error("InsertBatch and Insert per value published different sketches")
 	}
 }

@@ -10,8 +10,8 @@ import (
 
 // kllState is one published version of the shared KLL sketch. The
 // sketch behind sk is immutable from the moment the state is published:
-// handoffs clone it before inserting, and snapshots clone it before
-// querying (KLL queries build mutable sorted-view caches).
+// handoffs ShareClone it before inserting, and snapshots ShareClone it
+// before querying (KLL queries build mutable sorted-view caches).
 type kllState struct {
 	epoch uint64
 	sk    *kll.Sketch
@@ -23,7 +23,9 @@ type kllState struct {
 // (bit-identical to serial Insert per value, so the published sketch is
 // always a state some serial KLL could have reached), and
 // compare-and-swaps the new version in; losing the race re-clones from
-// the winner and retries.
+// the winner and retries. The clone is kll.ShareClone: it copies the
+// level headers and only the levels the batch's compactions write, and
+// shares the rest with the version it came from, which no one mutates.
 // Readers never block writers and vice versa.
 type SharedKLL struct {
 	state   atomic.Pointer[kllState]
@@ -72,7 +74,7 @@ func (s *SharedKLL) MaxRelaxation() uint64 {
 func (s *SharedKLL) flushBuffer(vals []float64) {
 	for {
 		cur := s.state.Load()
-		next := cur.sk.Clone()
+		next := cur.sk.ShareClone()
 		next.InsertBatch(vals)
 		if s.state.CompareAndSwap(cur, &kllState{epoch: cur.epoch + 1, sk: next}) {
 			break
@@ -82,14 +84,15 @@ func (s *SharedKLL) flushBuffer(vals []float64) {
 	recordHandoff(len(vals))
 }
 
-// Snapshot implements Shared. The returned view is a private clone of
-// the published sketch: KLL queries lazily build sorted-view caches,
-// so handing out the shared instance itself would race reader against
-// reader.
+// Snapshot implements Shared. The returned view is a private
+// ShareClone of the published sketch: KLL queries lazily build
+// sorted-view caches, so handing out the shared instance itself would
+// race reader against reader. Queries write no level, so the view
+// copies none.
 func (s *SharedKLL) Snapshot() sketch.Quantiler {
 	st := s.state.Load()
 	recordSnapshot()
-	return &Snapshot{Quantiler: st.sk.Clone(), epoch: st.epoch}
+	return &Snapshot{Quantiler: st.sk.ShareClone(), epoch: st.epoch}
 }
 
 // Epoch implements Shared.

@@ -24,6 +24,7 @@ func (s *Sketch) ScaleCount(g float64) {
 		s.Reset()
 		return
 	}
+	s.fits = false
 	recordCompactions(s.compress())
 }
 

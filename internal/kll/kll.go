@@ -58,6 +58,13 @@ type Sketch struct {
 	// capacity — and that change rebuilds the schedule too. So only the
 	// first cascade after a rebuild can raise the gauge.
 	peakStale bool
+	// fits is set while every level is known to be under its capacity
+	// since compress's last pass: a pass that ran with no capacity
+	// rebuild leaves them so, and between passes only Append changes a
+	// level. rebuildCaps, Merge and ScaleCount clear it, and a decoded
+	// sketch starts without it. While it holds, compress stops at the
+	// first level that fits, since nothing above it has changed.
+	fits bool
 }
 
 var _ sketch.Sketch = (*Sketch)(nil)
@@ -98,9 +105,12 @@ func (s *Sketch) capacity(h int) int {
 }
 
 // rebuildCaps recomputes the capacity schedule for the current height.
+// It fills a new array rather than the old one, which ShareClone
+// leaves shared with the source.
 func (s *Sketch) rebuildCaps() {
 	s.peakStale = true
-	s.caps = slices.Grow(s.caps[:0], len(s.Levels))[:len(s.Levels)]
+	s.fits = false
+	s.caps = make([]int, len(s.Levels))
 	for lvl := range s.caps {
 		depth := len(s.Levels) - 1 - lvl
 		c := int(math.Ceil(float64(s.k) * math.Pow(capacityDecay, float64(depth))))
@@ -162,12 +172,21 @@ func (s *Sketch) insert(x float64) int {
 
 // compress cascades compactions from the lowest over-full level upward
 // until every level fits its capacity, and returns how many it ran.
+// When every level fitted after the last pass (fits), a level that
+// fits ends the cascade: the levels above it are as that pass left
+// them. A capacity rebuild during the pass clears fits, and the pass
+// then visits every level, as a rebuild can shrink the capacity of
+// levels it has already passed.
 func (s *Sketch) compress() int {
 	n := 0
+	early := s.fits
+	s.fits = true
 	for h := 0; h < len(s.Levels); h++ {
 		if len(s.Levels[h].Items) >= s.capacity(h) {
 			s.compactLevel(h)
 			n++
+		} else if early && s.fits {
+			break
 		}
 	}
 	if metrics != nil && s.peakStale {
@@ -228,6 +247,7 @@ func (s *Sketch) Merge(other sketch.Sketch) error {
 		s.k = o.k
 		s.caps = nil
 	}
+	s.fits = false
 	mergedCount := s.N + o.N
 	for len(s.Levels) < len(o.Levels) {
 		s.AddLevel(0)
@@ -325,6 +345,27 @@ func (s *Sketch) Clone() *Sketch {
 		k:              s.k,
 		caps:           slices.Clone(s.caps),
 		peakStale:      s.peakStale,
+		fits:           s.fits,
+	}
+}
+
+// ShareClone returns a copy that continues bit-identically to the
+// receiver, like Clone, but borrows the receiver's sample arrays and
+// capacity schedule and copies a level only when the copy first writes
+// it (sketch.CompactorStack.ShareClone). The receiver must not be
+// mutated while the copy lives; a sketch that nothing mutates may be
+// ShareCloned by any number of goroutines concurrently. The
+// concurrent layer's published versions
+// are such sketches: a handoff touches only the few levels its
+// compaction cascade reaches, and a snapshot, which only queries,
+// copies none.
+func (s *Sketch) ShareClone() *Sketch {
+	return &Sketch{
+		CompactorStack: s.CompactorStack.ShareClone(),
+		k:              s.k,
+		caps:           s.caps,
+		peakStale:      s.peakStale,
+		fits:           s.fits,
 	}
 }
 

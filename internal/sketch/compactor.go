@@ -23,6 +23,10 @@ import (
 // read and for tests to build states; the methods keep the sorted
 // prefixes. Code that shortens or reorders a level's Items itself must
 // replace the Level, whose zero value claims no sorted prefix.
+//
+// A stack made by ShareClone borrows its source's items arrays; every
+// mutator takes ownership of a level (own) before it writes it, so
+// such a copy never writes memory its source can see.
 type CompactorStack struct {
 	Levels []Level
 	// N is the number of items summarized, which equals the retained
@@ -45,8 +49,12 @@ type CompactorStack struct {
 	// with the prefix; Footprint counts its capacity. It grows only as
 	// far as a level that needed it, so a sketch whose levels never
 	// merge a tail (KLL) holds none, and Levels stays two words and a
-	// length per level, which Clone copies on every concurrent handoff.
+	// length per level, which ShareClone copies on every concurrent
+	// handoff.
 	scratch [][]float32
+	// borrowed has bit h set while Levels[h].Items is an array this
+	// stack shares with the stack it was ShareCloned from.
+	borrowed uint64
 }
 
 // Level is one compactor's storage.
@@ -125,12 +133,31 @@ func (st *CompactorStack) Ascending(h int) bool {
 // caller, so a batch of inserts invalidates once.
 func (st *CompactorStack) InvalidateView() { st.view.Invalidate() }
 
+// own makes level h's items array private to this stack before a
+// mutator writes it: a borrowed array is copied, with headroom for the
+// level to grow into. The copy stays in ownSlow so that Append, which
+// calls own on every insert, keeps an allocation-free body.
+func (st *CompactorStack) own(h int) {
+	if st.borrowed&(1<<uint(h)) != 0 {
+		st.ownSlow(h)
+	}
+}
+
+func (st *CompactorStack) ownSlow(h int) {
+	st.borrowed &^= 1 << uint(h)
+	lv := &st.Levels[h]
+	items := make([]float32, len(lv.Items), 2*len(lv.Items)+8)
+	copy(items, lv.Items)
+	lv.Items = items
+}
+
 // Append adds x, which must not be NaN, to level 0, counts it and
 // widens the bounds, and returns level 0's new length. The caller runs
 // its schedule's trigger and invalidates the view.
 //
 //sketch:hotpath
 func (st *CompactorStack) Append(x float64) int {
+	st.own(0)
 	lv := &st.Levels[0]
 	lv.Items = append(lv.Items, float32(x))
 	st.N++
@@ -147,6 +174,7 @@ func (st *CompactorStack) Append(x float64) int {
 // no merge scratch, where Compact sorts only the unsorted tail and
 // merges it with the prefix.
 func (st *CompactorStack) SortWhole(h int) {
+	st.own(h)
 	lv := &st.Levels[h]
 	SortFloat32(lv.Items)
 	lv.sorted = len(lv.Items)
@@ -161,6 +189,8 @@ func (st *CompactorStack) SortWhole(h int) {
 // ascending) and appended to it otherwise. The region is then dropped
 // from level h, which stays sorted.
 func (st *CompactorStack) Compact(h, lo, n int, merge bool) {
+	st.own(h)
+	st.own(h + 1)
 	lv := &st.Levels[h]
 	lv.settle()
 	if lv.sorted < len(lv.Items) {
@@ -264,6 +294,7 @@ func mergeRun(dst, run []float32, m int) []float32 {
 // schedule.
 func (st *CompactorStack) Concat(o *CompactorStack) {
 	for h := range o.Levels {
+		st.own(h)
 		lv := &st.Levels[h]
 		n := len(lv.Items)
 		lv.Items = append(lv.Items, o.Levels[h].Items...)
@@ -292,6 +323,7 @@ func (st *CompactorStack) Scale(g float64) bool {
 		return false
 	}
 	for h := range st.Levels {
+		st.own(h)
 		lv := &st.Levels[h]
 		lv.Items = append(lv.Items[:0], newLevels[h]...)
 		lv.markSorted(0)
@@ -302,12 +334,18 @@ func (st *CompactorStack) Scale(g float64) bool {
 }
 
 // Clip drops the spare capacity of every level, the sort scratch and
-// the query view's arrays: Degrade's last step.
+// the query view's arrays: Degrade's last step. A borrowed level is
+// copied at its length: clipped in place, it would still pin the
+// source's whole array.
 func (st *CompactorStack) Clip() {
 	for h := range st.Levels {
 		lv := &st.Levels[h]
+		if st.borrowed&(1<<uint(h)) != 0 {
+			lv.Items = slices.Clone(lv.Items)
+		}
 		lv.Items = slices.Clip(lv.Items)
 	}
+	st.borrowed = 0
 	st.scratch = nil
 	st.view = levelView{}
 }
@@ -332,6 +370,30 @@ func (st *CompactorStack) Clone() CompactorStack {
 		c.Levels[h] = Level{Items: slices.Clone(lv.Items), sorted: lv.sorted}
 	}
 	return c
+}
+
+// ShareClone returns a copy that continues bit-identically to the
+// receiver, like Clone, but copies only the level headers: it borrows
+// every items array, and a mutation of the copy first takes a private
+// copy of each level it writes (own). The copy never writes a borrowed
+// array, but it reads them, so the receiver must not be mutated while
+// the copy lives. A stack that nothing mutates may be ShareCloned by
+// any number of goroutines concurrently. A stack of more than 64
+// levels, with no ownership bit for each, gets a deep Clone.
+func (st *CompactorStack) ShareClone() CompactorStack {
+	if len(st.Levels) > 64 {
+		return st.Clone()
+	}
+	return CompactorStack{
+		Levels:    slices.Clone(st.Levels),
+		N:         st.N,
+		Min:       st.Min,
+		Max:       st.Max,
+		Seed:      st.Seed,
+		PCG:       st.PCG,
+		wholeRuns: st.wholeRuns,
+		borrowed:  ^uint64(0) >> (64 - len(st.Levels)),
+	}
 }
 
 // Footprint reports the live bytes the stack holds: the allocated
@@ -434,6 +496,7 @@ func (st *CompactorStack) UnmarshalState(r *Reader) (int, error) {
 		return 0, ErrCorrupt
 	}
 	st.Levels = make([]Level, 0, min(numLevels, 64))
+	st.borrowed = 0
 	return numLevels, nil
 }
 

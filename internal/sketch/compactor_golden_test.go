@@ -1,6 +1,7 @@
 package sketch_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -131,89 +132,169 @@ func TestCompactorBytesGolden(t *testing.T) {
 	}
 }
 
-// runCompactorScript drives one case over one stream and appends one
-// line per step to out.
-func runCompactorScript(t *testing.T, out *strings.Builder, c compactorCase, stream string, next func(int, *rand.Rand) float64) {
-	t.Helper()
-	rng := rand.New(rand.NewPCG(7, 11))
-	i := 0
-	values := func(n int) []float64 {
-		xs := make([]float64, n)
-		for j := range xs {
-			xs[j] = next(i, rng)
-			i++
+// compactorStep is one step of the byte-golden script: it draws n
+// values and returns the sketch to continue with (a clone or a decoded
+// copy replaces the one it was given).
+type compactorStep struct {
+	name string
+	n    int
+	run  func(t *testing.T, c compactorCase, s compactorSketch, xs []float64) compactorSketch
+}
+
+// compactorScript is the byte-golden script: scalar and batch inserts,
+// a merge with a smaller k, Degrade, ScaleCount, MergeScaled, a deep
+// Clone and a serialization round trip, each continued by inserts.
+var compactorScript = []compactorStep{
+	{"insert", 3000, func(_ *testing.T, _ compactorCase, s compactorSketch, xs []float64) compactorSketch {
+		for _, x := range xs {
+			s.Insert(x)
 		}
-		return xs
-	}
-	s := c.build()
-	record := func(step string) {
-		t.Helper()
+		return s
+	}},
+	{"insertbatch", 7000, func(_ *testing.T, _ compactorCase, s compactorSketch, xs []float64) compactorSketch {
+		s.InsertBatch(xs)
+		return s
+	}},
+	{"merge", 4000, func(t *testing.T, c compactorCase, s compactorSketch, xs []float64) compactorSketch {
+		o := c.small()
+		o.InsertBatch(xs)
+		if err := s.Merge(o); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}},
+	{"degrade", 0, func(t *testing.T, _ compactorCase, s compactorSketch, _ []float64) compactorSketch {
+		if _, err := s.Degrade(); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}},
+	{"scalecount", 0, func(_ *testing.T, _ compactorCase, s compactorSketch, _ []float64) compactorSketch {
+		s.ScaleCount(0.6)
+		return s
+	}},
+	{"mergescaled", 2500, func(t *testing.T, c compactorCase, s compactorSketch, xs []float64) compactorSketch {
+		o := c.small()
+		o.InsertBatch(xs)
+		if err := s.MergeScaled(o, 0.3); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}},
+	{"clone", 1500, func(_ *testing.T, c compactorCase, s compactorSketch, xs []float64) compactorSketch {
+		s = c.clone(s)
+		s.InsertBatch(xs)
+		return s
+	}},
+	{"roundtrip", 1200, func(t *testing.T, c compactorCase, s compactorSketch, xs []float64) compactorSketch {
 		blob, err := s.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		mem := s.MemoryBytes()
-		h := sha256.New()
-		for _, q := range []float64{0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
-			v, err := s.Quantile(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+		d := c.build()
+		if err := d.UnmarshalBinary(blob); err != nil {
+			t.Fatal(err)
 		}
-		for _, x := range []float64{-1, 0, 0.25, 1, 100} {
-			r, err := s.Rank(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(r)))
+		for _, x := range xs {
+			d.Insert(x)
 		}
-		fmt.Fprintf(out, "%s/%s %-12s bytes=%x mem=%d answers=%x fp=%d\n",
-			c.name, stream, step, sha256.Sum256(blob), mem, h.Sum(nil)[:8], s.Footprint())
-	}
+		return d
+	}},
+}
 
-	for _, x := range values(3000) {
-		s.Insert(x)
+// compactorInputs draws every step's values from one stream, in script
+// order.
+func compactorInputs(next func(int, *rand.Rand) float64) [][]float64 {
+	rng := rand.New(rand.NewPCG(7, 11))
+	i := 0
+	inputs := make([][]float64, len(compactorScript))
+	for j, step := range compactorScript {
+		xs := make([]float64, step.n)
+		for k := range xs {
+			xs[k] = next(i, rng)
+			i++
+		}
+		inputs[j] = xs
 	}
-	record("insert")
-	s.InsertBatch(values(7000))
-	record("insertbatch")
+	return inputs
+}
 
-	o := c.small()
-	o.InsertBatch(values(4000))
-	if err := s.Merge(o); err != nil {
-		t.Fatal(err)
-	}
-	record("merge")
-
-	if _, err := s.Degrade(); err != nil {
-		t.Fatal(err)
-	}
-	record("degrade")
-	s.ScaleCount(0.6)
-	record("scalecount")
-	o = c.small()
-	o.InsertBatch(values(2500))
-	if err := s.MergeScaled(o, 0.3); err != nil {
-		t.Fatal(err)
-	}
-	record("mergescaled")
-
-	s = c.clone(s)
-	s.InsertBatch(values(1500))
-	record("clone")
-
+// compactorState is one line of the golden: the SHA-256 of
+// MarshalBinary, MemoryBytes and a hash of a few quantile and rank
+// answers. The query view the answers build is Footprint's to count.
+func compactorState(t *testing.T, s compactorSketch) string {
+	t.Helper()
 	blob, err := s.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := c.build()
-	if err := d.UnmarshalBinary(blob); err != nil {
-		t.Fatal(err)
+	mem := s.MemoryBytes()
+	h := sha256.New()
+	for _, q := range []float64{0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
+		v, err := s.Quantile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
 	}
-	s = d
-	for _, x := range values(1200) {
-		s.Insert(x)
+	for _, x := range []float64{-1, 0, 0.25, 1, 100} {
+		r, err := s.Rank(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(r)))
 	}
-	record("roundtrip")
+	return fmt.Sprintf("bytes=%x mem=%d answers=%x", sha256.Sum256(blob), mem, h.Sum(nil)[:8])
+}
+
+// runCompactorScript drives one case over one stream and appends one
+// line per step to out.
+func runCompactorScript(t *testing.T, out *strings.Builder, c compactorCase, stream string, next func(int, *rand.Rand) float64) {
+	t.Helper()
+	inputs := compactorInputs(next)
+	s := c.build()
+	for j, step := range compactorScript {
+		s = step.run(t, c, s, inputs[j])
+		state := compactorState(t, s)
+		fmt.Fprintf(out, "%s/%s %-12s %s fp=%d\n", c.name, stream, step.name, state, s.Footprint())
+	}
+}
+
+// TestKLLShareCloneMatchesClone runs the byte-golden script on every
+// stream and, after each step, continues a ShareClone and a deep Clone
+// of the sketch through the rest of the script. After every later step
+// the two must serialize and answer identically (Footprint may differ:
+// a level copied on first write gets its own headroom), and once both
+// are done the sketch they were cloned from must still hold its bytes:
+// the sharing copy wrote none of the arrays it borrowed.
+func TestKLLShareCloneMatchesClone(t *testing.T) {
+	c := compactorCases()[0] // kll
+	share := func(s compactorSketch) compactorSketch { return s.(*kll.Sketch).ShareClone() }
+	for _, st := range compactorStreams {
+		inputs := compactorInputs(st.next)
+		src := c.build()
+		for j, step := range compactorScript {
+			src = step.run(t, c, src, inputs[j])
+			want, err := src.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared, deep := share(src), c.clone(src)
+			for k := j + 1; k < len(compactorScript); k++ {
+				shared = compactorScript[k].run(t, c, shared, inputs[k])
+				deep = compactorScript[k].run(t, c, deep, inputs[k])
+				if g, w := compactorState(t, shared), compactorState(t, deep); g != w {
+					t.Fatalf("%s: shared after %s, then %s:\n got  %s\n want %s",
+						st.name, step.name, compactorScript[k].name, g, w)
+				}
+			}
+			got, err := src.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: the source's bytes after %s moved while its ShareClone ran on", st.name, step.name)
+			}
+		}
+	}
 }
