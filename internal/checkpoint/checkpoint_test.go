@@ -214,6 +214,29 @@ func TestMemStore(t *testing.T) {
 	testStore(t, NewMemStore())
 }
 
+// TestMemStorePutAllocs pins the Put ownership contract: MemStore keeps
+// the caller's slice instead of copying it, so a Put that replaces an
+// existing key allocates nothing, while Get still returns a copy the
+// caller may modify.
+func TestMemStorePutAllocs(t *testing.T) {
+	store := NewMemStore()
+	data := bytes.Repeat([]byte{7}, 4096)
+	if err := store.Put(1, data); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(100, func() { _ = store.Put(1, data) }); avg != 0 {
+		t.Errorf("MemStore.Put allocates %.1f times, want 0", avg)
+	}
+	got, err := store.Get(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got[0] = 9
+	if again, _ := store.Get(1); again[0] != 7 {
+		t.Errorf("modifying Get's result changed the stored snapshot")
+	}
+}
+
 func TestDirStore(t *testing.T) {
 	store, err := NewDirStore(filepath.Join(t.TempDir(), "ckpt"))
 	if err != nil {

@@ -25,6 +25,7 @@ var ErrNoSnapshot = errors.New("checkpoint: no usable snapshot in store")
 // byte level are instead caught by the envelope checksum).
 type Store interface {
 	// Put durably stores data under seq, replacing any previous value.
+	// Put may retain data: the caller must not modify it afterwards.
 	Put(seq uint64, data []byte) error
 	// Get returns the data stored under seq, or ErrNotFound.
 	Get(seq uint64) ([]byte, error)
@@ -45,13 +46,13 @@ func NewMemStore() *MemStore {
 	return &MemStore{snaps: make(map[uint64][]byte)}
 }
 
-// Put implements Store.
+// Put implements Store. It keeps data itself, without a copy, as the
+// Store contract allows; Get hands out copies, so a reader can never
+// modify what is stored.
 func (m *MemStore) Put(seq uint64, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	m.snaps[seq] = cp
+	m.snaps[seq] = data
 	return nil
 }
 

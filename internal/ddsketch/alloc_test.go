@@ -1,7 +1,10 @@
 package ddsketch
 
 import (
+	"math"
 	"testing"
+
+	"repro/internal/invariant"
 )
 
 // allocInputs returns a deterministic pseudo-random batch in [1, 1000):
@@ -135,6 +138,60 @@ func TestInsertBatchAllocs(t *testing.T) {
 		avg := testing.AllocsPerRun(100, func() { s.InsertBatch(xs) })
 		if avg > 0 {
 			t.Errorf("InsertBatch(%s) allocates %.1f times per 1024-value batch, want 0", name, avg)
+		}
+	}
+}
+
+// paretoPane returns a sketch filled with Pareto(1, 1.2) values, one in
+// eight negated, so both of its stores span a few hundred buckets: the
+// shape of a sliding-window pane.
+func paretoPane(t testing.TB, mk func(float64) *Sketch) *Sketch {
+	pane := mk(0.01)
+	state := uint64(0x2545f4914f6cdd1d)
+	for i := 0; i < 20000; i++ {
+		state = state*6364136223846793005 + 1442695040888963407
+		u := (float64(state>>11) + 1) / (1 << 53)
+		x := math.Pow(u, -1/1.2)
+		if i%8 == 0 {
+			x = -x
+		}
+		pane.Insert(x)
+	}
+	for _, st := range []Store{pane.positive, pane.negative} {
+		if span := st.MaxIndex() - st.MinIndex() + 1; span < 300 {
+			t.Fatalf("pane store spans %d buckets, want at least 300", span)
+		}
+	}
+	return pane
+}
+
+// TestMergeFreshAllocs pins the dense store's bulk merge: merging a pane
+// into a fresh sketch, plainly or scaled, allocates one array per
+// non-empty store. One Add per bucket would re-allocate the array at
+// every 64-bucket chunk, about ten times per store here.
+func TestMergeFreshAllocs(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("the armed build's merge assertions allocate")
+	}
+	pane := paretoPane(t, New)
+	const runs = 50
+	for name, merge := range map[string]func(dst *Sketch) error{
+		"Merge":       func(dst *Sketch) error { return dst.Merge(pane) },
+		"MergeScaled": func(dst *Sketch) error { return dst.MergeScaled(pane, 0.5) },
+	} {
+		dsts := make([]*Sketch, runs+1) // AllocsPerRun adds one warm-up call
+		for i := range dsts {
+			dsts[i] = New(0.01)
+		}
+		next := 0
+		avg := testing.AllocsPerRun(runs, func() {
+			if err := merge(dsts[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		if avg > 2 {
+			t.Errorf("%s of a pane into a fresh sketch allocates %.1f times, want at most 2 (one array per store)", name, avg)
 		}
 	}
 }

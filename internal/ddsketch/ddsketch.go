@@ -388,14 +388,8 @@ func (s *Sketch) Merge(other sketch.Sketch) error {
 		return err
 	}
 	mergedCount := s.Count() + o.Count()
-	o.positive.ForEach(func(i int, c int64) bool {
-		s.positive.Add(i, c)
-		return true
-	})
-	o.negative.ForEach(func(i int, c int64) bool {
-		s.negative.Add(i, c)
-		return true
-	})
+	addBuckets(s.positive, o.positive, math.MinInt, math.MaxInt)
+	addBuckets(s.negative, o.negative, math.MinInt, math.MaxInt)
 	s.zeroCnt += o.zeroCnt
 	if o.min < s.min {
 		s.min = o.min
@@ -408,6 +402,24 @@ func (s *Sketch) Merge(other sketch.Sketch) error {
 	}
 	s.assertCount("merge", mergedCount)
 	return nil
+}
+
+// addBuckets adds every bucket of src to dst, each index clamped into
+// [lo, hi]. Two plain DenseStores take the bulk path, which allocates
+// dst's array at most once; the collapsing and paginated stores go
+// bucket by bucket, because how they fold or page depends on the order
+// buckets arrive in.
+func addBuckets(dst, src Store, lo, hi int) {
+	if d, ok := dst.(*DenseStore); ok {
+		if sd, ok := src.(*DenseStore); ok {
+			d.addDense(sd, lo, hi, 1)
+			return
+		}
+	}
+	src.ForEach(func(i int, c int64) bool {
+		dst.Add(min(max(i, lo), hi), c)
+		return true
+	})
 }
 
 // mergeable returns other as a DDSketch sharing the receiver's mapping,
@@ -521,56 +533,44 @@ func (s *Sketch) Degrade() (int, error) {
 // the high-index end (negative store, where higher index = more
 // negative value).
 func (s *Sketch) collapseExtreme(st Store, low bool) (Store, bool) {
-	nb := st.NonEmptyBuckets()
+	nb, lower, upper := medianBuckets(st)
 	if nb < minDegradeBuckets {
 		return st, false
 	}
-	drop := nb / 2 // buckets folded away
 	ns := s.storeFn()
 	if low {
-		// Fold the `drop` lowest buckets into the lowest survivor.
-		seen := 0
-		var boundary int
-		st.ForEach(func(i int, c int64) bool {
-			if seen < drop {
-				seen++
-				boundary = i // grows until the last folded bucket
-				return true
-			}
-			if seen == drop {
-				seen++
-				boundary = i // the lowest surviving bucket
-			}
-			return false
-		})
-		st.ForEach(func(i int, c int64) bool {
-			if i < boundary {
-				ns.Add(boundary, c)
-			} else {
-				ns.Add(i, c)
-			}
-			return true
-		})
+		// Fold the ⌊nb/2⌋ lowest buckets into the lowest survivor.
+		addBuckets(ns, st, upper, math.MaxInt)
 	} else {
-		// Fold the `drop` highest buckets into the highest survivor.
-		keep := nb - drop
-		seen := 0
-		boundary := 0
-		st.ForEach(func(i int, c int64) bool {
-			seen++
-			boundary = i
-			return seen < keep // stops at the highest surviving bucket
-		})
-		st.ForEach(func(i int, c int64) bool {
-			if i > boundary {
-				ns.Add(boundary, c)
-			} else {
-				ns.Add(i, c)
-			}
-			return true
-		})
+		// Fold the ⌊nb/2⌋ highest buckets into the highest survivor.
+		addBuckets(ns, st, math.MinInt, lower)
 	}
 	return ns, true
+}
+
+// medianBuckets returns the number nb of st's non-empty buckets and the
+// indices of its lower and upper median non-empty buckets, the
+// ⌈nb/2⌉-th and the (⌊nb/2⌋+1)-th in ascending order. A DenseStore
+// finds them in one walk of its array; other stores are counted, then
+// walked up to the upper median.
+func medianBuckets(st Store) (nb, lower, upper int) {
+	if d, ok := st.(*DenseStore); ok {
+		return d.medianBuckets()
+	}
+	nb = st.NonEmptyBuckets()
+	lowerRank, upperRank := (nb+1)/2, nb/2+1
+	seen := 0
+	st.ForEach(func(i int, _ int64) bool {
+		seen++
+		if seen == lowerRank {
+			lower = i
+		}
+		if seen == upperRank {
+			upper = i
+		}
+		return seen < upperRank
+	})
+	return nb, lower, upper
 }
 
 // AccuracyBound implements sketch.AccuracyBounder: the mapping's

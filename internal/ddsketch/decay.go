@@ -94,12 +94,18 @@ func (a *scaledAdder) add(i int, c int64) bool {
 	return true
 }
 
-// addAll visits src's buckets. The package's own stores are walked
-// through their concrete ForEach, which lets the visitor stay on the
-// stack; only a foreign Store implementation costs a heap copy.
+// addAll visits src's buckets. Between two plain DenseStores it takes
+// the bulk path (DenseStore.addDense), which allocates dst's array at
+// most once. Otherwise the package's own stores are walked through
+// their concrete ForEach, which lets the visitor stay on the stack;
+// only a foreign Store implementation costs a heap copy.
 func (a *scaledAdder) addAll(src Store) {
 	switch st := src.(type) {
 	case *DenseStore:
+		if d, ok := a.dst.(*DenseStore); ok {
+			a.added += d.addDense(st, math.MinInt, math.MaxInt, a.g)
+			return
+		}
 		st.ForEach(a.add)
 	case *CollapsingLowestDenseStore:
 		st.ForEach(a.add)

@@ -1,5 +1,7 @@
 package ddsketch
 
+import "math"
+
 // Store holds bucket counts keyed by integer index. DDSketch's behaviour
 // under bounded memory depends on the store implementation, and the study
 // calls those differences out explicitly (array-backed dense store vs the
@@ -113,35 +115,108 @@ func (s *DenseStore) AddOnes(indexes []int) {
 
 // ensure grows the backing array to include index.
 func (s *DenseStore) ensure(index int) {
-	if len(s.counts) == 0 {
-		s.counts = make([]int64, initialDenseBuckets)
-		s.offset = index - initialDenseBuckets/2
+	if pos := index - s.offset; pos >= 0 && pos < len(s.counts) {
 		return
 	}
-	pos := index - s.offset
-	if pos >= 0 && pos < len(s.counts) {
-		return
+	s.resize(grownSpan(s.offset, len(s.counts), index))
+}
+
+// grownSpan returns the offset and length ensure gives an array at
+// (offset, n) so that it covers index; an index already covered leaves
+// both unchanged. An empty array (n = 0) starts at the
+// paper's 64 buckets centred on index. Otherwise the new array covers
+// both the current range and the new index, rounded up to the next
+// chunk. The chunked growth (rather than doubling) keeps the array close
+// to the actually observed index span, matching the reference
+// implementation's space behaviour the paper measures in Sec 4.3: the
+// range grows only logarithmically with the data, so re-allocation
+// stays rare.
+func grownSpan(offset, n, index int) (int, int) {
+	if n == 0 {
+		return index - initialDenseBuckets/2, initialDenseBuckets
 	}
-	// Grow to cover both the current range and the new index, rounded up
-	// to the next chunk. The chunked growth (rather than doubling) keeps
-	// the array close to the actually observed index span, matching the
-	// reference implementation's space behaviour the paper measures in
-	// Sec 4.3: the range grows only logarithmically with the data, so
-	// re-allocation stays rare.
-	lo, hi := s.offset, s.offset+len(s.counts)-1
-	if index < lo {
-		lo = index
+	if pos := index - offset; pos >= 0 && pos < n {
+		return offset, n
 	}
-	if index > hi {
-		hi = index
-	}
+	lo, hi := min(offset, index), max(offset+n-1, index)
 	span := hi - lo + 1
-	n := (span + initialDenseBuckets - 1) / initialDenseBuckets * initialDenseBuckets
+	grown := (span + initialDenseBuckets - 1) / initialDenseBuckets * initialDenseBuckets
+	return lo - (grown-span)/2, grown
+}
+
+// resize moves the counts into a fresh array of length n whose first
+// slot is bucket offset, which must cover every slot of the old array.
+func (s *DenseStore) resize(offset, n int) {
 	grown := make([]int64, n)
-	newOffset := lo - (n-span)/2
-	copy(grown[s.offset-newOffset:], s.counts)
+	if len(s.counts) > 0 {
+		copy(grown[s.offset-offset:], s.counts)
+	}
 	s.counts = grown
-	s.offset = newOffset
+	s.offset = offset
+}
+
+// addDense adds src's non-empty buckets to s in ascending index order,
+// each index clamped into [lo, hi] and, unless g is 1, each count c
+// scaled to round(c·g), skipping counts that round to 0. It returns the
+// total count added.
+//
+// The result is exactly what one Add per bucket in that order would
+// leave — the same offset, array length, counts, total and min/max
+// index, hence the same NumbersHeld — but the array is allocated at
+// most once. When the array does not yet cover src's clamped range, a
+// first pass replays ensure's chunked growth on the surviving indices
+// alone; the counts then go into the final array in one loop. Per-bucket
+// Adds into a store fed in ascending order would re-allocate the whole
+// array at every 64-slot chunk boundary.
+func (s *DenseStore) addDense(src *DenseStore, lo, hi int, g float64) int64 {
+	if src.total == 0 {
+		return 0
+	}
+	srcCounts, srcOff := src.counts, src.offset
+	from, to := min(max(src.minIdx, lo), hi), min(max(src.maxIdx, lo), hi)
+	if from < s.offset || to >= s.offset+len(s.counts) {
+		offset, n := s.offset, len(s.counts)
+		for i := src.minIdx; i <= src.maxIdx; i++ {
+			if scaleCount(srcCounts[i-srcOff], g) <= 0 {
+				continue
+			}
+			if j := min(max(i, lo), hi); j < offset || j >= offset+n {
+				offset, n = grownSpan(offset, n, j)
+			}
+		}
+		if n != len(s.counts) {
+			s.resize(offset, n)
+		}
+	}
+	counts, offset := s.counts, s.offset
+	var added int64
+	first, last := 0, 0
+	for i := src.minIdx; i <= src.maxIdx; i++ {
+		if c := scaleCount(srcCounts[i-srcOff], g); c > 0 {
+			j := min(max(i, lo), hi)
+			if added == 0 {
+				first = j
+			}
+			last = j
+			counts[j-offset] += c
+			added += c
+		}
+	}
+	if added == 0 {
+		return 0
+	}
+	s.total += added
+	s.minIdx = min(s.minIdx, first)
+	s.maxIdx = max(s.maxIdx, last)
+	return added
+}
+
+// scaleCount returns c unchanged when g is 1, else round(c·g).
+func scaleCount(c int64, g float64) int64 {
+	if g == 1 {
+		return c
+	}
+	return int64(math.Round(float64(c) * g))
 }
 
 // Total implements Store.
@@ -167,6 +242,44 @@ func (s *DenseStore) ForEach(fn func(index int, count int64) bool) {
 			if !fn(i, c) {
 				return
 			}
+		}
+	}
+}
+
+// medianBuckets returns the number nb of non-empty buckets and the
+// indices of the lower and upper median non-empty buckets, the ⌈nb/2⌉-th
+// and the (⌊nb/2⌋+1)-th in ascending order (the same bucket when nb is
+// odd), in one array walk that closes in on them from both ends.
+func (s *DenseStore) medianBuckets() (nb, lower, upper int) {
+	if s.total == 0 {
+		return 0, 0, 0
+	}
+	a, b := s.minIdx, s.maxIdx
+	if a == b {
+		return 1, a, a
+	}
+	// a is the na-th non-empty bucket from the bottom, b the nb-th from
+	// the top; the side behind advances, so na - nb stays 0 or 1.
+	na, nb := 1, 1
+	for {
+		if na <= nb {
+			next := a + 1
+			for s.counts[next-s.offset] == 0 {
+				next++
+			}
+			if next == b {
+				return na + nb, a, b
+			}
+			a, na = next, na+1
+		} else {
+			next := b - 1
+			for s.counts[next-s.offset] == 0 {
+				next--
+			}
+			if next == a {
+				return na + nb, a, a
+			}
+			b, nb = next, nb+1
 		}
 	}
 }

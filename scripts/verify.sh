@@ -164,10 +164,11 @@ gate concurrent go test -race -run 'Concurrent|Relaxation|Shared|Epoch|Snapshot|
 # fused MergeScaled must match the clone-and-scale reference. Tumbling
 # windows are one-pane windows of the same path, so their golden
 # digests, [start, end) boundaries, lateness and late-drop accounting
-# run here too, beside the sliding and session golden digests.
+# run here too, beside the sliding and session golden digests, and so
+# does DDSketch's bulk MergeScaled against its per-bucket reference.
 gate pane go test -race \
 	-run 'Pane|Sliding|Decay|ScaleCount|MergeScaled|WeightedQuantiles|TumblingSlide|Golden|WindowBoundary|Lateness|DroppedLate' \
-	./internal/stream ./internal/sketch ./internal/stats ./internal/harness
+	./internal/stream ./internal/sketch ./internal/stats ./internal/harness ./internal/ddsketch
 # UDDSketch's in-place collapses stage buckets through one scratch pool
 # shared by every map-store sketch: collapse-heavy sketches built on
 # several goroutines at once must stay byte-identical under the race
@@ -192,6 +193,7 @@ gate bench-smoke-concurrent go test -run '^$' -bench 'BenchmarkConcurrentInsert'
 gate bench-smoke-pane go test -run '^$' -bench 'BenchmarkSlidingThroughput' -benchtime 100x .
 gate bench-smoke-budget go test -run '^$' -bench 'BenchmarkBudgetOverhead' -benchtime 100x .
 gate bench-smoke-queue go test -run '^$' -bench 'BenchmarkArrivalQueue' -benchtime 100x ./internal/stream
+gate bench-smoke-merge go test -run '^$' -bench 'BenchmarkMergeScaled' -benchmem -benchtime 100x ./internal/ddsketch
 gate metrics-endpoint metrics_smoke
 # The examples must still build and run end to end: sessionwindows
 # drives the engine's tumbling, sliding and session windows,
